@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/stats.hpp"
 #include "core/model_io.hpp"
 #include "serve/engine.hpp"
 #include "sim/probe.hpp"
@@ -93,14 +94,20 @@ SweepPoint run_paced(const audio::Waveform& recording, std::size_t workers,
     serve::Submission sub = engine.submit(std::move(request));
     if (sub.accepted) futures.push_back(std::move(sub.result));
   }
-  for (auto& future : futures) future.get();
+  // Percentiles come from the exact per-request totals, not the engine's
+  // log2 latency histogram (whose bucket midpoints are only good to ~sqrt 2).
+  std::vector<double> total_ms;
+  total_ms.reserve(futures.size());
+  for (auto& future : futures) total_ms.push_back(future.get().total_ms);
   const double elapsed = seconds_since(t0);
   SweepPoint point;
   point.workers = workers;
   point.requests = futures.size();
   point.rps = static_cast<double>(futures.size()) / elapsed;
-  point.p50_ms = engine.metrics().latency.total.percentile_ms(0.50);
-  point.p95_ms = engine.metrics().latency.total.percentile_ms(0.95);
+  if (!total_ms.empty()) {
+    point.p50_ms = percentile(total_ms, 50.0);
+    point.p95_ms = percentile(total_ms, 95.0);
+  }
   engine.stop();
   return point;
 }

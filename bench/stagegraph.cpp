@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/stats.hpp"
 #include "serve/engine.hpp"
 #include "sim/probe.hpp"
 
@@ -97,13 +98,17 @@ BatchPoint run_batch(const audio::Waveform& recording, std::size_t batch_max,
     serve::Submission sub = engine.submit(std::move(req));
     if (sub.accepted) futures.push_back(std::move(sub.result));
   }
-  for (auto& future : futures) future.get();
+  // The p50 comes from the exact per-request totals, not the engine's log2
+  // latency histogram (whose bucket midpoints are only good to ~sqrt 2).
+  std::vector<double> total_ms;
+  total_ms.reserve(futures.size());
+  for (auto& future : futures) total_ms.push_back(future.get().total_ms);
   const double elapsed = seconds_since(t0);
   BatchPoint point;
   point.batch_max = batch_max;
   point.requests = futures.size();
   point.rps = static_cast<double>(futures.size()) / elapsed;
-  point.p50_ms = engine.metrics().latency.total.percentile_ms(0.50);
+  if (!total_ms.empty()) point.p50_ms = percentile(total_ms, 50.0);
   point.batches = engine.metrics().batches.load();
   point.batched_requests = engine.metrics().batched_requests.load();
   engine.stop();

@@ -126,7 +126,7 @@ void ensure_psd_cache(WindowPsdScratch& s, const SpectrumConfig& config,
 }
 
 // Window placement for one echo under the configured anchor — the switch
-// from extract(), shared with the batched extract_all path.
+// from extract(), shared with the packed extract_all_multi path.
 struct WindowGeometry {
   std::size_t center = 0, pre = 0, post = 0;
 };
@@ -301,56 +301,8 @@ dsp::Spectrum EchoSpectrumExtractor::finalize(dsp::Spectrum spectrum,
 
 std::vector<dsp::Spectrum> EchoSpectrumExtractor::extract_all(
     const audio::Waveform& signal, const std::vector<EchoSegment>& echoes) const {
-  std::vector<dsp::Spectrum> out;
-  out.reserve(echoes.size());
-  std::size_t i = 0;
-  // Batched fast path: with no interpolation or taper the raw window IS the
-  // FFT input, so four echoes' windows pack side by side into one four-lane
-  // band PSD (FftPlan::power_spectrum_band_x4). Each lane runs the identical
-  // arithmetic as the per-echo path and finalize() is the shared per-echo
-  // tail, so every spectrum matches extract() bit for bit.
-  if (!config_.interpolate && !config_.hann_taper && !config_.float32_kernels &&
-      echoes.size() >= 4) {
-    const double fs = signal.sample_rate();
-    require(config_.band_high_hz <= fs / 2.0, "extract: band exceeds Nyquist");
-    WindowPsdScratch& s = window_psd_scratch();
-    ensure_psd_cache(s, config_, fs);  // no interpolation: effective rate == fs
-    const dsp::FftPlan& plan = *s.plan;
-    const std::size_t bins = plan.real_bins();
-    const double scale = 1.0 / static_cast<double>(config_.fft_size);
-    s.dense4.assign(4 * config_.fft_size, 0.0);
-    s.psd4.resize(4 * bins);
-    const std::vector<double>& x = signal.samples();
-    for (; i + 4 <= echoes.size(); i += 4) {
-      const double* in[4];
-      double* psd[4];
-      for (std::size_t l = 0; l < 4; ++l) {
-        const EchoSegment& echo = echoes[i + l];
-        require(echo.peak_index < signal.size(), "extract: echo peak outside signal");
-        const WindowGeometry g = window_geometry(config_, echo);
-        const std::size_t window_len = g.pre + g.post + 1;
-        double* dense = s.dense4.data() + l * config_.fft_size;
-        // Only the window head is dirty from the previous group; the
-        // zero-padded tail beyond window_len is never written.
-        std::fill_n(dense, window_len, 0.0);
-        for (std::size_t k = 0; k < window_len; ++k) {
-          const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(g.center) -
-                                     static_cast<std::ptrdiff_t>(g.pre) +
-                                     static_cast<std::ptrdiff_t>(k);
-          if (idx >= 0 && idx < static_cast<std::ptrdiff_t>(signal.size()))
-            dense[k] = x[static_cast<std::size_t>(idx)];
-        }
-        in[l] = dense;
-        psd[l] = s.psd4.data() + l * bins;
-      }
-      plan.power_spectrum_band_x4(in, psd, scale, s.fft, s.band_klo, s.band_khi);
-      for (std::size_t l = 0; l < 4; ++l)
-        out.push_back(
-            finalize(resample_with_cache(s, psd[l]), signal, echoes[i + l]));
-    }
-  }
-  for (; i < echoes.size(); ++i) out.push_back(extract(signal, echoes[i]));
-  return out;
+  const EchoBatch item{&signal, &echoes};
+  return std::move(extract_all_multi({&item, 1}).front());
 }
 
 std::vector<std::vector<dsp::Spectrum>> EchoSpectrumExtractor::extract_all_multi(
@@ -366,8 +318,7 @@ std::vector<std::vector<dsp::Spectrum>> EchoSpectrumExtractor::extract_all_multi
     if (fs0 == 0.0) fs0 = item.signal->sample_rate();
     uniform_fs = uniform_fs && item.signal->sample_rate() == fs0;
   }
-  if (config_.interpolate || config_.hann_taper || config_.float32_kernels ||
-      !uniform_fs || total < 4) {
+  if (!uniform_fs) {
     for (std::size_t i = 0; i < items.size(); ++i)
       out[i] = extract_all(*items[i].signal, *items[i].echoes);
     return out;
@@ -375,6 +326,11 @@ std::vector<std::vector<dsp::Spectrum>> EchoSpectrumExtractor::extract_all_multi
 
   // Flatten the (recording, echo) pairs in submission order; x4 groups then
   // slice the flat sequence, crossing recording boundaries where they fall.
+  // With no interpolation or taper the raw window IS the FFT input, so four
+  // windows pack side by side into one four-lane band PSD
+  // (FftPlan::power_spectrum_band_x4); otherwise, and for the ragged tail,
+  // each window runs through extract(). finalize() is the shared per-echo
+  // tail, so every spectrum matches extract() bit for bit.
   struct Slot {
     std::size_t item, echo;
   };
@@ -385,46 +341,50 @@ std::vector<std::vector<dsp::Spectrum>> EchoSpectrumExtractor::extract_all_multi
     for (std::size_t e = 0; e < items[i].echoes->size(); ++e) slots.push_back({i, e});
   }
 
-  require(config_.band_high_hz <= fs0 / 2.0, "extract: band exceeds Nyquist");
-  WindowPsdScratch& s = window_psd_scratch();
-  ensure_psd_cache(s, config_, fs0);  // no interpolation: effective rate == fs
-  const dsp::FftPlan& plan = *s.plan;
-  const std::size_t bins = plan.real_bins();
-  const double scale = 1.0 / static_cast<double>(config_.fft_size);
-  s.dense4.assign(4 * config_.fft_size, 0.0);
-  s.psd4.resize(4 * bins);
   std::size_t k = 0;
-  for (; k + 4 <= slots.size(); k += 4) {
-    const double* in[4];
-    double* psd[4];
-    for (std::size_t l = 0; l < 4; ++l) {
-      const Slot& slot = slots[k + l];
-      const audio::Waveform& signal = *items[slot.item].signal;
-      const EchoSegment& echo = (*items[slot.item].echoes)[slot.echo];
-      require(echo.peak_index < signal.size(), "extract: echo peak outside signal");
-      const WindowGeometry g = window_geometry(config_, echo);
-      const std::size_t window_len = g.pre + g.post + 1;
-      double* dense = s.dense4.data() + l * config_.fft_size;
-      // Only the window head is dirty from the previous group; the
-      // zero-padded tail beyond window_len is never written.
-      std::fill_n(dense, window_len, 0.0);
-      const std::vector<double>& x = signal.samples();
-      for (std::size_t j = 0; j < window_len; ++j) {
-        const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(g.center) -
-                                   static_cast<std::ptrdiff_t>(g.pre) +
-                                   static_cast<std::ptrdiff_t>(j);
-        if (idx >= 0 && idx < static_cast<std::ptrdiff_t>(signal.size()))
-          dense[j] = x[static_cast<std::size_t>(idx)];
+  const bool packed =
+      !config_.interpolate && !config_.hann_taper && !config_.float32_kernels;
+  if (packed && slots.size() >= 4) {
+    require(config_.band_high_hz <= fs0 / 2.0, "extract: band exceeds Nyquist");
+    WindowPsdScratch& s = window_psd_scratch();
+    ensure_psd_cache(s, config_, fs0);  // no interpolation: effective rate == fs
+    const dsp::FftPlan& plan = *s.plan;
+    const std::size_t bins = plan.real_bins();
+    const double scale = 1.0 / static_cast<double>(config_.fft_size);
+    s.dense4.assign(4 * config_.fft_size, 0.0);
+    s.psd4.resize(4 * bins);
+    for (; k + 4 <= slots.size(); k += 4) {
+      const double* in[4];
+      double* psd[4];
+      for (std::size_t l = 0; l < 4; ++l) {
+        const Slot& slot = slots[k + l];
+        const audio::Waveform& signal = *items[slot.item].signal;
+        const EchoSegment& echo = (*items[slot.item].echoes)[slot.echo];
+        require(echo.peak_index < signal.size(), "extract: echo peak outside signal");
+        const WindowGeometry g = window_geometry(config_, echo);
+        const std::size_t window_len = g.pre + g.post + 1;
+        double* dense = s.dense4.data() + l * config_.fft_size;
+        // Only the window head is dirty from the previous group; the
+        // zero-padded tail beyond window_len is never written.
+        std::fill_n(dense, window_len, 0.0);
+        const std::vector<double>& x = signal.samples();
+        for (std::size_t j = 0; j < window_len; ++j) {
+          const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(g.center) -
+                                     static_cast<std::ptrdiff_t>(g.pre) +
+                                     static_cast<std::ptrdiff_t>(j);
+          if (idx >= 0 && idx < static_cast<std::ptrdiff_t>(signal.size()))
+            dense[j] = x[static_cast<std::size_t>(idx)];
+        }
+        in[l] = dense;
+        psd[l] = s.psd4.data() + l * bins;
       }
-      in[l] = dense;
-      psd[l] = s.psd4.data() + l * bins;
-    }
-    plan.power_spectrum_band_x4(in, psd, scale, s.fft, s.band_klo, s.band_khi);
-    for (std::size_t l = 0; l < 4; ++l) {
-      const Slot& slot = slots[k + l];
-      out[slot.item].push_back(finalize(resample_with_cache(s, psd[l]),
-                                        *items[slot.item].signal,
-                                        (*items[slot.item].echoes)[slot.echo]));
+      plan.power_spectrum_band_x4(in, psd, scale, s.fft, s.band_klo, s.band_khi);
+      for (std::size_t l = 0; l < 4; ++l) {
+        const Slot& slot = slots[k + l];
+        out[slot.item].push_back(finalize(resample_with_cache(s, psd[l]),
+                                          *items[slot.item].signal,
+                                          (*items[slot.item].echoes)[slot.echo]));
+      }
     }
   }
   for (; k < slots.size(); ++k)

@@ -98,32 +98,31 @@ class EchoSpectrumExtractor {
   [[nodiscard]] dsp::Spectrum extract(const audio::Waveform& signal,
                                       const EchoSegment& echo) const;
 
-  /// extract() for every echo in one call. The per-echo PSDs feed several
-  /// downstream consumers (time-group averages, the whole-recording mean);
-  /// extracting them once and averaging subranges with average_of() avoids
-  /// re-running the window/FFT chain per consumer.
-  [[nodiscard]] std::vector<dsp::Spectrum> extract_all(
-      const audio::Waveform& signal, const std::vector<EchoSegment>& echoes) const;
-
   /// One recording's window-extraction work order for extract_all_multi.
   struct EchoBatch {
     const audio::Waveform* signal = nullptr;
     const std::vector<EchoSegment>* echoes = nullptr;
   };
 
-  /// extract_all() for many recordings in one pass: the flattened
-  /// (recording, echo) windows pack into four-lane PSD groups that may cross
-  /// recording boundaries, so a serving batch of short recordings — whose
-  /// per-recording ragged tails would otherwise run single-lane — still
-  /// fills the power_spectrum_band_x4 kernels. Result [i] is bit-identical
-  /// to extract_all(*items[i].signal, *items[i].echoes): each lane's
-  /// arithmetic is independent of its lane-mates (the x4 kernel equals four
-  /// single calls bitwise), so the grouping cannot change any value. When
-  /// the recordings' sample rates differ or the config disables the packed
-  /// path (interpolate / hann_taper / float32_kernels), every item falls
-  /// back to plain extract_all.
+  /// extract() for every echo of many recordings in one pass: the flattened
+  /// (recording, echo) windows pack into four-lane power_spectrum_band_x4
+  /// groups that may cross recording boundaries, so a batch of short
+  /// recordings still fills the kernel. Each lane's arithmetic is
+  /// independent of its lane-mates (the x4 kernel equals four single calls
+  /// bitwise), so result [i][e] is bit-identical to
+  /// extract(*items[i].signal, (*items[i].echoes)[e]). The ragged tail, and
+  /// every window when the config disables packing (interpolate /
+  /// hann_taper / float32_kernels), runs through extract(); recordings at
+  /// different sample rates are extracted one at a time.
   [[nodiscard]] std::vector<std::vector<dsp::Spectrum>> extract_all_multi(
       std::span<const EchoBatch> items) const;
+
+  /// extract_all_multi() over one recording. The per-echo PSDs feed several
+  /// downstream consumers (time-group averages, the whole-recording mean);
+  /// extracting them once and averaging subranges with average_of() avoids
+  /// re-running the window/FFT chain per consumer.
+  [[nodiscard]] std::vector<dsp::Spectrum> extract_all(
+      const audio::Waveform& signal, const std::vector<EchoSegment>& echoes) const;
 
   /// Element-wise mean of already-extracted per-echo spectra, accumulated in
   /// order — bit-identical to average() over the matching echoes.
@@ -143,7 +142,7 @@ class EchoSpectrumExtractor {
                                          std::size_t post) const;
   /// Reference division, direct-pulse normalization, and peak normalization
   /// applied to one echo's band PSD — the tail of extract(), shared with the
-  /// batched extract_all path.
+  /// packed extract_all_multi path.
   [[nodiscard]] dsp::Spectrum finalize(dsp::Spectrum spectrum,
                                        const audio::Waveform& signal,
                                        const EchoSegment& echo) const;

@@ -142,159 +142,4 @@ std::size_t aligned_event_start(std::span<const double> signal, const Event& eve
   return event.start;
 }
 
-// ------------------------------------------------------- streaming variant
-
-namespace {
-// Log-domain histogram layout for the causal envelope median: 512 bins
-// spanning envelope values 1e-30 .. 1e6 geometrically.
-constexpr double kEnvLogFloor = -30.0;
-constexpr double kEnvLogSpan = 36.0;
-
-std::size_t envelope_bin(double env, std::size_t bins) {
-  if (!(env > 1e-30)) return 0;
-  const double t = (std::log10(env) - kEnvLogFloor) / kEnvLogSpan;
-  const auto b = static_cast<long>(t * static_cast<double>(bins));
-  if (b < 0) return 0;
-  if (b >= static_cast<long>(bins)) return bins - 1;
-  return static_cast<std::size_t>(b);
-}
-
-double envelope_bin_center(std::size_t bin, std::size_t bins) {
-  const double t = (static_cast<double>(bin) + 0.5) / static_cast<double>(bins);
-  return std::pow(10.0, kEnvLogFloor + t * kEnvLogSpan);
-}
-}  // namespace
-
-StreamingEventDetector::StreamingEventDetector(EventDetectorConfig config)
-    : config_(config) {
-  config_.validate();
-  power_ring_.assign(config_.smooth, 0.0);
-}
-
-double StreamingEventDetector::mean_power() const {
-  return n_ == 0 ? 0.0 : power_sum_ / static_cast<double>(n_);
-}
-
-double StreamingEventDetector::envelope_median() const {
-  if (env_count_ == 0) return 0.0;
-  std::size_t seen = 0;
-  for (std::size_t b = 0; b < env_histogram_.size(); ++b) {
-    seen += env_histogram_[b];
-    if (2 * seen >= env_count_) return envelope_bin_center(b, env_histogram_.size());
-  }
-  return envelope_bin_center(env_histogram_.size() - 1, env_histogram_.size());
-}
-
-void StreamingEventDetector::close_event(std::size_t end_center) {
-  in_event_ = false;
-  Event closed{event_start_, end_center};
-  const double mean = mean_power();
-  const double floor_env = std::max(envelope_median(), 1e-30);
-  if (closed.length() < config_.min_length ||
-      event_peak_env_ < config_.prominence * mean ||
-      event_peak_env_ < config_.floor_prominence * floor_env)
-    return;
-  // Expand by the smoothing half-width. The close happens at center c once
-  // sample c + half has been consumed, so end + half never outruns the
-  // samples seen (flush-closed events are clamped by the caller instead).
-  const std::size_t half = config_.smooth / 2;
-  closed.start = closed.start > half ? closed.start - half : 0;
-  closed.end = std::min(n_, closed.end + half);
-  if (has_pending_ && closed.start < pending_.end + config_.merge_gap &&
-      closed.end - pending_.start <= config_.max_length) {
-    pending_.end = std::max(pending_.end, closed.end);
-  } else if (has_pending_) {
-    // The caller collects the displaced event via settle_pending.
-    std::swap(pending_, closed);
-    settled_.push_back(closed);
-  } else {
-    pending_ = closed;
-    has_pending_ = true;
-  }
-}
-
-void StreamingEventDetector::settle_pending(std::vector<Event>& out, bool force) {
-  for (Event& e : settled_) out.push_back(e);
-  settled_.clear();
-  if (!has_pending_) return;
-  // A future event opening at center c expands to start c - half; it can only
-  // merge while c - half < pending.end + merge_gap. Once the scan is past
-  // that horizon (and not inside an event that opened before it), the pending
-  // event is final.
-  const std::size_t half = config_.smooth / 2;
-  const std::size_t horizon = pending_.end + config_.merge_gap + half;
-  if (force || (!in_event_ && centers_ >= horizon)) {
-    out.push_back(pending_);
-    has_pending_ = false;
-  }
-}
-
-void StreamingEventDetector::consume_envelope(double env) {
-  const std::size_t c = centers_++;
-  if (!mu_seeded_) {
-    mu_ = env;  // detect() seeds mu with the first envelope value
-    mu_seeded_ = true;
-  }
-  if (!in_event_) {
-    if (env > mu_ + config_.start_threshold_k * sigma_ && env > mean_power()) {
-      in_event_ = true;
-      event_start_ = c;
-      event_peak_env_ = env;
-    } else {
-      const double alpha = 1.0 / static_cast<double>(config_.window);
-      const double dev = std::abs(env - mu_);
-      mu_ = alpha * env + (1.0 - alpha) * mu_;
-      sigma_ = alpha * dev + (1.0 - alpha) * sigma_;
-    }
-  } else {
-    event_peak_env_ = std::max(event_peak_env_, env);
-    const bool too_long = c - event_start_ >= config_.max_length;
-    const bool quiet = env < mean_power();
-    if (too_long || quiet) close_event(c + 1);
-  }
-}
-
-std::vector<Event> StreamingEventDetector::push(std::span<const double> chunk) {
-  require(!flushed_, "StreamingEventDetector: push after flush");
-  std::vector<Event> out;
-  const std::size_t s = config_.smooth;
-  const std::size_t half = s / 2;
-  for (double x : chunk) {
-    const double p = x * x;
-    power_sum_ += p;
-    power_run_ += p;
-    if (n_ >= s) power_run_ -= power_ring_[ring_pos_];
-    power_ring_[ring_pos_] = p;
-    ring_pos_ = (ring_pos_ + 1) % s;
-    ++n_;
-    // The centered moving average for center c is complete once sample
-    // c + half has arrived; emit it to the scan in center order.
-    if (n_ >= half + 1) {
-      const std::size_t count = std::min(n_, s);
-      const double env = power_run_ / static_cast<double>(count);
-      env_histogram_[envelope_bin(env, env_histogram_.size())]++;
-      ++env_count_;
-      consume_envelope(env);
-    }
-  }
-  settle_pending(out, /*force=*/false);
-  return out;
-}
-
-std::vector<Event> StreamingEventDetector::flush() {
-  require(!flushed_, "StreamingEventDetector: flush twice");
-  flushed_ = true;
-  std::vector<Event> out;
-  // The last `half` centers never receive a completed moving average; the
-  // whole-signal pass leaves them at zero, which closes any open event.
-  while (centers_ < n_) {
-    env_histogram_[envelope_bin(0.0, env_histogram_.size())]++;
-    ++env_count_;
-    consume_envelope(0.0);
-  }
-  if (in_event_) close_event(centers_);
-  settle_pending(out, /*force=*/true);
-  return out;
-}
-
 }  // namespace earsonar::core

@@ -7,7 +7,6 @@
 // power falls back below the global mean power.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -64,79 +63,5 @@ class AdaptiveEventDetector {
 /// event's indices must lie inside the signal.
 [[nodiscard]] std::size_t aligned_event_start(std::span<const double> signal,
                                               const Event& event);
-
-/// Chunk-at-a-time event detection for streaming ingestion.
-///
-/// The whole-signal detect() gates events against two recording-global
-/// statistics (mean power and median envelope) that only exist once the
-/// recording has ended, so its exact decisions are inherently non-causal. The
-/// streaming detector runs the same envelope arithmetic and the same
-/// open/close state machine, but substitutes causal statistics: the running
-/// mean power of the samples seen so far, and a fixed-resolution log-domain
-/// histogram median of the envelope so far. Every update is per-sample, so
-/// the emitted events depend only on the sample sequence — never on how it
-/// was cut into chunks — and memory stays O(window), independent of stream
-/// length.
-///
-/// Events from push()/flush() are therefore *provisional* relative to
-/// detect() on the complete recording (the serving layer's
-/// StreamingSession::finish() re-runs the exact whole-signal pass); on
-/// stationary chirp trains the two agree after the first few intervals.
-class StreamingEventDetector {
- public:
-  explicit StreamingEventDetector(EventDetectorConfig config = {});
-
-  /// Consumes the next chunk (any size, including empty) and returns the
-  /// events this chunk finalized, in order, with absolute sample indices.
-  /// An event is finalized once no future sample could extend or merge it.
-  std::vector<Event> push(std::span<const double> chunk);
-
-  /// Ends the stream: closes a still-open event and returns every event not
-  /// yet finalized. The detector is exhausted afterwards (push() no longer
-  /// accepts samples).
-  std::vector<Event> flush();
-
-  [[nodiscard]] std::size_t samples_seen() const { return n_; }
-  /// Running mean power of the samples seen so far (the causal stand-in for
-  /// detect()'s recording-global closing threshold).
-  [[nodiscard]] double mean_power() const;
-  [[nodiscard]] const EventDetectorConfig& config() const { return config_; }
-
- private:
-  void consume_envelope(double env);
-  void close_event(std::size_t end_center);
-  void settle_pending(std::vector<Event>& out, bool force);
-  [[nodiscard]] double envelope_median() const;
-
-  EventDetectorConfig config_;
-
-  // Envelope: centered moving average of instantaneous power over `smooth`
-  // samples, reproduced incrementally with a power ring of that length.
-  std::vector<double> power_ring_;
-  std::size_t ring_pos_ = 0;
-  double power_run_ = 0.0;
-  std::size_t n_ = 0;             ///< samples consumed
-  std::size_t centers_ = 0;       ///< envelope centers emitted (= n_ - half once warm)
-
-  // Causal statistics.
-  double power_sum_ = 0.0;
-  std::array<std::size_t, 512> env_histogram_{};  ///< log-domain envelope counts
-  std::size_t env_count_ = 0;
-
-  // Scan state (mirrors detect()'s loop).
-  double mu_ = 0.0;
-  double sigma_ = 0.0;
-  bool mu_seeded_ = false;
-  bool in_event_ = false;
-  std::size_t event_start_ = 0;
-  double event_peak_env_ = 0.0;
-
-  // Last event that passed the gates but might still merge with a successor,
-  // plus events displaced by a non-merging successor, awaiting collection.
-  bool has_pending_ = false;
-  Event pending_;
-  std::vector<Event> settled_;
-  bool flushed_ = false;
-};
 
 }  // namespace earsonar::core

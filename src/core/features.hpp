@@ -66,7 +66,7 @@ class FeatureExtractor {
                                     const std::vector<EchoSegment>& echoes) const;
 
   /// extract_full() when the per-echo PSDs are already in hand — the
-  /// cross-request batched pipeline extracts many recordings' PSDs in one
+  /// pipeline's echo_psd pass extracts many recordings' PSDs in one
   /// four-lane pass (EchoSpectrumExtractor::extract_all_multi), then
   /// assembles each recording's features through this entry point.
   /// `per_echo` must be extract_all(signal, echoes)'s output for the same
@@ -83,8 +83,8 @@ class FeatureExtractor {
   [[nodiscard]] const FeatureConfig& config() const { return config_; }
 
   /// The inner per-echo PSD extractor, for callers that batch the PSD stage
-  /// themselves (pipeline::BatchExecutor) before assembling features through
-  /// extract_full_from_psds().
+  /// themselves (EarSonar::analyze_filtered) before assembling features
+  /// through extract_full_from_psds().
   [[nodiscard]] const EchoSpectrumExtractor& spectrum_extractor() const {
     return extractor_;
   }

@@ -48,9 +48,11 @@ EchoAnalysis EarSonar::analyze(const audio::Waveform& recording,
   const audio::Waveform filtered = preprocessor_.process(*input);
   bandpass_span.end();
 
-  EchoAnalysis analysis = analyze_filtered(filtered, cancel);
-  analysis.timings.bandpass_ms = bandpass_span.elapsed_ms();
-  return analysis;
+  const AnalysisItem item{&filtered, cancel};
+  AnalysisOutcome outcome = std::move(analyze_filtered({&item, 1}).front());
+  if (!outcome.ok()) std::rethrow_exception(outcome.error);
+  outcome.analysis.timings.bandpass_ms = bandpass_span.elapsed_ms();
+  return std::move(outcome.analysis);
 }
 
 namespace {
@@ -68,18 +70,104 @@ namespace {
 
 }  // namespace
 
-EchoAnalysis EarSonar::analyze_filtered(const audio::Waveform& filtered,
-                                        const CancelToken& cancel) const {
-  require_nonempty("EarSonar::analyze_filtered signal", filtered.size());
-  EchoAnalysis analysis;
-  analysis.quality.min_usable = config_.min_usable_chirps;
-  stage_event_detect(filtered, analysis);
-  cancel.check("segment");
-  stage_segment(filtered, analysis, cancel);
-  if (analysis.echoes.empty()) return analysis;
-  cancel.check("features");
-  stage_features(filtered, analysis, cancel, nullptr);
-  return analysis;
+std::vector<AnalysisOutcome> EarSonar::analyze_filtered(
+    std::span<const AnalysisItem> items, pipeline::StageGraph* graph) const {
+  std::vector<AnalysisOutcome> out(items.size());
+  // Chaos drill (docs/robustness.md, `pipeline.batch`): the cross-request
+  // pass is unavailable, so every item runs as its own batch of one.
+  if (items.size() > 1 && fault::point("pipeline.batch")) {
+    if (graph) graph->record_fallback();
+    for (std::size_t i = 0; i < items.size(); ++i)
+      out[i] = std::move(analyze_filtered(items.subspan(i, 1), graph).front());
+    return out;
+  }
+  const bool batched = items.size() > 1;
+  const auto record = [&](pipeline::StageId stage, double busy_ms, std::size_t count) {
+    if (graph && count > 0) graph->record(stage, busy_ms, count, batched);
+  };
+
+  // live[i]: request i has not failed yet. A request that throws in one
+  // stage is finished (its error captured); lane-mates continue.
+  std::vector<char> live(items.size(), 1);
+  const auto run = [&](std::size_t i, auto&& body) {
+    if (!live[i]) return;
+    try {
+      body();
+    } catch (...) {
+      out[i].error = std::current_exception();
+      live[i] = 0;
+    }
+  };
+
+  // --- event_detect and segment: per request, in submission order, so
+  // fault-point counters and drop bookkeeping fire in the same sequence a
+  // sequential run over these requests would produce.
+  double busy_ms = 0.0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    run(i, [&] {
+      require_nonempty("EarSonar::analyze_filtered signal", items[i].filtered->size());
+      out[i].analysis.quality.min_usable = config_.min_usable_chirps;
+      stage_event_detect(*items[i].filtered, out[i].analysis);
+    });
+    busy_ms += out[i].analysis.timings.event_detect_ms;
+  }
+  record(pipeline::StageId::kEventDetect, busy_ms, items.size());
+
+  busy_ms = 0.0;
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (!live[i]) continue;
+    run(i, [&] { stage_segment(*items[i].filtered, out[i].analysis, items[i].cancel); });
+    busy_ms += out[i].analysis.timings.segment_ms;
+    ++count;
+  }
+  record(pipeline::StageId::kSegment, busy_ms, count);
+
+  // --- echo_psd: ONE pass over every surviving request's chirp windows,
+  // packed into four-lane groups that cross request boundaries.
+  std::vector<std::size_t> psd_idx;  // psd_items[j] belongs to items[psd_idx[j]]
+  std::vector<EchoSpectrumExtractor::EchoBatch> psd_items;
+  std::size_t lanes = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (!live[i] || out[i].analysis.echoes.empty()) continue;
+    run(i, [&] { items[i].cancel.check("features"); });
+    if (!live[i]) continue;
+    psd_idx.push_back(i);
+    psd_items.push_back({items[i].filtered, &out[i].analysis.echoes});
+    lanes += out[i].analysis.echoes.size();
+  }
+  if (psd_items.empty()) return out;
+  std::vector<std::vector<dsp::Spectrum>> psds;
+  obs::Span psd_span("echo_psd", "pipeline");
+  psd_span.set_arg("lanes", static_cast<std::int64_t>(lanes));
+  try {
+    psds = extractor_.spectrum_extractor().extract_all_multi(psd_items);
+  } catch (...) {
+    // The shared pass failed (e.g. an injected FFT fault). Each request
+    // recomputes its own PSDs inside stage_features below, where the
+    // recovery machinery attributes the error to the request (and chirp)
+    // that owns it.
+    psds.clear();
+  }
+  psd_span.end();
+  const double psd_ms = psd_span.elapsed_ms();
+  record(pipeline::StageId::kEchoPsd, psd_ms, psd_items.size());
+
+  // --- features: per-request assembly from its slice of the shared pass.
+  busy_ms = 0.0;
+  for (std::size_t j = 0; j < psd_idx.size(); ++j) {
+    EchoAnalysis& analysis = out[psd_idx[j]].analysis;
+    const double share = psd_ms * static_cast<double>(analysis.echoes.size()) /
+                         static_cast<double>(lanes);
+    run(psd_idx[j], [&] {
+      stage_features(*items[psd_idx[j]].filtered, analysis,
+                     psds.empty() ? nullptr : &psds[j]);
+    });
+    busy_ms += analysis.timings.feature_ms;
+    analysis.timings.feature_ms += share;
+  }
+  record(pipeline::StageId::kFeatures, busy_ms, psd_idx.size());
+  return out;
 }
 
 void EarSonar::stage_event_detect(const audio::Waveform& filtered,
@@ -106,6 +194,7 @@ void EarSonar::stage_event_detect(const audio::Waveform& filtered,
 
 void EarSonar::stage_segment(const audio::Waveform& filtered, EchoAnalysis& analysis,
                              const CancelToken& cancel) const {
+  cancel.check("segment");
   AnalysisQuality& quality = analysis.quality;
   obs::Span segment_span("segment", "pipeline");
   for (std::size_t i = 0; i < analysis.events.size(); ++i) {
@@ -136,16 +225,12 @@ void EarSonar::stage_segment(const audio::Waveform& filtered, EchoAnalysis& anal
 }
 
 void EarSonar::stage_features(const audio::Waveform& filtered, EchoAnalysis& analysis,
-                              const CancelToken& cancel,
                               const std::vector<dsp::Spectrum>* per_echo) const {
-  (void)cancel;
   AnalysisQuality& quality = analysis.quality;
   obs::Span feature_span("features", "pipeline");
   // One extraction pass yields both the feature vector and the mean echo
-  // spectrum; the per-echo PSDs inside are computed once and shared. When
-  // the batched executor hands in precomputed PSDs, only the happy-path
-  // extraction switches sources — the recovery path below always
-  // re-extracts per request, so both entry points converge on errors.
+  // spectrum from the per-echo PSDs of the echo_psd pass. The recovery path
+  // below always re-extracts per request, probing each echo alone.
   try {
     if (fault::point("pipeline.features")) fail("injected fault: pipeline.features");
     FeatureExtractor::Result extracted =

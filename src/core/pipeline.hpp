@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,10 +22,7 @@
 #include "core/features.hpp"
 #include "core/preprocess.hpp"
 #include "core/segment.hpp"
-
-namespace earsonar::pipeline {
-class BatchExecutor;  // src/pipeline/batch.hpp: cross-request batched stages
-}  // namespace earsonar::pipeline
+#include "pipeline/stage_graph.hpp"
 
 namespace earsonar::core {
 
@@ -51,7 +50,8 @@ struct PipelineConfig {
 /// The flat aggregate view of the `obs::Span` instrumentation: each field is
 /// the elapsed time of the matching trace span ("bandpass", "event_detect",
 /// "segment", "features", "inference" — see docs/observability.md), measured
-/// whether or not a trace is being captured.
+/// whether or not a trace is being captured. `feature_ms` also carries the
+/// request's share of the "echo_psd" pass, in proportion to its echoes.
 struct StageTimings {
   double bandpass_ms = 0.0;
   double event_detect_ms = 0.0;
@@ -105,12 +105,30 @@ struct EchoAnalysis {
   [[nodiscard]] bool usable() const { return !features.empty(); }
 };
 
+/// One request's input to analyze_filtered(): its preprocessed signal at the
+/// probe sample rate plus its own cancellation token, so deadlines stay
+/// per-request inside a batch.
+struct AnalysisItem {
+  const audio::Waveform* filtered = nullptr;
+  CancelToken cancel;
+};
+
+/// One request's result: exactly one of `analysis` (success) or `error`
+/// (what analyze() would have thrown for it: the degradation-floor
+/// runtime_error, CancelledError, ...).
+struct AnalysisOutcome {
+  EchoAnalysis analysis;
+  std::exception_ptr error;
+
+  [[nodiscard]] bool ok() const { return error == nullptr; }
+};
+
 class EarSonar {
  public:
   explicit EarSonar(PipelineConfig config = {});
 
-  /// Signal-processing front half: preprocess, find events, segment echoes,
-  /// build the echo spectrum and feature vector. `features` is empty when no
+  /// Signal-processing front half: resample to the probe rate, band-pass,
+  /// then analyze_filtered() as a batch of one. `features` is empty when no
   /// echo could be segmented (caller decides how to handle the dropout).
   ///
   /// Error isolation: a chirp whose segmentation or PSD extraction throws is
@@ -122,14 +140,23 @@ class EarSonar {
   [[nodiscard]] EchoAnalysis analyze(const audio::Waveform& recording,
                                      const CancelToken& cancel = {}) const;
 
-  /// analyze() minus resampling and band-pass filtering, for callers that
-  /// already hold the preprocessed signal at the probe sample rate — the
-  /// streaming serving path filters incrementally as chunks arrive and
-  /// finalizes through this entry point, which is what makes chunked
-  /// ingestion bit-identical to the batch pipeline. `timings.bandpass_ms`
-  /// stays zero.
-  [[nodiscard]] EchoAnalysis analyze_filtered(const audio::Waveform& filtered,
-                                              const CancelToken& cancel = {}) const;
+  /// The post-filter analysis of N >= 1 requests, each already preprocessed
+  /// at the probe sample rate — the one way every caller (analyze(), fit(),
+  /// the streaming sessions of the serving engine) analyzes a recording.
+  /// Stages run as passes over all items: event_detect and segment per
+  /// request in submission order, then ONE echo_psd pass packing every
+  /// request's chirp windows into four-lane groups that cross request
+  /// boundaries, then per-request feature assembly. Each lane's arithmetic
+  /// is independent of its lane-mates (the x4 kernel equals four single
+  /// calls bitwise), so outcome [i] does not depend on what else rode the
+  /// batch. One request's exception is captured in its outcome and its
+  /// lane-mates proceed; a failed shared PSD pass makes each request
+  /// recompute its own PSDs, and the `pipeline.batch` fault point runs every
+  /// item as its own batch of one. `graph` (optional) receives per-stage
+  /// occupancy. `timings.bandpass_ms` stays zero.
+  [[nodiscard]] std::vector<AnalysisOutcome> analyze_filtered(
+      std::span<const AnalysisItem> items,
+      pipeline::StageGraph* graph = nullptr) const;
 
   /// Trains the detection head on labeled recordings (label indices follow
   /// kMeeStateNames). Recordings whose analysis fails are skipped; at least
@@ -152,22 +179,16 @@ class EarSonar {
   [[nodiscard]] std::size_t feature_dimension() const { return extractor_.dimension(); }
 
  private:
-  // The stage bodies of analyze_filtered(), split out so the batched
-  // executor (src/pipeline/) can run the same code per stage across many
-  // requests. analyze_filtered() composes exactly these, in order; keeping
-  // one set of stage bodies is what makes batched results bit-identical.
+  // The per-request stage bodies analyze_filtered() runs for each item.
   void stage_event_detect(const audio::Waveform& filtered, EchoAnalysis& analysis) const;
   /// Includes the min_usable_chirps floor check (may throw "degraded").
   void stage_segment(const audio::Waveform& filtered, EchoAnalysis& analysis,
                      const CancelToken& cancel) const;
-  /// `per_echo` non-null supplies precomputed per-echo PSDs
-  /// (extract_all output) for the happy path; null computes them here. The
-  /// error-recovery path always re-extracts per request.
+  /// `per_echo` non-null supplies the echo_psd pass's PSDs for the happy
+  /// path; null computes them here. The error-recovery path always
+  /// re-extracts per request.
   void stage_features(const audio::Waveform& filtered, EchoAnalysis& analysis,
-                      const CancelToken& cancel,
                       const std::vector<dsp::Spectrum>* per_echo) const;
-
-  friend class ::earsonar::pipeline::BatchExecutor;
 
   PipelineConfig config_;
   Preprocessor preprocessor_;

@@ -90,16 +90,10 @@ std::vector<SymmetryCandidate> ParityEchoSegmenter::candidates(
 
 std::optional<EchoSegment> ParityEchoSegmenter::segment(const audio::Waveform& signal,
                                                         const Event& event) const {
-  return segment(std::span<const double>(signal.samples()), event, 0);
-}
-
-std::optional<EchoSegment> ParityEchoSegmenter::segment(std::span<const double> signal,
-                                                        const Event& event,
-                                                        std::size_t signal_offset) const {
-  require(event.start >= signal_offset &&
-              event.end - signal_offset <= signal.size() && event.start < event.end,
+  require(event.end <= signal.size() && event.start < event.end,
           "segment: event outside signal");
-  std::span<const double> x = signal.subspan(event.start - signal_offset, event.length());
+  const std::span<const double> x =
+      std::span<const double>(signal.samples()).subspan(event.start, event.length());
 
   const double fs = config_.sample_rate;
   const double min_offset = echo_delay_seconds(config_.min_distance_m) * fs;

@@ -61,16 +61,6 @@ class ParityEchoSegmenter {
   [[nodiscard]] std::optional<EchoSegment> segment(const audio::Waveform& signal,
                                                    const Event& event) const;
 
-  /// Span variant for streaming callers holding only a window of the
-  /// recording: `signal[i]` is the sample at absolute index
-  /// `signal_offset + i`, and the event carries absolute indices (they must
-  /// lie inside the window). The chirp-grid anchor works on absolute indices,
-  /// so results are identical to the whole-recording overload. The Waveform
-  /// overload equals signal_offset = 0.
-  [[nodiscard]] std::optional<EchoSegment> segment(std::span<const double> signal,
-                                                   const Event& event,
-                                                   std::size_t signal_offset) const;
-
   /// All parity candidates of a sequence (exposed for tests/diagnostics).
   [[nodiscard]] std::vector<SymmetryCandidate> candidates(
       std::span<const double> x) const;

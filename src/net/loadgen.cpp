@@ -268,6 +268,7 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
           : 0.0;
 
   std::atomic<std::size_t> next{0};
+  std::atomic<bool> chaos_done{!config.chaos};
   std::vector<std::vector<Record>> per_worker(config.concurrency);
   const auto t0 = Clock::now();
 
@@ -277,6 +278,12 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= config.sessions) break;
+      // A drill whose traffic ends before the pool recovers leaves
+      // p99_recovered_ms nothing to measure, so the final round of sessions
+      // (one per connection) starts only once the controller is done.
+      if (i + config.concurrency >= config.sessions)
+        while (!chaos_done.load())
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
       Record record;
       // Tag before the try so a thrown dial still lands in the right
       // per-type bucket.
@@ -339,9 +346,10 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
   ChaosOutcome chaos_out;
   std::thread chaos_thread;
   if (config.chaos)
-    chaos_thread =
-        std::thread(chaos_controller, std::cref(config), std::cref(next),
-                    std::ref(chaos_out));
+    chaos_thread = std::thread([&] {
+      chaos_controller(config, next, chaos_out);
+      chaos_done.store(true);
+    });
   for (std::thread& thread : threads) thread.join();
   if (chaos_thread.joinable()) chaos_thread.join();
 

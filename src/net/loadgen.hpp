@@ -34,7 +34,9 @@
 // asserts: every attempted session still terminates exactly once
 // (attempted == completed + rejected + errored + transport), every killed
 // shard returns to healthy, and `p99_recovered_ms` shows the post-recovery
-// tail so a drill can prove latency actually came back.
+// tail so a drill can prove latency actually came back. The final round of
+// sessions (one per connection) waits for the controller to finish, so
+// there is always post-recovery traffic to measure.
 #pragma once
 
 #include <array>

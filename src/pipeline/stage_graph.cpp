@@ -52,6 +52,7 @@ std::string StageGraph::text_snapshot() const {
     os << "earsonar_serve_stage_busy_ms{stage=\"" << name << "\"} "
        << s.busy_us.load(std::memory_order_relaxed) / 1000.0 << "\n";
   }
+  os << "earsonar_serve_batch_fallbacks_total " << fallbacks() << "\n";
   return os.str();
 }
 

@@ -2,13 +2,13 @@
 //
 //   filter -> event_detect -> segment -> echo_psd -> features -> inference
 //
-// (docs/architecture.md draws the full picture). core::EarSonar runs the
-// stages fused, one request at a time; this layer names them as first-class
-// nodes so the serving engine can batch homogeneous work across requests —
-// one MultiBiquadCascade pass filtering many sessions' chunks, one
-// power_spectrum_band_x4 pass computing many requests' chirp PSDs through a
-// shared FftPlan + scratch arena — while the per-stage occupancy counters
-// here prove where the batching wins.
+// (docs/architecture.md draws the full picture). core::EarSonar's
+// analyze_filtered() walks the post-filter stages as passes over N >= 1
+// requests, and the serving engine filters many sessions' chunks in one
+// MultiBiquadCascade pass; this layer names the stages as first-class nodes
+// and counts their occupancy, so the counters show where batching wins.
+// It depends on nothing else in the repository, so every layer above it can
+// record into a StageGraph.
 //
 // The graph is a straight line today (each stage's output feeds exactly the
 // next stage), so the edge list is implicit in the StageId order; what the
@@ -74,12 +74,21 @@ class StageGraph {
   /// than one request.
   void record(StageId id, double busy_ms, std::size_t item_count, bool batched);
 
+  /// Counts one multi-request pass that fell back to running each request
+  /// as its own batch of one (the `pipeline.batch` fault point).
+  void record_fallback() { fallbacks_.fetch_add(1, std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t fallbacks() const {
+    return fallbacks_.load(std::memory_order_relaxed);
+  }
+
   /// Prometheus-style text lines (earsonar_serve_stage_* gauges with a
-  /// stage label), appended to the serving metrics snapshot.
+  /// stage label, plus the fallback counter), appended to the serving
+  /// metrics snapshot.
   [[nodiscard]] std::string text_snapshot() const;
 
  private:
   std::array<StageStats, kStageCount> stats_;
+  std::atomic<std::uint64_t> fallbacks_{0};
 };
 
 }  // namespace earsonar::pipeline

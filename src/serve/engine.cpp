@@ -18,6 +18,24 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
+
+/// The result of a job whose processing threw `error`: a deadline is
+/// reported as such, anything else as a failure.
+ServeResult error_result(const std::string& id, const std::exception_ptr& error) {
+  ServeResult result;
+  result.id = id;
+  try {
+    std::rethrow_exception(error);
+  } catch (const CancelledError& e) {
+    result.deadline_exceeded = true;
+    result.error = e.what();
+  } catch (const std::exception& e) {
+    result.error = e.what();
+  } catch (...) {
+    result.error = "unknown error";
+  }
+  return result;
+}
 }  // namespace
 
 void EngineConfig::validate() const {
@@ -29,7 +47,9 @@ void EngineConfig::validate() const {
 }
 
 ServingEngine::ServingEngine(EngineConfig config)
-    : config_(std::move(config)), queue_(config_.queue_capacity) {
+    : config_(std::move(config)),
+      pipeline_(config_.session.pipeline),
+      queue_(config_.queue_capacity) {
   config_.validate();
 }
 
@@ -124,26 +144,21 @@ void ServingEngine::worker_loop() {
   obs::Span worker_span("worker", "serve");
   Job job;
   while (queue_.pop(job)) {
-    if (config_.batch_max <= 1) {
-      double queue_ms = 0.0;
-      if (std::optional<CancelToken> cancel = admit_dequeued(job, queue_ms))
-        handle_job(std::move(job), queue_ms, *cancel);
-      continue;
-    }
-    // Batching: the first pop leads a batch; linger up to batch_wait_us for
-    // stragglers (or until the batch fills). A closed queue cuts the linger
-    // short, so stop() still drains promptly.
+    // The first pop leads a batch; linger up to batch_wait_us for stragglers
+    // (or until the batch fills). A closed queue cuts the linger short, so
+    // stop() still drains promptly. At batch_max 1 the job is a batch of one.
     std::vector<Job> batch;
     batch.push_back(std::move(job));
-    obs::Span collect_span("batch_collect", "serve");
-    const auto linger_until =
-        Clock::now() + std::chrono::microseconds(config_.batch_wait_us);
-    Job extra;
-    while (batch.size() < config_.batch_max &&
-           queue_.try_pop_until(extra, linger_until))
-      batch.push_back(std::move(extra));
-    collect_span.set_arg("requests", static_cast<std::int64_t>(batch.size()));
-    collect_span.end();
+    if (config_.batch_max > 1) {
+      obs::Span collect_span("batch_collect", "serve");
+      const auto linger_until =
+          Clock::now() + std::chrono::microseconds(config_.batch_wait_us);
+      Job extra;
+      while (batch.size() < config_.batch_max &&
+             queue_.try_pop_until(extra, linger_until))
+        batch.push_back(std::move(extra));
+      collect_span.set_arg("requests", static_cast<std::int64_t>(batch.size()));
+    }
     process_batch(std::move(batch));
   }
 }
@@ -180,25 +195,6 @@ std::optional<CancelToken> ServingEngine::admit_dequeued(Job& job,
     return std::nullopt;
   }
   return cancel;
-}
-
-void ServingEngine::handle_job(Job job, double queue_ms, const CancelToken& cancel) {
-  obs::Span request_span("serve_request", "serve");
-  ServeResult result;
-  try {
-    result = process(job.request, cancel);
-  } catch (const CancelledError& e) {
-    result.id = job.request.id;
-    result.deadline_exceeded = true;
-    result.error = e.what();
-  } catch (const std::exception& e) {
-    result.id = job.request.id;
-    result.error = e.what();
-  } catch (...) {
-    result.id = job.request.id;
-    result.error = "unknown error";
-  }
-  finish_job(job, std::move(result), queue_ms);
 }
 
 void ServingEngine::finish_job(Job& job, ServeResult result, double queue_ms) {
@@ -252,61 +248,6 @@ ServeResult ServingEngine::process_absorbance(const ServeRequest& request) {
   return result;
 }
 
-ServeResult ServingEngine::process(ServeRequest& request,
-                                   const CancelToken& cancel) {
-  if (request.workload == WorkloadType::kAbsorbance)
-    return process_absorbance(request);
-  ServeResult result;
-  result.id = request.id;
-
-  double resample_ms = 0.0;
-  StreamingSession* session = request.session.get();
-  std::optional<StreamingSession> own_session;
-  if (session == nullptr) {
-    // Classic path: the engine owns ingestion, feeding the recording through
-    // a fresh session in chunks (optionally paced at the device's cadence).
-    own_session.emplace(config_.session);
-    session = &*own_session;
-    const double rate = config_.session.pipeline.chirp.sample_rate;
-
-    // Streaming sessions ingest at the probe rate; resample other captures up
-    // front (the batch path does the same inside analyze()).
-    std::span<const double> samples = request.recording.view();
-    std::vector<double> resampled;
-    obs::Span resample_span("resample", "serve");
-    if (request.recording.sample_rate() != rate) {
-      resampled = dsp::resample_to_rate(samples, request.recording.sample_rate(), rate);
-      samples = resampled;
-    }
-    resample_span.end();
-    resample_ms = resample_span.elapsed_ms();
-
-    const std::size_t chunk =
-        request.chunk_samples > 0 ? request.chunk_samples : config_.chunk_samples;
-    // The ingest span covers arrival pacing too: with chunk_period_s set its
-    // length is the session's wall-clock lifetime, not CPU time.
-    obs::Span ingest_span("stream_ingest", "serve");
-    ingest_span.set_arg("chunks",
-                        static_cast<std::int64_t>((samples.size() + chunk - 1) / chunk));
-    for (std::size_t pos = 0; pos < samples.size(); pos += chunk) {
-      cancel.check("stream_ingest");
-      if (pos > 0 && request.chunk_period_s > 0.0) {
-        // Real-time pacing: the next chunk has not arrived from the device yet.
-        std::this_thread::sleep_for(std::chrono::duration<double>(request.chunk_period_s));
-      }
-      const std::size_t len = std::min(chunk, samples.size() - pos);
-      session->feed(samples.subspan(pos, len));
-      metrics_.chunks_fed.fetch_add(1, std::memory_order_relaxed);
-    }
-    ingest_span.end();
-  }
-  // else: networked path — the connection thread already fed every chunk
-  // (and counted them in chunks_fed); only the finalization runs here.
-
-  core::EchoAnalysis analysis = session->finish(cancel);
-  return finalize_analysis(request.id, std::move(analysis), resample_ms);
-}
-
 ServeResult ServingEngine::finalize_analysis(const std::string& id,
                                              core::EchoAnalysis analysis,
                                              double resample_ms) {
@@ -347,11 +288,6 @@ void ServingEngine::process_batch(std::vector<Job> batch) {
   // Shed-before-work: every job's deadline is re-checked here, after the
   // batch-collect linger, so a request that expired while the leader waited
   // for stragglers never reaches the pipeline (docs/serving.md).
-  struct Admitted {
-    std::size_t job;      ///< index into `batch`
-    CancelToken cancel;
-    double queue_ms = 0.0;
-  };
   std::vector<Admitted> live;
   live.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -359,62 +295,58 @@ void ServingEngine::process_batch(std::vector<Job> batch) {
     if (std::optional<CancelToken> cancel = admit_dequeued(batch[i], queue_ms))
       live.push_back({i, *cancel, queue_ms});
   }
-  if (live.empty()) return;
 
-  // Partition by workload type FIRST: a pipeline batch never mixes types
+  // Partition by workload type: a pipeline batch never mixes types
   // (docs/workloads.md). Absorbance jobs form their own type-pure group —
-  // they have no waveform to ingest, so they never enter feed_many /
-  // finish_many. Paced EarSonar jobs (chunk_period_s > 0) hold wall-clock
-  // sleeps between chunks; batching them would stall their lane-mates. They
-  // — and a batch that collapsed to one job — take the classic per-request
-  // path, which keeps batch_max=1 and batch-of-one behavior exactly the
-  // unbatched code.
-  std::vector<Admitted> batched;     ///< EarSonar jobs for the pipeline pass
-  std::vector<Admitted> absorbance;  ///< type-pure absorbance group
-  batched.reserve(live.size());
+  // they have no waveform to ingest. A paced EarSonar job (chunk_period_s >
+  // 0) sleeps between chunks, which would stall lane-mates, so it runs as
+  // its own batch of one.
+  std::vector<Admitted> earsonar;
+  std::vector<Admitted> absorbance;
   for (const Admitted& a : live) {
-    ServeRequest& request = batch[a.job].request;
+    const ServeRequest& request = batch[a.job].request;
     if (request.workload == WorkloadType::kAbsorbance)
       absorbance.push_back(a);
     else if (request.session == nullptr && request.chunk_period_s > 0.0)
-      handle_job(std::move(batch[a.job]), a.queue_ms, a.cancel);
+      run_pipeline(batch, {&a, 1});
     else
-      batched.push_back(a);
+      earsonar.push_back(a);
   }
-  if (!absorbance.empty()) {
+  if (absorbance.size() > 1) {
     ServeMetrics::WorkloadCounters& per_type =
         metrics_.workload[workload_index(WorkloadType::kAbsorbance)];
-    if (absorbance.size() > 1) {
-      per_type.batches.fetch_add(1, std::memory_order_relaxed);
-      per_type.batched_requests.fetch_add(absorbance.size(),
-                                          std::memory_order_relaxed);
-    }
-    for (const Admitted& a : absorbance) {
-      ensure(batch[a.job].request.workload == WorkloadType::kAbsorbance,
-             "batch type purity violated: non-absorbance job in absorbance group");
-      handle_job(std::move(batch[a.job]), a.queue_ms, a.cancel);
-    }
+    per_type.batches.fetch_add(1, std::memory_order_relaxed);
+    per_type.batched_requests.fetch_add(absorbance.size(), std::memory_order_relaxed);
   }
-  if (batched.empty()) return;
-  if (batched.size() == 1) {
-    const Admitted& a = batched.front();
-    handle_job(std::move(batch[a.job]), a.queue_ms, a.cancel);
-    return;
+  for (const Admitted& a : absorbance) {
+    Job& job = batch[a.job];
+    ensure(job.request.workload == WorkloadType::kAbsorbance,
+           "batch type purity violated: non-absorbance job in absorbance group");
+    ServeResult result;
+    try {
+      result = process_absorbance(job.request);
+    } catch (...) {
+      result = error_result(job.request.id, std::current_exception());
+    }
+    finish_job(job, std::move(result), a.queue_ms);
   }
+  if (!earsonar.empty()) run_pipeline(batch, earsonar);
+}
 
-  obs::Span request_span("serve_batch", "serve");
-  request_span.set_arg("requests", static_cast<std::int64_t>(batched.size()));
-  for (const Admitted& a : batched)
+void ServingEngine::run_pipeline(std::vector<Job>& batch,
+                                 std::span<const Admitted> group) {
+  obs::Span batch_span("serve_batch", "serve");
+  batch_span.set_arg("requests", static_cast<std::int64_t>(group.size()));
+  for (const Admitted& a : group)
     ensure(batch[a.job].request.workload == WorkloadType::kEarSonar,
            "batch type purity violated: non-EarSonar job in pipeline batch");
-  metrics_.batches.fetch_add(1, std::memory_order_relaxed);
-  metrics_.batched_requests.fetch_add(batched.size(), std::memory_order_relaxed);
-  {
+  if (group.size() > 1) {
+    metrics_.batches.fetch_add(1, std::memory_order_relaxed);
+    metrics_.batched_requests.fetch_add(group.size(), std::memory_order_relaxed);
     ServeMetrics::WorkloadCounters& per_type =
         metrics_.workload[workload_index(WorkloadType::kEarSonar)];
     per_type.batches.fetch_add(1, std::memory_order_relaxed);
-    per_type.batched_requests.fetch_add(batched.size(),
-                                        std::memory_order_relaxed);
+    per_type.batched_requests.fetch_add(group.size(), std::memory_order_relaxed);
   }
 
   // --- Ingest: jobs that arrived as whole recordings stream into fresh
@@ -424,30 +356,25 @@ void ServingEngine::process_batch(std::vector<Job> batch) {
   // per-session feeds). Pre-fed sessions (the networked path) skip this.
   struct Lane {
     StreamingSession* session = nullptr;
-    std::unique_ptr<StreamingSession> own;  ///< engine-built (classic path)
+    std::unique_ptr<StreamingSession> own;  ///< engine-built session
     std::vector<double> resampled;          ///< owns off-rate sample storage
     std::span<const double> samples;
     std::size_t chunk = 0, pos = 0;
     double resample_ms = 0.0;
-    bool failed = false;
     std::exception_ptr error;
   };
-  std::vector<Lane> lanes(batched.size());
+  std::vector<Lane> lanes(group.size());
   const double rate = config_.session.pipeline.chirp.sample_rate;
-  // Engine-owned lanes never read provisional state between feed and finish
-  // (finish_many re-detects events from the buffered waveform — bit-identical
-  // results), so skip the per-lane serial detector scan during shared ingest.
-  StreamingConfig lane_config = config_.session;
-  lane_config.defer_event_detection = true;
-  for (std::size_t j = 0; j < batched.size(); ++j) {
+  double period_s = 0.0;  ///< nonzero only for a paced batch of one
+  for (std::size_t j = 0; j < group.size(); ++j) {
     Lane& lane = lanes[j];
-    ServeRequest& request = batch[batched[j].job].request;
+    ServeRequest& request = batch[group[j].job].request;
     if (request.session != nullptr) {
       lane.session = request.session.get();
       continue;  // already fed by the connection thread
     }
     try {
-      lane.own = std::make_unique<StreamingSession>(lane_config);
+      lane.own = std::make_unique<StreamingSession>(config_.session);
       lane.session = lane.own.get();
       lane.samples = request.recording.view();
       obs::Span resample_span("resample", "serve");
@@ -460,26 +387,26 @@ void ServingEngine::process_batch(std::vector<Job> batch) {
       lane.resample_ms = resample_span.elapsed_ms();
       lane.chunk =
           request.chunk_samples > 0 ? request.chunk_samples : config_.chunk_samples;
+      period_s = std::max(period_s, request.chunk_period_s);
     } catch (...) {
-      lane.failed = true;
       lane.error = std::current_exception();
     }
   }
 
-  bool feeding = true;
-  while (feeding) {
-    feeding = false;
-    std::vector<StreamingSession*> round_sessions;
-    std::vector<std::span<const double>> round_chunks;
-    std::vector<std::size_t> round_lanes;
-    for (std::size_t j = 0; j < batched.size(); ++j) {
+  std::vector<StreamingSession*> round_sessions;
+  std::vector<std::span<const double>> round_chunks;
+  std::vector<std::size_t> round_lanes;
+  for (bool first = true;; first = false) {
+    round_sessions.clear();
+    round_chunks.clear();
+    round_lanes.clear();
+    for (std::size_t j = 0; j < group.size(); ++j) {
       Lane& lane = lanes[j];
-      if (lane.failed || lane.own == nullptr || lane.pos >= lane.samples.size())
+      if (lane.error || lane.own == nullptr || lane.pos >= lane.samples.size())
         continue;
       try {
-        batched[j].cancel.check("stream_ingest");
+        group[j].cancel.check("stream_ingest");
       } catch (...) {
-        lane.failed = true;
         lane.error = std::current_exception();
         continue;
       }
@@ -490,26 +417,30 @@ void ServingEngine::process_batch(std::vector<Job> batch) {
       lane.pos += len;
     }
     if (round_sessions.empty()) break;
-    feeding = true;
+    // Real-time pacing: the next chunk has not arrived from the device yet.
+    if (!first && period_s > 0.0)
+      std::this_thread::sleep_for(std::chrono::duration<double>(period_s));
     obs::Span filter_span("batch.filter", "serve");
-    filter_span.set_arg("sessions",
-                        static_cast<std::int64_t>(round_sessions.size()));
+    filter_span.set_arg("sessions", static_cast<std::int64_t>(round_sessions.size()));
     try {
       (void)StreamingSession::feed_many(round_sessions, round_chunks);
-      metrics_.chunks_fed.fetch_add(round_sessions.size(),
-                                    std::memory_order_relaxed);
+      metrics_.chunks_fed.fetch_add(round_sessions.size(), std::memory_order_relaxed);
     } catch (...) {
       // feed_many failed as a unit (e.g. an injected serve.stream.feed
-      // fault). Re-feed this round per session so the error lands on the
-      // session that owns it and lane-mates survive.
-      for (std::size_t r = 0; r < round_lanes.size(); ++r) {
-        Lane& lane = lanes[round_lanes[r]];
-        try {
-          (void)lane.session->feed(round_chunks[r]);
-          metrics_.chunks_fed.fetch_add(1, std::memory_order_relaxed);
-        } catch (...) {
-          lane.failed = true;
-          lane.error = std::current_exception();
+      // fault). A lone lane owns the error; otherwise re-feed this round per
+      // session so the error lands on the session that owns it and
+      // lane-mates survive.
+      if (round_lanes.size() == 1) {
+        lanes[round_lanes[0]].error = std::current_exception();
+      } else {
+        for (std::size_t r = 0; r < round_lanes.size(); ++r) {
+          Lane& lane = lanes[round_lanes[r]];
+          try {
+            (void)lane.session->feed(round_chunks[r]);
+            metrics_.chunks_fed.fetch_add(1, std::memory_order_relaxed);
+          } catch (...) {
+            lane.error = std::current_exception();
+          }
         }
       }
     }
@@ -518,62 +449,35 @@ void ServingEngine::process_batch(std::vector<Job> batch) {
                         round_sessions.size(), round_sessions.size() > 1);
   }
 
-  // --- Finish: one batched pass over every surviving session; the echo-PSD
-  // stage packs all requests' chirp windows into shared x4 lanes.
+  // --- Finish: one pass over every surviving session; the echo-PSD stage
+  // packs all requests' chirp windows into shared x4 lanes.
   std::vector<StreamingSession*> finish_sessions;
   std::vector<CancelToken> finish_cancels;
   std::vector<std::size_t> finish_lanes;
-  for (std::size_t j = 0; j < batched.size(); ++j) {
-    if (lanes[j].failed) continue;
+  for (std::size_t j = 0; j < group.size(); ++j) {
+    if (lanes[j].error) continue;
     finish_sessions.push_back(lanes[j].session);
-    finish_cancels.push_back(batched[j].cancel);
+    finish_cancels.push_back(group[j].cancel);
     finish_lanes.push_back(j);
   }
-  pipeline::BatchRunInfo info;
-  std::vector<pipeline::BatchOutcome> outcomes;
-  if (!finish_sessions.empty())
-    outcomes = StreamingSession::finish_many(finish_sessions, finish_cancels,
-                                             &stage_graph_, &info);
-  if (info.forced_fallback)
-    metrics_.batch_fallbacks.fetch_add(1, std::memory_order_relaxed);
-
+  std::vector<core::AnalysisOutcome> outcomes = StreamingSession::finish(
+      pipeline_, finish_sessions, finish_cancels, &stage_graph_);
+  std::vector<core::AnalysisOutcome*> outcome_of(group.size(), nullptr);
   for (std::size_t r = 0; r < finish_lanes.size(); ++r) {
-    Lane& lane = lanes[finish_lanes[r]];
     if (outcomes[r].ok())
-      continue;
-    lane.failed = true;
-    lane.error = outcomes[r].error;
+      outcome_of[finish_lanes[r]] = &outcomes[r];
+    else
+      lanes[finish_lanes[r]].error = outcomes[r].error;
   }
 
-  // --- Per-job completion, identical outcome mapping to handle_job().
-  std::size_t ok_cursor = 0;
-  for (std::size_t j = 0; j < batched.size(); ++j) {
-    Job& job = batch[batched[j].job];
-    Lane& lane = lanes[j];
-    ServeResult result;
-    const bool finished_ok =
-        ok_cursor < finish_lanes.size() && finish_lanes[ok_cursor] == j;
-    if (finished_ok) ++ok_cursor;
-    if (!lane.failed && finished_ok) {
-      result = finalize_analysis(job.request.id,
-                                 std::move(outcomes[ok_cursor - 1].analysis),
-                                 lane.resample_ms);
-    } else {
-      try {
-        std::rethrow_exception(lane.error);
-      } catch (const CancelledError& e) {
-        result.id = job.request.id;
-        result.deadline_exceeded = true;
-        result.error = e.what();
-      } catch (const std::exception& e) {
-        result.id = job.request.id;
-        result.error = e.what();
-      } catch (...) {
-        result.id = job.request.id;
-        result.error = "unknown error";
-      }
-    }
-    finish_job(job, std::move(result), batched[j].queue_ms);
+  for (std::size_t j = 0; j < group.size(); ++j) {
+    Job& job = batch[group[j].job];
+    ServeResult result =
+        outcome_of[j]
+            ? finalize_analysis(job.request.id, std::move(outcome_of[j]->analysis),
+                                lanes[j].resample_ms)
+            : error_result(job.request.id, lanes[j].error);
+    finish_job(job, std::move(result), group[j].queue_ms);
   }
 }
 

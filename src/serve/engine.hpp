@@ -4,9 +4,10 @@
 //
 //   submit() ──try_push──▶ BoundedQueue ──pop──▶ worker_loop × N ──▶ promise
 //                 │                                   │
-//            reject with                     StreamingSession per request
-//            reason when full                (chunked feed, finish, predict
-//                                             against ModelRegistry::current)
+//            reject with                  a batch of N >= 1 jobs: chunked
+//            reason when full             StreamingSession ingest, finish
+//                                         through the engine's EarSonar,
+//                                         predict against ModelRegistry
 //
 // Backpressure is explicit: a full queue rejects the submission immediately
 // with a reason (never blocks the caller, never drops accepted work), so an
@@ -17,9 +18,13 @@
 // which matches the deployment shape: a process is either serving or
 // training, never both at once.
 //
-// Each worker feeds its request through a StreamingSession in `chunk_samples`
-// slices. Requests may carry `chunk_period_s` to replay the device's real
-// arrival cadence (the worker waits between chunks as a live session would);
+// Every EarSonar job runs through process_batch(): a worker pops a job,
+// collects up to `batch_max - 1` more, and feeds each job's recording
+// through a StreamingSession in `chunk_samples` slices, one shared
+// feed_many() round per chunk, before one finish over the whole batch. At
+// batch_max 1 a job is a batch of one. Requests may carry `chunk_period_s`
+// to replay the device's real arrival cadence; such a job is its own batch
+// of one whose rounds sleep between chunks as a live session would.
 // bench_serve uses that to measure how many concurrent real-time sessions a
 // worker count sustains.
 #pragma once
@@ -31,6 +36,7 @@
 #include <memory>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,9 +70,10 @@ struct EngineConfig {
   /// up to this many requests (lingering at most batch_wait_us for
   /// stragglers), then runs them through the stage graph as ONE batch —
   /// shared MultiBiquadCascade filter passes during ingest and
-  /// cross-request x4 lanes in the echo-PSD stage (pipeline::BatchExecutor).
-  /// 1 disables batching (the classic per-request path). Results are
-  /// bit-identical either way; see docs/serving.md "Batching semantics".
+  /// cross-request x4 lanes in the echo-PSD stage
+  /// (core::EarSonar::analyze_filtered). At 1 every job is a batch of one
+  /// and nothing lingers. Results are bit-identical at every size; see
+  /// docs/serving.md "Batching semantics".
   std::size_t batch_max = 1;
   /// Microseconds a batch-leading worker lingers for more requests after its
   /// first pop. 0 still batches whatever is already queued, adding no
@@ -101,9 +108,9 @@ struct ServeRequest {
   /// Alternative payload: a StreamingSession someone else already fed (the
   /// networked front-end streams chunks into the session on the connection
   /// thread as they arrive, then submits only the finalization). When set,
-  /// `recording` / chunking fields are ignored and the worker runs
-  /// session->finish() + inference. The session must have been built with a
-  /// causal pipeline config compatible with this engine's.
+  /// `recording` / chunking fields are ignored and the worker only finishes
+  /// the session and runs inference. The session must have been built with
+  /// this engine's session config.
   std::unique_ptr<StreamingSession> session = nullptr;
 };
 
@@ -186,9 +193,7 @@ class ServingEngine {
   /// occupancy counters of the stage graph.
   [[nodiscard]] std::string metrics_snapshot() const;
 
-  /// Per-stage occupancy of the batched execution path (see
-  /// pipeline::StageGraph; unbatched occupancy lives in the latency
-  /// histograms).
+  /// Per-stage occupancy of every EarSonar job (see pipeline::StageGraph).
   [[nodiscard]] const pipeline::StageGraph& stage_graph() const {
     return stage_graph_;
   }
@@ -202,26 +207,31 @@ class ServingEngine {
     std::optional<std::chrono::steady_clock::time_point> deadline;
   };
 
+  /// A dequeued job that survived admission.
+  struct Admitted {
+    std::size_t job;  ///< index into the collected batch
+    CancelToken cancel;
+    double queue_ms = 0.0;
+  };
+
   void worker_loop();
-  [[nodiscard]] ServeResult process(ServeRequest& request,
-                                    const CancelToken& cancel);
   /// The absorbance workload's whole pipeline: classify the request's curve
   /// with the installed wideband screener. No streaming session, no stage
   /// graph — one scaler + softmax pass.
   [[nodiscard]] ServeResult process_absorbance(const ServeRequest& request);
-  /// Dequeue-side bookkeeping shared by both paths: records queue wait,
-  /// sheds the job (promise satisfied, nullopt returned) when its deadline
-  /// already expired, else hands back the request's cancel token.
+  /// Dequeue-side bookkeeping: records queue wait, sheds the job (promise
+  /// satisfied, nullopt returned) when its deadline already expired, else
+  /// hands back the request's cancel token.
   [[nodiscard]] std::optional<CancelToken> admit_dequeued(Job& job,
                                                           double& queue_ms);
-  /// process() for one dequeued job, with the error mapping and completion
-  /// metrics — the classic per-request path.
-  void handle_job(Job job, double queue_ms, const CancelToken& cancel);
-  /// One collected batch: shed expired jobs, run paced jobs classically,
-  /// batch the rest through feed_many + StreamingSession::finish_many.
+  /// One collected batch: shed expired jobs, split it into type-pure
+  /// groups, and complete every job.
   void process_batch(std::vector<Job> batch);
-  /// The tail shared by process() and the batched path: result assembly from
-  /// one analysis, stage-latency metrics, and inference.
+  /// The EarSonar pipeline over `group` (jobs of `batch`): shared
+  /// feed_many ingest rounds, one StreamingSession::finish, inference.
+  void run_pipeline(std::vector<Job>& batch, std::span<const Admitted> group);
+  /// Result assembly from one analysis, stage-latency metrics, and
+  /// inference.
   [[nodiscard]] ServeResult finalize_analysis(const std::string& id,
                                               core::EchoAnalysis analysis,
                                               double resample_ms);
@@ -229,6 +239,7 @@ class ServingEngine {
   void finish_job(Job& job, ServeResult result, double queue_ms);
 
   EngineConfig config_;
+  core::EarSonar pipeline_;  ///< finishes every session of every batch
   ModelRegistry registry_;
   /// Wideband screener for the absorbance workload. Guarded like the model
   /// registry: readers copy the shared_ptr under a shared lock.

@@ -136,8 +136,6 @@ std::string ServeMetrics::text_snapshot() const {
   emit_counter(out, "batches_total", batches.load(std::memory_order_relaxed));
   emit_counter(out, "batched_requests_total",
                batched_requests.load(std::memory_order_relaxed));
-  emit_counter(out, "batch_fallbacks_total",
-               batch_fallbacks.load(std::memory_order_relaxed));
   for (std::size_t w = 0; w < kWorkloadTypeCount; ++w) {
     const std::string label = to_string(workload_from_index(w));
     const WorkloadCounters& c = workload[w];

@@ -82,12 +82,10 @@ struct ServeMetrics {
   std::atomic<std::uint64_t> echoes_segmented{0};  ///< segmented eardrum echoes
   std::atomic<std::uint64_t> inferences{0};        ///< detector predictions run
   // Cross-request batching (docs/serving.md "Batching semantics"): how many
-  // multi-request batch passes ran, how many requests rode them, and how
-  // many passes fell back to per-request processing (pipeline.batch fault or
-  // a shared-pass failure).
+  // multi-request batch passes ran and how many requests rode them. Passes
+  // that fell back to batches of one are counted by pipeline::StageGraph.
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> batched_requests{0};
-  std::atomic<std::uint64_t> batch_fallbacks{0};
   /// Per-workload-type accounting (docs/workloads.md): the engine carries
   /// mixed EarSonar + absorbance traffic; these split the request lifecycle
   /// by type so per-type accounting is exact —

@@ -21,14 +21,9 @@ void StreamingConfig::validate() const {
 
 StreamingSession::StreamingSession(StreamingConfig config)
     : config_(std::move(config)),
-      pipeline_(config_.pipeline),
       filter_(core::Preprocessor(config_.pipeline.preprocess)
-                  .streaming_filter(config_.pipeline.chirp.sample_rate)),
-      detector_(config_.pipeline.events),
-      segmenter_(config_.pipeline.segmenter),
-      extractor_(config_.pipeline.features) {
+                  .streaming_filter(config_.pipeline.chirp.sample_rate)) {
   config_.validate();
-  extractor_.set_reference(config_.pipeline.chirp);
   filtered_.reserve(std::min<std::size_t>(config_.max_buffered_samples, 1 << 20));
 }
 
@@ -48,15 +43,13 @@ void StreamingSession::ingest_filtered(std::span<const double> filtered,
   samples_fed_ += fed;
   filtered_.insert(filtered_.end(), filtered.begin(), filtered.end());
   if (filtered_.size() > config_.max_buffered_samples) {
-    // kEvictOldest: the detector still sees every sample (its state is O(1));
-    // only the stored prefix is lost, taking finish()'s exactness with it.
+    // kEvictOldest: the stored prefix is lost, taking finish()'s exactness
+    // with it.
     const std::size_t drop = filtered_.size() - config_.max_buffered_samples;
     filtered_.erase(filtered_.begin(),
                     filtered_.begin() + static_cast<std::ptrdiff_t>(drop));
     base_ += drop;
   }
-  if (config_.defer_event_detection) return;
-  for (const core::Event& event : detector_.push(filtered)) ingest_event(event);
 }
 
 FeedStatus StreamingSession::feed(std::span<const double> chunk) {
@@ -160,61 +153,15 @@ std::vector<FeedStatus> StreamingSession::feed_many(
   return status;
 }
 
-void StreamingSession::ingest_event(const core::Event& event) {
-  // Absolute indices; an event whose samples were already evicted (possible
-  // only with a capacity close to one event length) cannot be segmented.
-  if (event.start < base_ || event.end > base_ + filtered_.size()) return;
-  // Mirror the batch path per chirp — including its per-chirp error
-  // isolation: a chirp whose alignment or segmentation throws is recorded in
-  // the session's quality report, and the stream keeps flowing.
-  const std::size_t chirp = events_.size();
-  try {
-    core::Event aligned{event.start - base_, event.end - base_};
-    aligned.start = core::aligned_event_start(filtered_, aligned);
-    core::Event absolute{aligned.start + base_, event.end};
-    events_.push_back(absolute);
-    if (std::optional<core::EchoSegment> echo =
-            segmenter_.segment(filtered_, absolute, base_))
-      echoes_.push_back(*echo);
-  } catch (const std::exception& e) {
-    quality_.drops.push_back({chirp, "segment", e.what()});
-    quality_.degraded = true;
-  }
-}
-
-core::EchoAnalysis StreamingSession::finish(const CancelToken& cancel) {
-  require(!finished_, "StreamingSession: finish twice");
-  require(samples_fed_ > 0, "StreamingSession: finish with no audio fed");
-  obs::Span finish_span("stream_finish", "stream");
-  finish_span.set_arg("samples", static_cast<std::int64_t>(samples_fed_));
-  finished_ = true;
-  if (!config_.defer_event_detection)
-    for (const core::Event& event : detector_.flush()) ingest_event(event);
-  audio::Waveform wave(std::move(filtered_), config_.pipeline.chirp.sample_rate);
-  filtered_.clear();
-  core::EchoAnalysis analysis = pipeline_.analyze_filtered(wave, cancel);
-  if (truncated()) {
-    // Evicted samples mean the authoritative pass only saw the retained
-    // tail: the result is valid but partial — surface that as degradation.
-    std::ostringstream os;
-    os << "stream evicted " << base_ << " of " << samples_fed_ << " samples";
-    analysis.quality.drops.push_back({core::ChirpDrop::kWholeStage, "stream", os.str()});
-    analysis.quality.chirps_dropped = analysis.quality.drops.size();
-    analysis.quality.degraded = true;
-  }
-  return analysis;
-}
-
-std::vector<pipeline::BatchOutcome> StreamingSession::finish_many(
-    std::span<StreamingSession* const> sessions,
-    std::span<const CancelToken> cancels, pipeline::StageGraph* graph,
-    pipeline::BatchRunInfo* info) {
+std::vector<core::AnalysisOutcome> StreamingSession::finish(
+    const core::EarSonar& pipeline, std::span<StreamingSession* const> sessions,
+    std::span<const CancelToken> cancels, pipeline::StageGraph* graph) {
   require(sessions.size() == cancels.size(),
-          "StreamingSession::finish_many: one cancel token per session");
+          "StreamingSession::finish: one cancel token per session");
   const std::size_t n = sessions.size();
-  std::vector<pipeline::BatchOutcome> out(n);
+  std::vector<core::AnalysisOutcome> out(n);
   std::vector<audio::Waveform> waves(n);
-  std::vector<pipeline::BatchItem> items;
+  std::vector<core::AnalysisItem> items;
   std::vector<std::size_t> idx;  // items[j] belongs to sessions[idx[j]]
   items.reserve(n);
   idx.reserve(n);
@@ -223,14 +170,12 @@ std::vector<pipeline::BatchOutcome> StreamingSession::finish_many(
     // Per-session capture: one session's finish-guard failure must not take
     // down its lane-mates.
     try {
-      require(s != nullptr, "StreamingSession::finish_many: null session");
+      require(s != nullptr, "StreamingSession::finish: null session");
       require(!s->finished_, "StreamingSession: finish twice");
       require(s->samples_fed_ > 0, "StreamingSession: finish with no audio fed");
       obs::Span finish_span("stream_finish", "stream");
       finish_span.set_arg("samples", static_cast<std::int64_t>(s->samples_fed_));
       s->finished_ = true;
-      if (!s->config_.defer_event_detection)
-        for (const core::Event& event : s->detector_.flush()) s->ingest_event(event);
       waves[i] = audio::Waveform(std::move(s->filtered_),
                                  s->config_.pipeline.chirp.sample_rate);
       s->filtered_.clear();
@@ -240,57 +185,31 @@ std::vector<pipeline::BatchOutcome> StreamingSession::finish_many(
       out[i].error = std::current_exception();
     }
   }
-  if (items.empty()) return out;
-  const pipeline::BatchExecutor exec(graph);
-  std::vector<pipeline::BatchOutcome> results =
-      exec.analyze_filtered(sessions[idx.front()]->pipeline_, items, info);
+  std::vector<core::AnalysisOutcome> results = pipeline.analyze_filtered(items, graph);
   for (std::size_t j = 0; j < idx.size(); ++j) {
-    const std::size_t i = idx[j];
-    out[i] = std::move(results[j]);
-    if (out[i].ok() && sessions[i]->truncated()) {
-      // Same truncation fold as finish().
+    const StreamingSession& s = *sessions[idx[j]];
+    core::AnalysisOutcome& outcome = out[idx[j]] = std::move(results[j]);
+    if (outcome.ok() && s.truncated()) {
+      // Evicted samples mean the analysis only saw the retained tail: the
+      // result is valid but partial — surface that as degradation.
       std::ostringstream os;
-      os << "stream evicted " << sessions[i]->base_ << " of "
-         << sessions[i]->samples_fed_ << " samples";
-      out[i].analysis.quality.drops.push_back(
-          {core::ChirpDrop::kWholeStage, "stream", os.str()});
-      out[i].analysis.quality.chirps_dropped = out[i].analysis.quality.drops.size();
-      out[i].analysis.quality.degraded = true;
+      os << "stream evicted " << s.base_ << " of " << s.samples_fed_ << " samples";
+      core::AnalysisQuality& quality = outcome.analysis.quality;
+      quality.drops.push_back({core::ChirpDrop::kWholeStage, "stream", os.str()});
+      quality.chirps_dropped = quality.drops.size();
+      quality.degraded = true;
     }
   }
   return out;
 }
 
-core::EchoAnalysis StreamingSession::partial_analysis() const {
-  obs::Span partial_span("stream_partial", "stream");
-  core::EchoAnalysis analysis;
-  analysis.events = events_;
-  analysis.echoes = echoes_;
-  analysis.quality = quality_;
-  analysis.quality.chirps_total = events_.size();
-  analysis.quality.chirps_used = echoes_.size();
-  analysis.quality.chirps_dropped = quality_.drops.size();
-  analysis.quality.min_usable = config_.pipeline.min_usable_chirps;
-  analysis.quality.degraded = quality_.degraded || truncated();
-  if (echoes_.empty() || filtered_.empty()) return analysis;
-
-  // Shift echo anchors into the retained window; echoes whose event has been
-  // evicted can no longer be re-windowed and drop out of the snapshot.
-  std::vector<core::EchoSegment> usable;
-  usable.reserve(echoes_.size());
-  for (core::EchoSegment echo : echoes_) {
-    if (echo.event_start < base_) continue;
-    echo.event_start -= base_;
-    echo.peak_index -= base_;
-    echo.direct_peak_index -= base_;
-    usable.push_back(echo);
-  }
-  if (usable.empty()) return analysis;
-  const audio::Waveform window(filtered_, config_.pipeline.chirp.sample_rate);
-  core::FeatureExtractor::Result extracted = extractor_.extract_full(window, usable);
-  analysis.mean_spectrum = std::move(extracted.mean_spectrum);
-  analysis.features = std::move(extracted.features);
-  return analysis;
+core::EchoAnalysis StreamingSession::finish(const core::EarSonar& pipeline,
+                                            const CancelToken& cancel) {
+  StreamingSession* self = this;
+  core::AnalysisOutcome outcome =
+      std::move(finish(pipeline, {&self, 1}, {&cancel, 1}).front());
+  if (!outcome.ok()) std::rethrow_exception(outcome.error);
+  return std::move(outcome.analysis);
 }
 
 }  // namespace earsonar::serve

@@ -2,26 +2,17 @@
 //
 // Every batch entry point needs the complete recording in memory; a deployed
 // screener receives audio as a stream of small chunks from the earbud. A
-// StreamingSession accepts arbitrary-size chunks and runs the pipeline's
-// front half incrementally as they arrive:
+// StreamingSession accepts arbitrary-size chunks and band-pass filters them
+// as they arrive: the filter is stateful (`dsp::BiquadCascade` carried
+// across chunks) and bit-identical to filtering the concatenated signal, so
+// the session stores only *filtered* samples.
 //
-//   * band-pass filtering is stateful (`dsp::BiquadCascade` carried across
-//     chunks) — bit-identical to filtering the concatenated signal, so the
-//     session stores only *filtered* samples;
-//   * a `core::StreamingEventDetector` scans the filtered stream causally and
-//     finalizes chirp events with bounded latency;
-//   * each finalized event is onset-aligned and parity-segmented immediately,
-//     so per-chirp echoes (and, on demand, features over the echoes so far)
-//     are available while audio is still arriving — `partial_analysis()`.
-//
-// finish() then produces the *authoritative* result by re-running the exact
-// whole-signal pass (`EarSonar::analyze_filtered`) over the buffered filtered
-// samples. Because causal filtering commutes with chunking, finish() is
-// bit-identical — same features, same diagnosis — to `EarSonar::analyze` on
-// the whole recording with the same (causal) configuration, at every chunk
-// size. The incremental results are provisional: the whole-signal event
-// detector gates against recording-global statistics that only exist at
-// stream end (see StreamingEventDetector docs).
+// finish() ends one or more sessions and hands their buffered filtered
+// samples to `core::EarSonar::analyze_filtered` as one batch — the same
+// post-filter walk `EarSonar::analyze` runs as a batch of one. Because causal
+// filtering commutes with chunking, a finished session is bit-identical —
+// same features, same diagnosis — to `EarSonar::analyze` on the whole
+// recording with the same (causal) configuration, at every chunk size.
 //
 // The sample store is bounded. When a chunk would overflow it, the session
 // either rejects the chunk (kReject — the backpressure signal a serving
@@ -34,11 +25,9 @@
 #include <span>
 #include <vector>
 
-#include "core/event_detect.hpp"
 #include "core/pipeline.hpp"
-#include "core/segment.hpp"
 #include "dsp/biquad.hpp"
-#include "pipeline/batch.hpp"
+#include "pipeline/stage_graph.hpp"
 
 namespace earsonar::serve {
 
@@ -52,16 +41,6 @@ struct StreamingConfig {
     kEvictOldest,  ///< drop oldest samples; finish() analyzes the tail only
   };
   OverflowPolicy overflow = OverflowPolicy::kReject;
-
-  /// Skip the incremental (causal) event detector during feed(). The detector
-  /// only feeds provisional results — partial_analysis() and the
-  /// provisional_* accessors — which stay empty; finish()/finish_many() are
-  /// bit-identical either way because the authoritative pass re-detects
-  /// events from the buffered filtered waveform. A batching engine sets this
-  /// for sessions it owns end-to-end (backlogged whole uploads, where nothing
-  /// reads provisional state between feed and finish) to keep the shared
-  /// ingest pass from paying a per-lane serial detector scan.
-  bool defer_event_detection = false;
 
   void validate() const;
 };
@@ -82,77 +61,49 @@ class StreamingSession {
   /// filtered together through one interleaved dsp::MultiBiquadCascade pass
   /// (N streams per SIMD sweep) instead of N sequential cascades; the rest
   /// fall back to individual processing. Per-session results — filter state,
-  /// buffered samples, detected events, rejection status, fault injection —
-  /// are bit-identical to calling sessions[i]->feed(chunks[i]) in order.
-  /// Sessions must be distinct; a session may appear at most once per call.
+  /// buffered samples, rejection status, fault injection — are bit-identical
+  /// to calling sessions[i]->feed(chunks[i]) in order. Sessions must be
+  /// distinct; a session may appear at most once per call.
   static std::vector<FeedStatus> feed_many(
       std::span<StreamingSession* const> sessions,
       std::span<const std::span<const double>> chunks);
 
-  /// Exact finalization: the same events / echoes / spectrum / features /
-  /// diagnosis-input the batch pipeline computes for everything fed (see the
-  /// file comment for the evict-mode caveat). Ends the session. The result's
-  /// `quality` is the batch pipeline's degradation report, with stream-level
-  /// truncation folded in; `cancel` aborts between pipeline stages with
-  /// CancelledError.
-  core::EchoAnalysis finish(const CancelToken& cancel = {});
+  /// Ends every session and analyzes them as one batch through `pipeline`
+  /// (see core::EarSonar::analyze_filtered), whose config must match the
+  /// sessions' pipeline config. Outcome [i] is session i's analysis, with
+  /// stream-level truncation folded into its `quality`, or the error its
+  /// finalization raised: a finish-guard failure (finished twice, nothing
+  /// fed), the degradation floor, or CancelledError once cancels[i]
+  /// expires. One session's error never touches its lane-mates. `graph`
+  /// optionally receives per-stage occupancy.
+  static std::vector<core::AnalysisOutcome> finish(
+      const core::EarSonar& pipeline, std::span<StreamingSession* const> sessions,
+      std::span<const CancelToken> cancels, pipeline::StageGraph* graph = nullptr);
 
-  /// finish() for many sessions in one batched pass: per-session event flush
-  /// and waveform handoff run in submission order, then a
-  /// pipeline::BatchExecutor walks the analysis stages with the echo-PSD
-  /// stage batched across sessions (cross-request x4 lanes). Outcome [i] —
-  /// analysis or captured error — is bit-identical to what
-  /// sessions[i]->finish(cancels[i]) would have returned or thrown. Sessions
-  /// must be distinct and built from one pipeline config (a serving engine
-  /// constructs every session from its own); `graph` optionally receives
-  /// per-stage occupancy and `info` reports how the pass batched.
-  static std::vector<pipeline::BatchOutcome> finish_many(
-      std::span<StreamingSession* const> sessions,
-      std::span<const CancelToken> cancels,
-      pipeline::StageGraph* graph = nullptr,
-      pipeline::BatchRunInfo* info = nullptr);
-
-  /// Provisional snapshot from the incremental path: events and echoes
-  /// finalized so far, plus the feature vector over those echoes (computed
-  /// on demand; empty until an echo has been segmented) and the session's
-  /// incremental `quality` report. Unlike finish(), this does not apply
-  /// whole-recording consensus re-anchoring.
-  [[nodiscard]] core::EchoAnalysis partial_analysis() const;
+  /// finish() for this session alone; rethrows its error.
+  core::EchoAnalysis finish(const core::EarSonar& pipeline,
+                            const CancelToken& cancel = {});
 
   [[nodiscard]] std::size_t samples_fed() const { return samples_fed_; }
   [[nodiscard]] std::size_t samples_buffered() const { return filtered_.size(); }
   [[nodiscard]] std::size_t samples_dropped() const { return base_; }
   [[nodiscard]] std::size_t rejected_chunks() const { return rejected_chunks_; }
   [[nodiscard]] bool truncated() const { return base_ > 0; }
-  [[nodiscard]] bool finished() const { return finished_; }
-  [[nodiscard]] std::size_t provisional_event_count() const { return events_.size(); }
-  [[nodiscard]] const std::vector<core::EchoSegment>& provisional_echoes() const {
-    return echoes_;
-  }
-  [[nodiscard]] const StreamingConfig& config() const { return config_; }
 
  private:
-  void ingest_event(const core::Event& event);
   /// kReject-policy capacity gate; bumps rejected_chunks_ when it trips.
   bool reject_would_overflow(std::size_t incoming);
-  /// Post-filter half of feed(): buffer the filtered chunk, apply eviction,
-  /// scan for events. `fed` is the raw chunk length for samples_fed_.
+  /// Post-filter half of feed(): buffer the filtered chunk and apply
+  /// eviction. `fed` is the raw chunk length for samples_fed_.
   void ingest_filtered(std::span<const double> filtered, std::size_t fed);
 
   StreamingConfig config_;
-  core::EarSonar pipeline_;  ///< finish() runs its analyze_filtered
   dsp::BiquadCascade filter_;
-  core::StreamingEventDetector detector_;
-  core::ParityEchoSegmenter segmenter_;
-  core::FeatureExtractor extractor_;
 
   std::vector<double> filtered_;  ///< filtered_[i] = absolute sample base_ + i
   std::size_t base_ = 0;
   std::size_t samples_fed_ = 0;
   std::size_t rejected_chunks_ = 0;
-  std::vector<core::Event> events_;       ///< provisional, absolute indices
-  std::vector<core::EchoSegment> echoes_; ///< provisional, absolute indices
-  core::AnalysisQuality quality_;         ///< incremental-path degradation report
   bool finished_ = false;
 };
 

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "audio/wav.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
@@ -65,9 +67,17 @@ void write_model_file(const std::string& path) {
       << "mapping 2 0 2\n";
 }
 
+// A scratch directory unique to this process and test: ctest runs each test
+// case as its own process, possibly in parallel, so a shared fixed path
+// would let one case's cleanup delete another's files.
 class TempDir {
  public:
-  TempDir() : path_(fs::temp_directory_path() / "earsonar_fault_test") {
+  TempDir() {
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = fs::temp_directory_path() /
+            ("earsonar_fault_test_" + std::to_string(::getpid()) + "_" +
+             test->test_suite_name() + "." + test->name());
     fs::create_directories(path_);
   }
   ~TempDir() { fs::remove_all(path_); }
@@ -321,11 +331,10 @@ TEST(DegradationTest, StreamingSessionCarriesQuality) {
   const audio::Waveform recording = test_recording(20);
   serve::StreamingConfig sc;
   sc.pipeline.preprocess.zero_phase = false;
+  const core::EarSonar pipeline(sc.pipeline);
   serve::StreamingSession session(sc);
   session.feed(recording.view());
-  const core::EchoAnalysis partial = session.partial_analysis();
-  EXPECT_FALSE(partial.quality.degraded);
-  const core::EchoAnalysis final_analysis = session.finish();
+  const core::EchoAnalysis final_analysis = session.finish(pipeline);
   EXPECT_FALSE(final_analysis.quality.degraded);
   EXPECT_EQ(final_analysis.quality.chirps_total, final_analysis.events.size());
   EXPECT_EQ(final_analysis.quality.chirps_used, final_analysis.echoes.size());
@@ -374,7 +383,9 @@ TEST(CancelTokenTest, StreamingFinishHonorsCancel) {
   sc.pipeline.preprocess.zero_phase = false;
   serve::StreamingSession session(sc);
   session.feed(recording.view());
-  EXPECT_THROW((void)session.finish(CancelToken::after_ms(0.0)), CancelledError);
+  EXPECT_THROW((void)session.finish(core::EarSonar(sc.pipeline),
+                                    CancelToken::after_ms(0.0)),
+               CancelledError);
 }
 
 // ----------------------------------------------------------- error taxonomy

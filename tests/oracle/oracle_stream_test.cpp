@@ -103,7 +103,7 @@ TEST(OracleStreamFinishTest, FinishIsBitExactToBatchAnalyzeAtEveryChunkSize) {
       ASSERT_EQ(session.feed(samples.subspan(pos, len)),
                 serve::FeedStatus::kAccepted);
     }
-    const core::EchoAnalysis stream = session.finish();
+    const core::EchoAnalysis stream = session.finish(batch_pipeline);
 
     const CompareResult feat =
         check::compare_vectors(stream.features, batch.features, tol);
@@ -147,7 +147,7 @@ TEST(OracleStreamFinishTest, HoldsAcrossStatesAndSeeds) {
       ASSERT_EQ(session.feed(samples.subspan(pos, len)),
                 serve::FeedStatus::kAccepted);
     }
-    const core::EchoAnalysis stream = session.finish();
+    const core::EchoAnalysis stream = session.finish(batch_pipeline);
     const CompareResult feat =
         check::compare_vectors(stream.features, batch.features, tol);
     EXPECT_TRUE(feat.ok) << "state " << static_cast<int>(state) << ": "

@@ -17,6 +17,7 @@
 #include "core/model_io.hpp"
 #include "core/pipeline.hpp"
 #include "core/wideband.hpp"
+#include "pipeline/stage_graph.hpp"
 #include "serve/engine.hpp"
 #include "serve/metrics.hpp"
 #include "serve/queue.hpp"
@@ -324,11 +325,11 @@ TEST(StreamingSessionTest, BitIdenticalToBatchAtEveryChunkSize) {
       ASSERT_EQ(session.feed(samples.subspan(pos, len)),
                 serve::FeedStatus::kAccepted);
     }
-    const core::EchoAnalysis stream = session.finish();
+    const core::EchoAnalysis stream = session.finish(batch_pipeline);
 
     // Same events, same echoes, bit-identical features: chunked causal
-    // filtering commutes with concatenation, and finalization shares the
-    // batch code path.
+    // filtering commutes with concatenation, and finalization runs the
+    // analyze() code path.
     ASSERT_EQ(stream.events.size(), batch.events.size());
     for (std::size_t i = 0; i < batch.events.size(); ++i) {
       EXPECT_EQ(stream.events[i].start, batch.events[i].start);
@@ -351,23 +352,6 @@ TEST(StreamingSessionTest, BitIdenticalToBatchAtEveryChunkSize) {
     EXPECT_EQ(a.state, b.state);
     EXPECT_EQ(a.distance, b.distance);
   }
-}
-
-TEST(StreamingSessionTest, ProvisionalResultsArriveBeforeFinish) {
-  const audio::Waveform recording = test_recording();
-  serve::StreamingConfig sc;
-  sc.pipeline = causal_config();
-  serve::StreamingSession session(sc);
-  std::span<const double> samples = recording.view();
-  // Feed the first ~half; several chirp events should already be settled.
-  session.feed(samples.subspan(0, samples.size() / 2));
-  EXPECT_GT(session.provisional_event_count(), 0u);
-  EXPECT_FALSE(session.provisional_echoes().empty());
-  const core::EchoAnalysis partial = session.partial_analysis();
-  EXPECT_FALSE(partial.features.empty());
-  session.feed(samples.subspan(samples.size() / 2));
-  const core::EchoAnalysis final_analysis = session.finish();
-  EXPECT_GE(final_analysis.events.size(), partial.events.size());
 }
 
 TEST(StreamingSessionTest, RejectPolicyRefusesOverflowWithoutStateChange) {
@@ -403,12 +387,13 @@ TEST(StreamingSessionTest, LifecycleErrors) {
   EXPECT_THROW(serve::StreamingSession{sc}, std::exception);
 
   sc.pipeline = causal_config();
+  const core::EarSonar pipeline(sc.pipeline);
   serve::StreamingSession session(sc);
-  EXPECT_THROW(session.finish(), std::exception);  // nothing fed
+  EXPECT_THROW(session.finish(pipeline), std::exception);  // nothing fed
   session.feed(std::vector<double>(64, 0.0));
-  session.finish();
+  session.finish(pipeline);
   EXPECT_THROW(session.feed(std::vector<double>(1, 0.0)), std::exception);
-  EXPECT_THROW(session.finish(), std::exception);  // finish twice
+  EXPECT_THROW(session.finish(pipeline), std::exception);  // finish twice
 }
 
 // ------------------------------------------------------------------ engine
@@ -443,6 +428,16 @@ TEST(ServingEngineTest, DiagnosesMatchDirectPrediction) {
   EXPECT_EQ(result.diagnosis->distance, direct.distance);
   EXPECT_EQ(result.model_version, 1u);
   EXPECT_EQ(engine.metrics().completed.load(), 1u);
+
+  // batch_max 1 runs the job as a batch of one through the same stage walk
+  // as a batching engine, so every stage records its occupancy.
+  ASSERT_EQ(engine.config().batch_max, 1u);
+  for (pipeline::StageId stage :
+       {pipeline::StageId::kFilter, pipeline::StageId::kEventDetect,
+        pipeline::StageId::kSegment, pipeline::StageId::kEchoPsd,
+        pipeline::StageId::kFeatures, pipeline::StageId::kInference})
+    EXPECT_GT(engine.stage_graph().stats(stage).items.load(), 0u)
+        << pipeline::stage_name(stage);
 }
 
 TEST(ServingEngineTest, FullQueueRejectsWithReasonAndDropsNothing) {

@@ -1,6 +1,7 @@
-// Stage-graph batching tests: cross-request batched execution must be
-// bit-identical to per-request analysis at every batch size — including
-// ragged lane tails, degraded lane-mates, and forced per-request fallback.
+// Stage-graph batching tests: finishing N streaming sessions as one batch
+// must be bit-identical to EarSonar::analyze of each whole recording at
+// every batch size — including ragged lane tails, degraded lane-mates, and
+// the forced batch-of-one fallback.
 // Built with the `stagegraph` ctest label so the suite can be re-run under
 // ASan/TSan (scripts/check_sanitize.sh) to certify the batched path.
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
-#include "pipeline/batch.hpp"
 #include "pipeline/stage_graph.hpp"
 #include "serve/engine.hpp"
 #include "serve/queue.hpp"
@@ -140,17 +140,18 @@ TEST(BoundedQueueTest, TryPopUntilReturnsItemOrTimesOut) {
 
 // --------------------------------------- batched bit-identity, all sizes
 
-// One batch of N requests through finish_many must match N independent
-// finish() calls bit for bit. 10-chirp recordings make every size here a
-// ragged x4 case within each request (10 % 4 != 0); size 3 is ragged in
-// request count too.
+// One batch of N sessions through StreamingSession::finish must match
+// EarSonar::analyze of each recording bit for bit. 10-chirp recordings make
+// every size here a ragged x4 case within each request (10 % 4 != 0); size 3
+// is ragged in request count too.
 TEST(StageGraphBatchTest, FinishManyBitIdenticalAtBatchSizes) {
+  const core::EarSonar pipeline(causal_config());
   const std::size_t kDistinct = 6;
   std::vector<audio::Waveform> recordings;
   std::vector<core::EchoAnalysis> baselines;
   for (std::size_t i = 0; i < kDistinct; ++i) {
     recordings.push_back(test_recording(100 + i));
-    baselines.push_back(fed_session(recordings.back())->finish());
+    baselines.push_back(pipeline.analyze(recordings.back()));
     ASSERT_TRUE(baselines.back().usable());
   }
 
@@ -165,33 +166,30 @@ TEST(StageGraphBatchTest, FinishManyBitIdenticalAtBatchSizes) {
     }
     std::vector<CancelToken> cancels(n);
     pipeline::StageGraph graph;
-    pipeline::BatchRunInfo info;
-    std::vector<pipeline::BatchOutcome> outcomes =
-        serve::StreamingSession::finish_many(ptrs, cancels, &graph, &info);
+    std::vector<core::AnalysisOutcome> outcomes =
+        serve::StreamingSession::finish(pipeline, ptrs, cancels, &graph);
     ASSERT_EQ(outcomes.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
       SCOPED_TRACE("request " + std::to_string(i));
       ASSERT_TRUE(outcomes[i].ok());
       expect_bit_identical(outcomes[i].analysis, baselines[i % kDistinct]);
     }
-    EXPECT_FALSE(info.forced_fallback);
-    if (n >= 4) {
-      // Enough echoes across requests to engage the shared x4 PSD pass.
-      EXPECT_TRUE(info.psd_batched);
-      EXPECT_GT(info.psd_lanes, 0u);
-      const pipeline::StageStats& psd =
-          graph.stats(pipeline::StageId::kEchoPsd);
-      EXPECT_GT(psd.batched_items.load(), 0u);
-    }
+    EXPECT_EQ(graph.fallbacks(), 0u);
+    // One shared echo_psd pass carried every request.
+    const pipeline::StageStats& psd = graph.stats(pipeline::StageId::kEchoPsd);
+    EXPECT_EQ(psd.passes.load(), 1u);
+    EXPECT_EQ(psd.items.load(), n);
+    EXPECT_EQ(psd.batched_items.load(), n > 1 ? n : 0u);
   }
 }
 
 // A request whose chirp is dropped by graceful degradation mid-batch must
-// produce the exact degraded result of the unbatched path, and its
-// lane-mates must be untouched. The fault counter is global and the batched
-// path runs per-request segmentation in submission order, so the same
-// `nth:` policy lands on the same chirp of the same request either way.
+// produce the exact degraded result analyze() gives, and its lane-mates
+// must be untouched. The fault counter is global and the batch runs
+// per-request segmentation in submission order, so the same `nth:` policy
+// lands on the same chirp of the same request either way.
 TEST(StageGraphBatchTest, DegradedRequestMatchesUnbatchedAndSparesLaneMates) {
+  const core::EarSonar pipeline(causal_config());
   const std::size_t kRequests = 3;
   std::vector<audio::Waveform> recordings;
   for (std::size_t i = 0; i < kRequests; ++i)
@@ -203,7 +201,7 @@ TEST(StageGraphBatchTest, DegradedRequestMatchesUnbatchedAndSparesLaneMates) {
   {
     fault::ScopedFault guard("pipeline.segment_chirp=nth:15");
     for (const audio::Waveform& recording : recordings)
-      baselines.push_back(fed_session(recording)->finish());
+      baselines.push_back(pipeline.analyze(recording));
   }
   ASSERT_FALSE(baselines[0].quality.degraded);
   ASSERT_TRUE(baselines[1].quality.degraded);
@@ -218,8 +216,8 @@ TEST(StageGraphBatchTest, DegradedRequestMatchesUnbatchedAndSparesLaneMates) {
   }
   std::vector<CancelToken> cancels(kRequests);
   fault::ScopedFault guard("pipeline.segment_chirp=nth:15");
-  std::vector<pipeline::BatchOutcome> outcomes =
-      serve::StreamingSession::finish_many(ptrs, cancels);
+  std::vector<core::AnalysisOutcome> outcomes =
+      serve::StreamingSession::finish(pipeline, ptrs, cancels);
   for (std::size_t i = 0; i < kRequests; ++i) {
     SCOPED_TRACE("request " + std::to_string(i));
     ASSERT_TRUE(outcomes[i].ok());
@@ -227,15 +225,16 @@ TEST(StageGraphBatchTest, DegradedRequestMatchesUnbatchedAndSparesLaneMates) {
   }
 }
 
-// The pipeline.batch fault point forces wholesale per-request fallback —
-// the batched entry must still return every request's exact result.
+// The pipeline.batch fault point runs every request as its own batch of
+// one — each must still get its exact result.
 TEST(StageGraphBatchTest, PipelineBatchFaultFallsBackPerRequest) {
+  const core::EarSonar pipeline(causal_config());
   const std::size_t kRequests = 3;
   std::vector<audio::Waveform> recordings;
   std::vector<core::EchoAnalysis> baselines;
   for (std::size_t i = 0; i < kRequests; ++i) {
     recordings.push_back(test_recording(300 + i));
-    baselines.push_back(fed_session(recordings.back())->finish());
+    baselines.push_back(pipeline.analyze(recordings.back()));
   }
 
   std::vector<std::unique_ptr<serve::StreamingSession>> sessions;
@@ -246,11 +245,13 @@ TEST(StageGraphBatchTest, PipelineBatchFaultFallsBackPerRequest) {
   }
   std::vector<CancelToken> cancels(kRequests);
   fault::ScopedFault guard("pipeline.batch=always");
-  pipeline::BatchRunInfo info;
-  std::vector<pipeline::BatchOutcome> outcomes =
-      serve::StreamingSession::finish_many(ptrs, cancels, nullptr, &info);
-  EXPECT_TRUE(info.forced_fallback);
-  EXPECT_FALSE(info.psd_batched);
+  pipeline::StageGraph graph;
+  std::vector<core::AnalysisOutcome> outcomes =
+      serve::StreamingSession::finish(pipeline, ptrs, cancels, &graph);
+  EXPECT_EQ(graph.fallbacks(), 1u);
+  const pipeline::StageStats& psd = graph.stats(pipeline::StageId::kEchoPsd);
+  EXPECT_EQ(psd.passes.load(), kRequests);
+  EXPECT_EQ(psd.batched_items.load(), 0u);
   for (std::size_t i = 0; i < kRequests; ++i) {
     SCOPED_TRACE("request " + std::to_string(i));
     ASSERT_TRUE(outcomes[i].ok());
@@ -261,15 +262,16 @@ TEST(StageGraphBatchTest, PipelineBatchFaultFallsBackPerRequest) {
 // One bad session (nothing fed) must fail alone; lane-mates still finish
 // with exact results.
 TEST(StageGraphBatchTest, EmptySessionFailsWithoutTakingDownLaneMates) {
+  const core::EarSonar pipeline(causal_config());
   const audio::Waveform recording = test_recording(400);
-  const core::EchoAnalysis baseline = fed_session(recording)->finish();
+  const core::EchoAnalysis baseline = pipeline.analyze(recording);
 
   std::unique_ptr<serve::StreamingSession> good = fed_session(recording);
   serve::StreamingSession empty(causal_stream_config());  // never fed
   std::vector<serve::StreamingSession*> ptrs = {good.get(), &empty};
   std::vector<CancelToken> cancels(2);
-  std::vector<pipeline::BatchOutcome> outcomes =
-      serve::StreamingSession::finish_many(ptrs, cancels);
+  std::vector<core::AnalysisOutcome> outcomes =
+      serve::StreamingSession::finish(pipeline, ptrs, cancels);
   ASSERT_TRUE(outcomes[0].ok());
   expect_bit_identical(outcomes[0].analysis, baseline);
   EXPECT_FALSE(outcomes[1].ok());
@@ -277,16 +279,17 @@ TEST(StageGraphBatchTest, EmptySessionFailsWithoutTakingDownLaneMates) {
 
 // ----------------------------------------------------- engine integration
 
-// A batching engine (batch_max > 1) must return the same answers as the
-// per-request engine path and surface its batch passes in the metrics and
+// A batching engine (batch_max > 1) must return the same answers as
+// EarSonar::analyze and surface its batch passes in the metrics and
 // stage-graph occupancy counters.
 TEST(StageGraphEngineTest, BatchedEngineMatchesPerRequestResults) {
+  const core::EarSonar pipeline(causal_config());
   const std::size_t kRequests = 4;
   std::vector<audio::Waveform> recordings;
   std::vector<core::EchoAnalysis> baselines;
   for (std::size_t i = 0; i < kRequests; ++i) {
     recordings.push_back(test_recording(500 + i));
-    baselines.push_back(fed_session(recordings.back())->finish());
+    baselines.push_back(pipeline.analyze(recordings.back()));
   }
 
   serve::EngineConfig cfg;
