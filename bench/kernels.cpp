@@ -4,12 +4,15 @@
 // enough context to classify a regression as compute- or bandwidth-bound.
 //
 // Each kernel is measured through the *dispatched* entry point
-// (simd::active()), so EARSONAR_SIMD=scalar vs native quantifies the SIMD
-// speedup per kernel on the same build.
+// (simd::active(), and net::crc32 for the frame checksum), so
+// EARSONAR_SIMD=scalar vs native quantifies the SIMD speedup per kernel on
+// the same build.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "roofline.hpp"
@@ -19,6 +22,7 @@
 #include "dsp/mel.hpp"
 #include "dsp/multibiquad.hpp"
 #include "dsp/simd.hpp"
+#include "net/frame.hpp"
 
 using namespace earsonar;
 
@@ -188,6 +192,19 @@ void BM_PowerSpectrumF32(benchmark::State& state) {
 }
 BENCHMARK(BM_PowerSpectrumF32)->Arg(512)->Arg(2048);
 
+// ------------------------------------------------------------ frame CRC-32
+
+void BM_Crc32(benchmark::State& state) {
+  // One 4,800-sample float64 chunk: the payload a client sends per frame.
+  const std::vector<double> chunk = test_signal(4800);
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(chunk.data()), chunk.size() * sizeof(double));
+  for (auto _ : state) benchmark::DoNotOptimize(net::crc32(bytes));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32);
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -196,6 +213,8 @@ int main(int argc, char** argv) {
   // selected via EARSONAR_SIMD).
   benchmark::AddCustomContext("earsonar_simd_arch", dsp::simd::native_arch());
   benchmark::AddCustomContext("earsonar_simd_level", dsp::simd::active().name);
+  benchmark::AddCustomContext("earsonar_crc32_path",
+                              net::crc32_path(dsp::simd::active_level()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

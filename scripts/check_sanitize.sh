@@ -16,7 +16,9 @@
 #      simd suite covers the dispatch layer's intrinsics. This flavor's
 #      ctest pass runs TWICE — once with EARSONAR_SIMD=native and once with
 #      EARSONAR_SIMD=scalar — so both kernel sets (intrinsics and the Pack
-#      emulation) execute under the sanitizers.
+#      emulation) execute under the sanitizers. The same two passes cover
+#      both frame CRC-32 paths in the `net` label: the PCLMULQDQ fold at
+#      native and the slicing-by-8 tables at scalar.
 #   2. EARSONAR_SANITIZE=thread           — data races in the worker pool,
 #      metrics, registry hot-swap, the fault registry's armed fast path,
 #      the `stagegraph` label (batch collection, the StageGraph's relaxed

@@ -4,6 +4,10 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
 #include "common/error.hpp"
 #include "serve/workload.hpp"
 
@@ -58,24 +62,131 @@ const char* to_string(DecodeStatus status) {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: row 0 is the classic bytewise table; row k advances a
+// byte's contribution by k further zero bytes, so eight rows consume eight
+// input bytes per step.
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+Crc32Tables make_crc_tables() {
+  Crc32Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
+}
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
+         (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
+}
+
+// The raw CRC register update (no pre/post inversion), slicing-by-8 with a
+// bytewise tail. Portable; the scalar path and the fold's finisher.
+std::uint32_t crc32_update_slice8(std::uint32_t c, const std::uint8_t* p,
+                                  std::size_t n) {
+  static const Crc32Tables t = make_crc_tables();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  return c;
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+
+// Carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ", Intel 2009), bit-reflected form.
+// Four 128-bit lanes fold forward 512 bits per 64-byte step; the lanes then
+// fold into one and absorb the remaining whole 16-byte blocks. The folded
+// 16 bytes are congruent to everything consumed, so the raw CRC register
+// over them (from 0) equals the register over the consumed bytes — the
+// portable update finishes the job without a Barrett reduction.
+
+__m128i load128(const std::uint8_t* at) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+}
+
+// Moves `lane` forward by the distance `k` encodes and adds `next`.
+__attribute__((target("pclmul"))) __m128i fold128(__m128i lane, __m128i k,
+                                                  __m128i next) {
+  const __m128i lo = _mm_clmulepi64_si128(lane, k, 0x00);
+  const __m128i hi = _mm_clmulepi64_si128(lane, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(lo, hi), next);
+}
+
+// Requires n >= 64; consumes n rounded down to a multiple of 16 by folding
+// and the rest through the portable update.
+__attribute__((target("pclmul"))) std::uint32_t crc32_update_fold(
+    std::uint32_t c, const std::uint8_t* p, std::size_t n) {
+  // Fold constants [x^(d+32) mod P]' << 1 (low lane half) and
+  // [x^(d-32) mod P]' << 1 (high half), ' = bit-reflected, for a fold
+  // distance d of 4*128 bits (k4) and 128 bits (k1).
+  const __m128i k4 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k1 = _mm_set_epi64x(0xccaa009e, 0x1751997d0);
+
+  __m128i x0 = _mm_xor_si128(load128(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x1 = load128(p + 16);
+  __m128i x2 = load128(p + 32);
+  __m128i x3 = load128(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x0 = fold128(x0, k4, load128(p));
+    x1 = fold128(x1, k4, load128(p + 16));
+    x2 = fold128(x2, k4, load128(p + 32));
+    x3 = fold128(x3, k4, load128(p + 48));
+  }
+  x0 = fold128(x0, k1, x1);
+  x0 = fold128(x0, k1, x2);
+  x0 = fold128(x0, k1, x3);
+  for (; n >= 16; p += 16, n -= 16) x0 = fold128(x0, k1, load128(p));
+
+  alignas(16) std::uint8_t folded[16];
+  _mm_store_si128(reinterpret_cast<__m128i*>(folded), x0);
+  return crc32_update_slice8(crc32_update_slice8(0, folded, 16), p, n);
+}
+
+#endif
+
+bool use_fold(dsp::simd::Level level) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  static const bool cpu_has_pclmul = __builtin_cpu_supports("pclmul");
+  return level == dsp::simd::Level::kNative && cpu_has_pclmul;
+#else
+  (void)level;
+  return false;
+#endif
 }
 
 }  // namespace
 
+std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t seed,
+                    dsp::simd::Level level) {
+  const std::uint32_t c = seed ^ 0xFFFFFFFFu;
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (bytes.size() >= 64 && use_fold(level))
+    return crc32_update_fold(c, bytes.data(), bytes.size()) ^ 0xFFFFFFFFu;
+#endif
+  return crc32_update_slice8(c, bytes.data(), bytes.size()) ^ 0xFFFFFFFFu;
+}
+
 std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes) c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+  static const dsp::simd::Level level = dsp::simd::active_level();
+  return crc32(bytes, seed, level);
+}
+
+const char* crc32_path(dsp::simd::Level level) {
+  return use_fold(level) ? "pclmul_fold" : "slice8";
 }
 
 // ------------------------------------------------- little-endian primitives

@@ -39,6 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "dsp/simd.hpp"
+
 namespace earsonar::net {
 
 inline constexpr std::uint16_t kMagic = 0x5345;  // "ES" little-endian
@@ -105,10 +107,24 @@ struct FrameHeader {
 
 // ------------------------------------------------------------------ CRC32
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, the zlib crc32). Dependency-
-/// free table implementation; crc32("123456789") == 0xCBF43926.
+/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, the zlib crc32);
+/// crc32("123456789") == 0xCBF43926, and crc32(b, crc32(a)) == crc32(a||b).
+/// Two dependency-free paths return identical values: slicing-by-8 tables
+/// (portable), and on x86-64 CPUs with PCLMULQDQ a carry-less-multiply fold
+/// for spans of 64 bytes or more. The path is chosen once per process: the
+/// fold when the CPU has it and dsp::simd::active_level() is kNative
+/// (EARSONAR_SIMD=scalar keeps the tables).
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bytes,
                                   std::uint32_t seed = 0);
+
+/// crc32 on the path an explicit level selects — parity tests compare the
+/// two directly (as dsp::simd::kernel_set(Level) does for the DSP kernels).
+[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bytes,
+                                  std::uint32_t seed, dsp::simd::Level level);
+
+/// Name of the path crc32 takes at `level` on this CPU for spans of 64 bytes
+/// or more: "pclmul_fold" or "slice8". Reported in bench context.
+[[nodiscard]] const char* crc32_path(dsp::simd::Level level);
 
 // ------------------------------------------------- little-endian primitives
 

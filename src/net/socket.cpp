@@ -7,8 +7,10 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
@@ -141,18 +143,32 @@ bool TcpStream::read_exact(std::span<std::uint8_t> out) {
   return true;
 }
 
-void TcpStream::write_all(std::span<const std::uint8_t> bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
+void TcpStream::write_all(std::span<const std::uint8_t> head,
+                          std::span<const std::uint8_t> tail) {
+  iovec iov[2] = {{const_cast<std::uint8_t*>(head.data()), head.size()},
+                  {const_cast<std::uint8_t*>(tail.data()), tail.size()}};
+  std::size_t first = 0;  // first iovec with bytes left to send
+  for (;;) {
+    while (first < 2 && iov[first].iov_len == 0) ++first;
+    if (first == 2) return;
+    msghdr msg{};
+    msg.msg_iov = iov + first;
+    msg.msg_iovlen = 2 - first;
     // MSG_NOSIGNAL: a peer that hung up must surface as EPIPE (an exception
     // the caller handles), never as a process-killing SIGPIPE.
-    const ssize_t n = ::send(socket_.fd(), bytes.data() + sent,
-                             bytes.size() - sent, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(socket_.fd(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      fail_errno("send");
+      fail_errno("sendmsg");
     }
-    sent += static_cast<std::size_t>(n);
+    // A partial write: advance over whatever the kernel took.
+    auto sent = static_cast<std::size_t>(n);
+    for (std::size_t i = first; i < 2 && sent > 0; ++i) {
+      const std::size_t take = std::min(sent, iov[i].iov_len);
+      iov[i].iov_base = static_cast<std::uint8_t*>(iov[i].iov_base) + take;
+      iov[i].iov_len -= take;
+      sent -= take;
+    }
   }
 }
 
@@ -248,8 +264,9 @@ void write_frame(TcpStream& stream, FrameType type, std::uint64_t session_id,
   if (fault::point("net.frame.write")) fail("injected fault: net.frame.write");
   std::uint8_t header_bytes[kHeaderSize];
   encode_header(header_bytes, type, session_id, payload);
-  stream.write_all(header_bytes);
-  if (!payload.empty()) stream.write_all(payload);
+  // One gathered write per frame: under TCP_NODELAY two writes would put
+  // the 24-byte header on the wire as a segment of its own.
+  stream.write_all(header_bytes, payload);
 }
 
 void write_chunk_frame(TcpStream& stream, std::uint64_t session_id,

@@ -90,8 +90,10 @@ class TcpStream {
   /// socket error, NetTimeoutError when a configured read timeout expires.
   bool read_exact(std::span<std::uint8_t> out);
 
-  /// Writes the whole buffer or throws std::runtime_error.
-  void write_all(std::span<const std::uint8_t> bytes);
+  /// Writes head then tail, whole, as one gathered write (sendmsg over two
+  /// iovecs, resumed after a partial write) or throws std::runtime_error.
+  void write_all(std::span<const std::uint8_t> head,
+                 std::span<const std::uint8_t> tail = {});
 
  private:
   Socket socket_;
@@ -149,8 +151,8 @@ ReadFrameResult read_frame(TcpStream& stream, std::vector<double>& payload_f64,
 [[nodiscard]] std::span<const std::uint8_t> payload_bytes(
     const std::vector<double>& payload_f64, const FrameHeader& header);
 
-/// Writes header + payload (single writev-style call sequence). Throws
-/// std::runtime_error on failure; `net.frame.write` injects one.
+/// Writes header + payload as one gathered send (the payload is not copied).
+/// Throws std::runtime_error on failure; `net.frame.write` injects one.
 void write_frame(TcpStream& stream, FrameType type, std::uint64_t session_id,
                  std::span<const std::uint8_t> payload);
 

@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "core/model_io.hpp"
 #include "core/pipeline.hpp"
+#include "dsp/simd.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/loadgen.hpp"
@@ -71,6 +72,87 @@ TEST(FrameCodecTest, Crc32KnownVector) {
   EXPECT_EQ(net::crc32({reinterpret_cast<const std::uint8_t*>(msg), 9}),
             0xCBF43926u);
   EXPECT_EQ(net::crc32({}), 0u);
+}
+
+// Bit-at-a-time CRC-32 straight from the polynomial: the reference both
+// dispatch paths of net::crc32 must reproduce.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> bytes, std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (const std::uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+  return out;
+}
+
+constexpr dsp::simd::Level kCrcLevels[] = {dsp::simd::Level::kScalar,
+                                           dsp::simd::Level::kNative};
+constexpr std::uint32_t kCrcSeeds[] = {0u, 0x9E3779B9u};
+
+TEST(FrameCodecTest, Crc32PathsMatchBitwiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<std::uint8_t> buf = random_bytes(300 + 16, 3);
+  for (const std::uint32_t seed : kCrcSeeds)
+    for (std::size_t offset = 0; offset < 16; ++offset)
+      for (std::size_t len = 0; len <= 300; ++len) {
+        const std::span<const std::uint8_t> bytes(buf.data() + offset, len);
+        const std::uint32_t want = crc32_bitwise(bytes, seed);
+        for (const dsp::simd::Level level : kCrcLevels)
+          ASSERT_EQ(net::crc32(bytes, seed, level), want)
+              << "level " << static_cast<int>(level) << " offset " << offset
+              << " len " << len << " seed " << seed;
+      }
+}
+
+TEST(FrameCodecTest, Crc32PathsMatchBitwiseReferenceOnLargeBuffers) {
+  for (const std::size_t n : {std::size_t{38400}, std::size_t{1} << 20}) {
+    const std::vector<std::uint8_t> buf = random_bytes(n, n);
+    for (const std::uint32_t seed : kCrcSeeds) {
+      const std::uint32_t want = crc32_bitwise(buf, seed);
+      for (const dsp::simd::Level level : kCrcLevels)
+        EXPECT_EQ(net::crc32(buf, seed, level), want) << "n " << n << " seed " << seed;
+      EXPECT_EQ(net::crc32(buf, seed), want);  // the dispatched path
+    }
+  }
+}
+
+TEST(FrameCodecTest, Crc32ChainsAtEverySplitPoint) {
+  const std::vector<std::uint8_t> buf = random_bytes(1000, 5);
+  const std::span<const std::uint8_t> all(buf);
+  for (const dsp::simd::Level level : kCrcLevels) {
+    const std::uint32_t whole = net::crc32(all, 0, level);
+    for (std::size_t split = 0; split <= all.size(); ++split)
+      ASSERT_EQ(net::crc32(all.subspan(split), net::crc32(all.first(split), 0, level),
+                           level),
+                whole)
+          << "level " << static_cast<int>(level) << " split " << split;
+  }
+}
+
+TEST(FrameCodecTest, EverySingleBitFlipInAChunkPayloadIsBadCrc) {
+  // One 4,800-sample chunk of audio, the size a client sends per frame.
+  const std::vector<std::uint8_t> payload = random_bytes(38400, 9);
+  std::vector<std::uint8_t> wire = net::encode_frame(net::FrameType::kChunk, 3, payload);
+  for (std::size_t byte = net::kHeaderSize; byte < wire.size(); ++byte)
+    for (int bit = 0; bit < 8; ++bit) {
+      const auto mask = static_cast<std::uint8_t>(1u << bit);
+      wire[byte] ^= mask;
+      net::FrameDecoder decoder;
+      decoder.push(wire);
+      ASSERT_FALSE(decoder.next().has_value()) << "byte " << byte << " bit " << bit;
+      ASSERT_EQ(decoder.error(), net::DecodeStatus::kBadCrc)
+          << "byte " << byte << " bit " << bit;
+      wire[byte] ^= mask;
+    }
+  net::FrameDecoder decoder;
+  decoder.push(wire);
+  EXPECT_TRUE(decoder.next().has_value());
 }
 
 TEST(FrameCodecTest, FrameRoundTrip) {
@@ -476,6 +558,18 @@ TEST(NetLoopbackTest, PingEchoesAndStatsCount) {
   }
   EXPECT_EQ(accepted, 1u);
   EXPECT_GT(chunks, 0u);
+  server.stop();
+}
+
+TEST(NetLoopbackTest, MaxPayloadPingReturnsByteIdenticalPong) {
+  // write_frame sends header and payload in one gathered write; the largest
+  // frame the protocol allows must still arrive whole and intact.
+  net::NetServer server(small_server_config(1));
+  server.start();
+  net::NetClient client("127.0.0.1", server.port());
+  // ping() returns nullopt unless the Pong payload matches byte for byte.
+  EXPECT_TRUE(client.ping(net::kMaxPayload).has_value());
+  EXPECT_TRUE(client.ping(0).has_value());
   server.stop();
 }
 
