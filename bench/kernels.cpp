@@ -18,8 +18,6 @@
 #include "roofline.hpp"
 #include "dsp/biquad.hpp"
 #include "dsp/butterworth.hpp"
-#include "dsp/fft_plan.hpp"
-#include "dsp/mel.hpp"
 #include "dsp/multibiquad.hpp"
 #include "dsp/simd.hpp"
 #include "net/frame.hpp"
@@ -37,15 +35,14 @@ std::vector<double> test_signal(std::size_t n) {
 }
 
 // Interleaved twiddles in FftPlan's layout (stage h at scalar offset 2h).
-template <class T>
-std::vector<T> twiddle_table(std::size_t n) {
-  std::vector<T> w(2 * n, T(0));
+std::vector<double> twiddle_table(std::size_t n) {
+  std::vector<double> w(2 * n, 0.0);
   for (std::size_t h = 1; h < n; h <<= 1) {
     for (std::size_t k = 0; k < h; ++k) {
       const double a = -3.14159265358979323846 * static_cast<double>(k) /
                        static_cast<double>(h);
-      w[2 * (h + k)] = static_cast<T>(std::cos(a));
-      w[2 * (h + k) + 1] = static_cast<T>(std::sin(a));
+      w[2 * (h + k)] = std::cos(a);
+      w[2 * (h + k) + 1] = std::sin(a);
     }
   }
   return w;
@@ -55,7 +52,7 @@ std::vector<T> twiddle_table(std::size_t n) {
 
 void BM_KernelButterfliesD(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<double> tw = twiddle_table<double>(n);
+  const std::vector<double> tw = twiddle_table(n);
   std::vector<double> data = test_signal(2 * n);
   const auto& kernel = dsp::simd::active();
   for (auto _ : state) {
@@ -65,20 +62,6 @@ void BM_KernelButterfliesD(benchmark::State& state) {
   bench::set_roofline(state, bench::fft_flops(n), bench::fft_bytes(n, 16));
 }
 BENCHMARK(BM_KernelButterfliesD)->Arg(256)->Arg(2048);
-
-void BM_KernelButterfliesF(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<float> tw = twiddle_table<float>(n);
-  const std::vector<double> seed = test_signal(2 * n);
-  std::vector<float> data(seed.begin(), seed.end());
-  const auto& kernel = dsp::simd::active();
-  for (auto _ : state) {
-    kernel.butterflies_f(data.data(), tw.data(), n);
-    benchmark::DoNotOptimize(data.data());
-  }
-  bench::set_roofline(state, bench::fft_flops(n), bench::fft_bytes(n, 8));
-}
-BENCHMARK(BM_KernelButterfliesF)->Arg(256)->Arg(2048);
 
 // ------------------------------------------------------------- power bins
 
@@ -96,24 +79,6 @@ void BM_KernelPowerBins(benchmark::State& state) {
                       24.0 * static_cast<double>(m));
 }
 BENCHMARK(BM_KernelPowerBins)->Arg(257)->Arg(2049);
-
-// -------------------------------------------------------------- mel matvec
-
-void BM_MelMatvec(benchmark::State& state) {
-  dsp::MelFilterbankConfig cfg;
-  cfg.filter_count = 20;
-  cfg.fft_size = 512;
-  const dsp::MelFilterbank bank(cfg);
-  std::vector<double> spectrum = test_signal(cfg.fft_size / 2 + 1);
-  for (double& v : spectrum) v = v * v;
-  for (auto _ : state) benchmark::DoNotOptimize(bank.apply(spectrum));
-  // rows*bins multiply-adds over the flat weight matrix + the spectrum.
-  const double rows = static_cast<double>(cfg.filter_count);
-  const double bins = static_cast<double>(cfg.fft_size / 2 + 1);
-  bench::set_roofline(state, 2.0 * rows * bins,
-                      8.0 * (rows * bins + bins + rows));
-}
-BENCHMARK(BM_MelMatvec);
 
 // ---------------------------------------------------------- window multiply
 
@@ -173,24 +138,6 @@ void BM_BiquadInterleaved(benchmark::State& state) {
   bench::set_roofline(state, 9.0 * sections * samples, 16.0 * sections * samples);
 }
 BENCHMARK(BM_BiquadInterleaved)->Arg(2)->Arg(4)->Arg(8);
-
-// -------------------------------------------------------------- f32 PSD
-
-void BM_PowerSpectrumF32(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto plan = dsp::FftPlan::get(n, dsp::FftPlan::Kind::kReal);
-  dsp::FftScratch scratch;
-  const std::vector<double> in = test_signal(n);
-  std::vector<double> psd(plan->real_bins());
-  for (auto _ : state) {
-    plan->power_spectrum_f32(in, psd, 1.0 / static_cast<double>(n), scratch);
-    benchmark::DoNotOptimize(psd.data());
-  }
-  // Half-length complex FFT + untangle + power, in float32.
-  bench::set_roofline(state, bench::fft_flops(n / 2) + 10.0 * static_cast<double>(n),
-                      bench::fft_bytes(n / 2, 8) + 24.0 * static_cast<double>(n));
-}
-BENCHMARK(BM_PowerSpectrumF32)->Arg(512)->Arg(2048);
 
 // ------------------------------------------------------------ frame CRC-32
 

@@ -125,7 +125,7 @@ if [ -f "$TESTING_DOC" ]; then
       || err "docs/testing.md does not catalog oracle pair '$p'"
   done
   # And the reverse: a documented pair must exist in the policy table.
-  doc_pairs=$(grep -ohE '`(dsp|common|serve|audio|golden)\.[a-z0-9_.]+`' "$TESTING_DOC" \
+  doc_pairs=$(grep -ohE '`(dsp|core|common|serve|audio|golden)\.[a-z0-9_.]+`' "$TESTING_DOC" \
                 | tr -d '`' | sort -u) || true
   for p in $doc_pairs; do
     printf '%s\n' "$pairs" | grep -qxF "$p" \

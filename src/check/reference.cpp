@@ -152,70 +152,43 @@ std::vector<double> biquad_cascade_df1_naive(const std::vector<dsp::Biquad>& sec
   return x;
 }
 
-std::vector<std::vector<double>> mel_weights_naive(const dsp::MelFilterbankConfig& config) {
-  const std::size_t n_bins = config.fft_size / 2 + 1;
+std::vector<double> band_mfcc_naive(const dsp::Spectrum& spectrum,
+                                    std::size_t filter_count,
+                                    std::size_t coefficient_count) {
+  require_nonempty("band_mfcc_naive spectrum", spectrum.size());
+  require(coefficient_count >= 1 && coefficient_count <= filter_count,
+          "band_mfcc_naive: coefficient_count must be in [1, filter_count]");
   const auto to_mel = [](double hz) { return 2595.0 * std::log10(1.0 + hz / 700.0); };
   const auto to_hz = [](double mel) {
     return 700.0 * (std::pow(10.0, mel / 2595.0) - 1.0);
   };
-  const double mel_lo = to_mel(config.low_hz);
-  const double mel_hi = to_mel(config.high_hz);
-  std::vector<double> edges(config.filter_count + 2);
+
+  // 1. filter_count + 2 edges, evenly spaced in mel across the band grid.
+  const double mel_lo = to_mel(spectrum.frequency_hz.front());
+  const double mel_hi = to_mel(spectrum.frequency_hz.back());
+  std::vector<double> edges(filter_count + 2);
   for (std::size_t i = 0; i < edges.size(); ++i)
     edges[i] = to_hz(mel_lo + (mel_hi - mel_lo) * static_cast<double>(i) /
                                   static_cast<double>(edges.size() - 1));
 
-  std::vector<std::vector<double>> weights(config.filter_count,
-                                           std::vector<double>(n_bins, 0.0));
-  for (std::size_t f = 0; f < config.filter_count; ++f) {
+  // 2. literal triangles at the grid points, floored log of each energy.
+  std::vector<double> log_energies(filter_count);
+  for (std::size_t f = 0; f < filter_count; ++f) {
     const double left = edges[f], center = edges[f + 1], right = edges[f + 2];
-    double total = 0.0;
-    for (std::size_t b = 0; b < n_bins; ++b) {
-      const double freq = static_cast<double>(b) * config.sample_rate /
-                          static_cast<double>(config.fft_size);
+    double acc = 0.0;
+    for (std::size_t b = 0; b < spectrum.size(); ++b) {
+      const double freq = spectrum.frequency_hz[b];
       double w = 0.0;
       if (freq > left && freq < center) w = (freq - left) / (center - left);
       else if (freq >= center && freq < right) w = (right - freq) / (right - center);
-      weights[f][b] = w;
-      total += w;
+      acc += w * spectrum.psd[b];
     }
-    if (total == 0.0) {
-      // Documented degenerate-triangle fallback: a filter narrower than one
-      // bin spacing collapses onto the bin nearest its center frequency.
-      const auto nearest = static_cast<std::size_t>(std::lround(
-          center / config.sample_rate * static_cast<double>(config.fft_size)));
-      weights[f][std::min(nearest, n_bins - 1)] = 1.0;
-    }
-  }
-  return weights;
-}
-
-std::vector<double> mfcc_naive(const dsp::MfccConfig& config, std::span<const double> frame) {
-  require_nonempty("mfcc_naive frame", frame.size());
-  const std::size_t n = config.filterbank.fft_size;
-
-  // 1. zero-pad / truncate, then the symmetric Hann window.
-  std::vector<double> padded(n, 0.0);
-  std::copy_n(frame.begin(), std::min(frame.size(), n), padded.begin());
-  for (std::size_t i = 0; i < n && n > 1; ++i)
-    padded[i] *= 0.5 - 0.5 * std::cos(2.0 * kPi * static_cast<double>(i) /
-                                      static_cast<double>(n - 1));
-
-  // 2. naive real DFT and the |X|^2 / N power spectrum.
-  const std::vector<double> power = power_spectrum_naive(padded);
-
-  // 3. literal mel triangles, floored log.
-  const std::vector<std::vector<double>> weights = mel_weights_naive(config.filterbank);
-  std::vector<double> energies(weights.size());
-  for (std::size_t f = 0; f < weights.size(); ++f) {
-    double acc = 0.0;
-    for (std::size_t b = 0; b < power.size(); ++b) acc += weights[f][b] * power[b];
-    energies[f] = std::log(std::max(acc, config.log_floor));
+    log_energies[f] = std::log(std::max(acc, 1e-12));
   }
 
-  // 4. naive DCT-II, leading coefficients only.
-  std::vector<double> mfcc = dct2_naive(energies);
-  mfcc.resize(config.coefficient_count);
+  // 3. naive DCT-II, leading coefficients only.
+  std::vector<double> mfcc = dct2_naive(log_energies);
+  mfcc.resize(coefficient_count);
   return mfcc;
 }
 

@@ -3,8 +3,8 @@
 // Each function here is the textbook form of an optimized kernel elsewhere in
 // the library: O(n^2) DFT sums instead of the planned FFT, a full sort
 // instead of nth_element, a per-sample direct-form-I recurrence instead of
-// the transposed cascade, the literal MFCC formula chain instead of the
-// planned extractor. They are written for obviousness, not speed, and share
+// the transposed cascade, the literal band-MFCC formula chain instead of the
+// feature extractor's. They are written for obviousness, not speed, and share
 // no code with the implementations they check — that independence is the
 // point. tests/oracle/ drives each optimized/reference pair over the seeded
 // case generator (src/check/cases.hpp) under the tolerance policy table
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "dsp/biquad.hpp"
-#include "dsp/mel.hpp"
+#include "dsp/spectrum.hpp"
 
 namespace earsonar::check {
 
@@ -60,15 +60,14 @@ double percentile_naive(std::span<const double> xs, double p);
 std::vector<double> biquad_cascade_df1_naive(const std::vector<dsp::Biquad>& sections,
                                              std::span<const double> input);
 
-/// Literal triangular mel filterbank weights (filter_count x fft_size/2+1),
-/// including the documented nearest-bin fallback for filters narrower than
-/// one bin spacing.
-std::vector<std::vector<double>> mel_weights_naive(const dsp::MelFilterbankConfig& config);
-
-/// Literal MFCC chain: zero-pad/truncate to fft_size, symmetric Hann window,
-/// naive real DFT, |X|^2/N power, naive mel triangles, floored log, naive
-/// DCT-II, truncate to coefficient_count. Mirrors MfccExtractor::compute.
-std::vector<double> mfcc_naive(const dsp::MfccConfig& config, std::span<const double> frame);
+/// Literal band-MFCC chain over a band spectrum on a uniform grid: HTK mel
+/// triangles with filter_count + 2 edges spaced evenly in mel between the
+/// grid's first and last frequency, each weight applied at the grid points,
+/// log floored at 1e-12, naive DCT-II, truncate to coefficient_count.
+/// Mirrors core::FeatureExtractor::band_mfcc.
+std::vector<double> band_mfcc_naive(const dsp::Spectrum& spectrum,
+                                    std::size_t filter_count,
+                                    std::size_t coefficient_count);
 
 /// Naive Welch PSD: per-segment Hann periodogram via the naive DFT, 50%
 /// overlap, averaged — dsp::welch_psd's contract. `segment == signal.size()`

@@ -55,24 +55,11 @@ std::vector<PairPolicy> build_table() {
            "dsp::BiquadCascade::process per channel", {0.0, 0.0},
            "bit-exact: each interleaved lane runs the exact per-channel DF2T recurrence; "
            "only the channel loop is restructured");
-  add_pair(t, "dsp.mel.filterbank", "dsp::MelFilterbank weights",
-           "check::mel_weights_naive (literal triangle formula)", {0.0, 0.0},
-           "bit-exact: identical arithmetic, independently coded");
-  add_pair(t, "dsp.mfcc", "dsp::MfccExtractor::compute",
-           "check::mfcc_naive (literal pad/window/DFT/mel/log/DCT chain)", {1e-7, 1e-9},
-           "log() near the floor steepens the transform error; 1e-7 bounds the chain");
-  add_pair(t, "dsp.fft.power_spectrum.f32", "dsp::FftPlan::power_spectrum_f32",
-           "dsp::FftPlan::power_spectrum (float64)", {3e-5, 1e-12},
-           "float32 butterflies accumulate ~ulp_f32 * log2(n) = 2^-23 * 12 relative "
-           "error at n = 4096; squaring in power doubles the relative term");
-  add_pair(t, "dsp.mel.filterbank.f32", "dsp::MelFilterbank::apply_f32",
-           "dsp::MelFilterbank::apply (float64)", {2e-5, 1e-14},
-           "float32 dot over <= 2049 nonnegative bins: error grows ~sqrt(n) * ulp_f32 "
-           "with all-positive weights, no cancellation");
-  add_pair(t, "dsp.features.f32", "core::EarSonar features, float32_kernels = true",
-           "the same pipeline in float64", {5e-4, 1e-10},
-           "end-to-end float32 PSD error passes through band ratios, logs, and "
-           "divisions; the budget is the f32 kernel error amplified by the chain");
+  add_pair(t, "core.band_mfcc", "core::FeatureExtractor::band_mfcc",
+           "check::band_mfcc_naive (literal mel/log/DCT chain on the band grid)",
+           {1e-10, 1e-12},
+           "triangles, summation order and log floor match term for term, so the log "
+           "energies agree to a few ULP; the rest is the dsp.dct2 budget");
   add_pair(t, "dsp.welch", "dsp::welch_psd / dsp::periodogram", "check::welch_psd_naive",
            {2e-9, 1e-18}, "per-segment transform error, averaged; scaling is identical");
   add_pair(t, "common.percentile", "earsonar::percentile (two order statistics)",

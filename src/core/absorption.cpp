@@ -1,14 +1,11 @@
 #include "core/absorption.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fft_plan.hpp"
-#include "dsp/interpolate.hpp"
-#include "dsp/window.hpp"
 
 namespace earsonar::core {
 
@@ -17,14 +14,13 @@ namespace {
 // Reused per-thread buffers for window_psd: the absorption stage runs one
 // window/FFT per chirp (hundreds per recording), so the steady state must
 // not allocate. The frequency axis, the FFT plan, and the band-resample
-// interpolation weights are cached against the effective sample rate —
-// every echo of a recording shares them.
+// interpolation weights are cached against the sample rate — every echo of
+// a recording shares them.
 struct WindowPsdScratch {
   dsp::FftScratch fft;
-  std::vector<double> window;  ///< raw window samples
-  std::vector<double> dense;   ///< interpolated + zero-padded FFT input
+  std::vector<double> dense;   ///< zero-padded FFT input
   dsp::Spectrum full;          ///< full-resolution PSD
-  double axis_fs = 0.0;        ///< effective rate the cached axis was built at
+  double axis_fs = 0.0;        ///< sample rate the cached axis was built at
   std::shared_ptr<const dsp::FftPlan> plan;  ///< plan for the cached fft_size
   std::size_t plan_n = 0;
   // Band-resample cache: per output bin, the bracketing source bin and the
@@ -99,15 +95,15 @@ dsp::Spectrum resample_with_cache(const WindowPsdScratch& s, const double* psd) 
 }
 
 // Refreshes the cached plan, frequency axis, and band-resample weights for
-// one effective sample rate; every echo of a recording shares them.
+// one sample rate; every echo of a recording shares them.
 void ensure_psd_cache(WindowPsdScratch& s, const SpectrumConfig& config,
-                      double effective_fs) {
+                      double fs) {
   if (s.plan_n != config.fft_size || !s.plan) {
     s.plan = dsp::FftPlan::get(config.fft_size, dsp::FftPlan::Kind::kReal);
     s.plan_n = config.fft_size;
   }
   s.full.psd.resize(s.plan->real_bins());
-  const bool cache_stale = s.axis_fs != effective_fs ||
+  const bool cache_stale = s.axis_fs != fs ||
                            s.full.frequency_hz.size() != s.full.psd.size() ||
                            s.cache_low != config.band_low_hz ||
                            s.cache_high != config.band_high_hz ||
@@ -115,8 +111,8 @@ void ensure_psd_cache(WindowPsdScratch& s, const SpectrumConfig& config,
   if (cache_stale) {
     s.full.frequency_hz.resize(s.full.psd.size());
     for (std::size_t i = 0; i < s.full.psd.size(); ++i)
-      s.full.frequency_hz[i] = dsp::bin_frequency(i, config.fft_size, effective_fs);
-    s.axis_fs = effective_fs;
+      s.full.frequency_hz[i] = dsp::bin_frequency(i, config.fft_size, fs);
+    s.axis_fs = fs;
     build_resample_cache(s, config.band_low_hz, config.band_high_hz,
                          config.band_bins);
     s.cache_low = config.band_low_hz;
@@ -154,13 +150,12 @@ void SpectrumConfig::validate() const {
           "SpectrumConfig: event_window_length must be >= 16");
   require(gate_start >= 1, "SpectrumConfig: gate_start must be >= 1");
   require(gate_length >= 8, "SpectrumConfig: gate_length must be >= 8");
-  require(direct_half_window >= 4, "SpectrumConfig: direct_half_window must be >= 4");
-  require(interpolated_length >= pre_peak + post_peak + 1 &&
-              interpolated_length >= gate_length + 1 &&
-              interpolated_length >= event_window_length + 1,
-          "SpectrumConfig: interpolated_length must cover the window");
   require(dsp::is_power_of_two(fft_size), "SpectrumConfig: fft_size must be 2^n");
-  require(fft_size >= interpolated_length, "SpectrumConfig: fft_size too small");
+  // Each anchor's window spans pre + post + 1 samples and is zero-padded to
+  // fft_size, so every window must fit in one transform.
+  require(event_window_length + 1 <= fft_size && pre_peak + post_peak + 1 <= fft_size &&
+              gate_length + 1 <= fft_size,
+          "SpectrumConfig: fft_size must hold every analysis window");
   require(band_low_hz > 0.0 && band_low_hz < band_high_hz,
           "SpectrumConfig: need 0 < low < high");
   require(band_bins >= 8, "SpectrumConfig: need >= 8 band bins");
@@ -213,61 +208,25 @@ dsp::Spectrum EchoSpectrumExtractor::window_psd(const audio::Waveform& signal,
   WindowPsdScratch& s = window_psd_scratch();
 
   // Fixed-length window zero-padded at the recording edges so every chirp
-  // yields an identical analysis geometry.
+  // yields an identical analysis geometry; the raw window IS the FFT input
+  // head.
   const std::size_t window_len = pre + post + 1;
-  double* window_samples;
-  if (config_.interpolate || config_.hann_taper) {
-    s.window.assign(window_len, 0.0);
-    window_samples = s.window.data();
-  } else {
-    // Fast path: the raw window IS the FFT input head — fill it in place.
-    s.dense.assign(config_.fft_size, 0.0);
-    window_samples = s.dense.data();
-  }
+  s.dense.assign(config_.fft_size, 0.0);
   for (std::size_t i = 0; i < window_len; ++i) {
     const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(center) -
                                static_cast<std::ptrdiff_t>(pre) +
                                static_cast<std::ptrdiff_t>(i);
     if (idx >= 0 && idx < static_cast<std::ptrdiff_t>(signal.size()))
-      window_samples[i] = signal.samples()[static_cast<std::size_t>(idx)];
+      s.dense[i] = signal.samples()[static_cast<std::size_t>(idx)];
   }
 
-  // Optionally interpolate onto a denser uniform grid (paper: "FFT
-  // processing on the interpolated signal"), taper, zero-pad, transform.
-  std::size_t pre_pad = window_len;
-  if (config_.interpolate || config_.hann_taper) {
-    if (config_.interpolate) {
-      s.dense = dsp::resample_to_length(s.window, config_.interpolated_length);
-    } else {
-      s.dense = s.window;
-    }
-    if (config_.hann_taper) {
-      const std::vector<double> taper = dsp::hann_window(s.dense.size());
-      dsp::apply_window_inplace(s.dense, taper);
-    }
-    pre_pad = s.dense.size();
-    s.dense.resize(config_.fft_size, 0.0);
-  }
-
-  // Interpolation stretches the window in time, compressing the spectrum by
-  // the same factor; use the effective rate to keep the axis physical.
-  const double stretch =
-      static_cast<double>(pre_pad) / static_cast<double>(window_len);
-  const double effective_fs = fs * stretch;
-
-  ensure_psd_cache(s, config_, effective_fs);
-  const dsp::FftPlan& plan = *s.plan;
-  const double scale = 1.0 / static_cast<double>(config_.fft_size);
+  ensure_psd_cache(s, config_, fs);
   // The band resample only reads source bins [band_klo, band_khi]; computing
   // just those (identical arithmetic per computed bin) skips ~80% of the
-  // untangle + |X|^2 work per chirp. The float32 pipeline keeps the full
-  // transform — its narrowed kernels batch over all bins anyway.
-  if (config_.float32_kernels)
-    plan.power_spectrum_f32(s.dense, s.full.psd, scale, s.fft);
-  else
-    plan.power_spectrum_band(s.dense, s.full.psd, scale, s.fft, s.band_klo,
-                             s.band_khi);
-
+  // untangle + |X|^2 work per chirp.
+  s.plan->power_spectrum_band(s.dense, s.full.psd,
+                              1.0 / static_cast<double>(config_.fft_size), s.fft,
+                              s.band_klo, s.band_khi);
   return resample_with_cache(s, s.full.psd.data());
 }
 
@@ -278,25 +237,15 @@ dsp::Spectrum EchoSpectrumExtractor::extract(const audio::Waveform& signal,
   require(config_.band_high_hz <= fs / 2.0, "extract: band exceeds Nyquist");
 
   const WindowGeometry g = window_geometry(config_, echo);
-  return finalize(window_psd(signal, g.center, g.pre, g.post), signal, echo);
+  return finalize(window_psd(signal, g.center, g.pre, g.post));
 }
 
-dsp::Spectrum EchoSpectrumExtractor::finalize(dsp::Spectrum spectrum,
-                                              const audio::Waveform& signal,
-                                              const EchoSegment& echo) const {
+dsp::Spectrum EchoSpectrumExtractor::finalize(dsp::Spectrum spectrum) const {
   if (has_reference()) {
     for (std::size_t i = 0; i < spectrum.size(); ++i)
       spectrum.psd[i] /= reference_.psd[i];
   }
-  if (config_.normalize_by_direct) {
-    const dsp::Spectrum direct =
-        window_psd(signal, echo.direct_peak_index, config_.direct_half_window,
-                   config_.direct_half_window);
-    const double floor = 1e-9 * std::max(1e-30, max_value(direct.psd));
-    for (std::size_t i = 0; i < spectrum.size(); ++i)
-      spectrum.psd[i] /= direct.psd[i] + floor;
-  }
-  return config_.peak_normalize ? dsp::normalize_peak(spectrum) : spectrum;
+  return spectrum;
 }
 
 std::vector<dsp::Spectrum> EchoSpectrumExtractor::extract_all(
@@ -326,11 +275,10 @@ std::vector<std::vector<dsp::Spectrum>> EchoSpectrumExtractor::extract_all_multi
 
   // Flatten the (recording, echo) pairs in submission order; x4 groups then
   // slice the flat sequence, crossing recording boundaries where they fall.
-  // With no interpolation or taper the raw window IS the FFT input, so four
-  // windows pack side by side into one four-lane band PSD
-  // (FftPlan::power_spectrum_band_x4); otherwise, and for the ragged tail,
-  // each window runs through extract(). finalize() is the shared per-echo
-  // tail, so every spectrum matches extract() bit for bit.
+  // The raw window IS the FFT input, so four windows pack side by side into
+  // one four-lane band PSD (FftPlan::power_spectrum_band_x4); the ragged
+  // tail runs through extract(). finalize() is the shared per-echo tail, so
+  // every spectrum matches extract() bit for bit.
   struct Slot {
     std::size_t item, echo;
   };
@@ -342,12 +290,10 @@ std::vector<std::vector<dsp::Spectrum>> EchoSpectrumExtractor::extract_all_multi
   }
 
   std::size_t k = 0;
-  const bool packed =
-      !config_.interpolate && !config_.hann_taper && !config_.float32_kernels;
-  if (packed && slots.size() >= 4) {
+  if (slots.size() >= 4) {
     require(config_.band_high_hz <= fs0 / 2.0, "extract: band exceeds Nyquist");
     WindowPsdScratch& s = window_psd_scratch();
-    ensure_psd_cache(s, config_, fs0);  // no interpolation: effective rate == fs
+    ensure_psd_cache(s, config_, fs0);
     const dsp::FftPlan& plan = *s.plan;
     const std::size_t bins = plan.real_bins();
     const double scale = 1.0 / static_cast<double>(config_.fft_size);
@@ -380,10 +326,7 @@ std::vector<std::vector<dsp::Spectrum>> EchoSpectrumExtractor::extract_all_multi
       }
       plan.power_spectrum_band_x4(in, psd, scale, s.fft, s.band_klo, s.band_khi);
       for (std::size_t l = 0; l < 4; ++l) {
-        const Slot& slot = slots[k + l];
-        out[slot.item].push_back(finalize(resample_with_cache(s, psd[l]),
-                                          *items[slot.item].signal,
-                                          (*items[slot.item].echoes)[slot.echo]));
+        out[slots[k + l].item].push_back(finalize(resample_with_cache(s, psd[l])));
       }
     }
   }
@@ -400,7 +343,7 @@ dsp::Spectrum EchoSpectrumExtractor::average_of(
   for (std::size_t s = 1; s < spectra.size(); ++s)
     for (std::size_t i = 0; i < acc.psd.size(); ++i) acc.psd[i] += spectra[s].psd[i];
   for (double& v : acc.psd) v /= static_cast<double>(spectra.size());
-  return config_.peak_normalize ? dsp::normalize_peak(acc) : acc;
+  return acc;
 }
 
 dsp::Spectrum EchoSpectrumExtractor::average(

@@ -1,17 +1,28 @@
-// Acoustic absorption analysis (paper §IV-C1): a fixed window anchored at the
-// segmented eardrum-echo peak is interpolated and Fourier-transformed into a
-// power spectral density whose in-band shape carries the absorption
-// signature; per-chirp PSDs are averaged into one echo spectrum per
-// recording.
+// Acoustic absorption analysis (paper §IV-C1): one chain from a fixed echo
+// window to a band PSD. Each chirp's window is zero-padded to fft_size and
+// Fourier-transformed into a power spectral density, resampled onto a
+// uniform grid across the chirp band, and divided by the transmit reference
+// (the clean chirp pushed through the same chain); per-chirp PSDs are
+// averaged into one echo spectrum per recording.
 //
-// Two implementation choices matter at a 48 kHz sample rate, where the drum
+// Three implementation choices matter at a 48 kHz sample rate, where the drum
 // echo overlaps the tail of the direct speaker-to-mic pulse (paper Fig. 7b):
-//   * the echo window is asymmetric — a short lead before the peak and a long
-//     tail after it, because a fluid-loaded drum's notched reflectance rings
-//     and that ringing outlives the direct pulse;
-//   * each echo PSD is normalized by the PSD of the same chirp's direct
-//     pulse, canceling the transmit spectrum and the earphone's frequency
-//     response (the direct pulse acts as a per-chirp reference).
+//   * the echo-peak window (WindowAnchor::kEchoPeak) is asymmetric — a short
+//     lead before the peak and a long tail after it, because a fluid-loaded
+//     drum's notched reflectance rings and that ringing outlives the direct
+//     pulse;
+//   * the window is zero-padded, not interpolated, before the FFT, although
+//     the paper speaks of an "interpolated signal": zero-padding already
+//     yields the fine frequency grid, and spline evaluation is slightly lossy
+//     for content close to Nyquist (the 16-20 kHz band at 48 kHz);
+//   * the window is not tapered: the chirp + echo transient decays to zero
+//     inside it, and a taper would re-weight the chirp's time-frequency sweep
+//     and make the band shape sensitive to sample-level window placement.
+//
+// The spectrum level is kept (no peak normalization): with the transmit
+// reference installed it *is* the absorbed-energy measurement, the paper's
+// core observable. Feature code derives a peak-normalized shape copy where
+// it needs one.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +32,6 @@
 #include "audio/chirp.hpp"
 #include "audio/waveform.hpp"
 #include "core/segment.hpp"
-#include "dsp/simd.hpp"
 #include "dsp/spectrum.hpp"
 
 namespace earsonar::core {
@@ -47,31 +57,8 @@ struct SpectrumConfig {
   std::size_t gate_start = 28;         ///< kDirectGate: gate opens this many
                                        ///<   samples after the direct peak
   std::size_t gate_length = 40;        ///< kDirectGate: gate duration
-  std::size_t direct_half_window = 12; ///< +-N window around the direct pulse
-  bool normalize_by_direct = false;    ///< divide echo PSD by direct-gate PSD
-  /// Taper applied to the analysis window before the FFT. The chirp + echo
-  /// transient decays to zero inside the window, so no taper is the correct
-  /// default: a taper would re-weight the chirp's time-frequency sweep and
-  /// make the band shape sensitive to sample-level window placement.
-  bool hann_taper = false;
-  /// Cubic-spline upsampling of the window before the FFT (the paper's
-  /// "interpolated signal"). Off by default: zero-padding already provides
-  /// the fine frequency grid, and spline evaluation is slightly lossy for
-  /// content close to Nyquist (the 16-20 kHz band at 48 kHz).
-  bool interpolate = false;
-  /// Peak-normalize each extracted spectrum. Off by default: with the
-  /// transmit reference installed the spectrum level *is* the absorbed-energy
-  /// measurement (the paper's core observable) and must be preserved.
-  /// Plotting code normalizes for display instead.
-  bool peak_normalize = false;
-  std::size_t interpolated_length = 256;  ///< spline-resampled window length
-  /// Run the window-PSD transform in float32 kernel arithmetic
-  /// (FftPlan::power_spectrum_f32) instead of exact float64. Opt-in; the
-  /// default follows EARSONAR_PRECISION=float32. The end-to-end error is
-  /// bounded by the dsp.fft.power_spectrum.f32 / dsp.features.f32 oracle
-  /// pairs (docs/testing.md).
-  bool float32_kernels = dsp::simd::float32_requested();
-  std::size_t fft_size = 512;          ///< zero-padded transform length
+  std::size_t fft_size = 512;          ///< zero-padded transform length;
+                                       ///<   must hold every analysis window
   double band_low_hz = 16000.0;        ///< analysis band == the chirp band;
   double band_high_hz = 20000.0;       ///< outside it the ratio is noise/noise
   std::size_t band_bins = 128;         ///< uniform grid of the output spectrum
@@ -92,9 +79,8 @@ class EchoSpectrumExtractor {
   void set_reference(const audio::FmcwConfig& chirp);
   [[nodiscard]] bool has_reference() const { return !reference_.psd.empty(); }
 
-  /// PSD (peak-normalized, on the uniform band grid) of one echo window,
-  /// normalized by the transmit reference and/or direct-pulse PSD when
-  /// configured.
+  /// Band PSD (on the uniform band grid) of one echo window, divided by the
+  /// transmit reference when one is installed.
   [[nodiscard]] dsp::Spectrum extract(const audio::Waveform& signal,
                                       const EchoSegment& echo) const;
 
@@ -110,10 +96,9 @@ class EchoSpectrumExtractor {
   /// recordings still fills the kernel. Each lane's arithmetic is
   /// independent of its lane-mates (the x4 kernel equals four single calls
   /// bitwise), so result [i][e] is bit-identical to
-  /// extract(*items[i].signal, (*items[i].echoes)[e]). The ragged tail, and
-  /// every window when the config disables packing (interpolate /
-  /// hann_taper / float32_kernels), runs through extract(); recordings at
-  /// different sample rates are extracted one at a time.
+  /// extract(*items[i].signal, (*items[i].echoes)[e]). The ragged tail runs
+  /// through extract(); recordings at different sample rates are extracted
+  /// one at a time.
   [[nodiscard]] std::vector<std::vector<dsp::Spectrum>> extract_all_multi(
       std::span<const EchoBatch> items) const;
 
@@ -129,23 +114,20 @@ class EchoSpectrumExtractor {
   [[nodiscard]] dsp::Spectrum average_of(std::span<const dsp::Spectrum> spectra) const;
 
   /// Average spectrum over many echoes of the same recording (element-wise
-  /// mean of per-echo normalized PSDs, then re-normalized).
+  /// mean of the per-echo PSDs).
   [[nodiscard]] dsp::Spectrum average(const audio::Waveform& signal,
                                       const std::vector<EchoSegment>& echoes) const;
 
   [[nodiscard]] const SpectrumConfig& config() const { return config_; }
 
  private:
-  /// Band PSD of signal[center-pre, center+post] via interpolate+taper+FFT.
+  /// Band PSD of signal[center-pre, center+post], zero-padded to fft_size.
   [[nodiscard]] dsp::Spectrum window_psd(const audio::Waveform& signal,
                                          std::size_t center, std::size_t pre,
                                          std::size_t post) const;
-  /// Reference division, direct-pulse normalization, and peak normalization
-  /// applied to one echo's band PSD — the tail of extract(), shared with the
-  /// packed extract_all_multi path.
-  [[nodiscard]] dsp::Spectrum finalize(dsp::Spectrum spectrum,
-                                       const audio::Waveform& signal,
-                                       const EchoSegment& echo) const;
+  /// Reference division applied to one echo's band PSD — the tail of
+  /// extract(), shared with the packed extract_all_multi path.
+  [[nodiscard]] dsp::Spectrum finalize(dsp::Spectrum spectrum) const;
   SpectrumConfig config_;
   dsp::Spectrum reference_;  ///< transmit-reference band PSD (may be empty)
 };

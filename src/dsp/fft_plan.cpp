@@ -53,24 +53,22 @@ int untangle_pair_ranges(std::size_t h, std::size_t bin_lo, std::size_t bin_hi,
 }
 
 // Even/odd untangling of the half-length real transform (see forward_real for
-// the derivation). Templated on the sample type so the float32 pipeline runs
-// the identical algorithm; o holds the h half-transform bins on entry and the
-// h+1 real-spectrum bins on exit, w is the interleaved twiddle table
+// the derivation). o holds the h half-transform bins on entry and the h+1
+// real-spectrum bins on exit, w is the interleaved twiddle table
 // exp(-2*pi*i*k/n) for k = 0..h.
 // The optional [bin_lo, bin_hi] range skips (k, h-k) pairs that produce no
 // bin inside it — the executed pairs run the identical arithmetic, so the
 // written bins match the full untangle bit for bit (power_spectrum_band
 // relies on this; everyone else passes the full range).
-template <class T>
-void untangle_real(T* o, const T* w, std::size_t h, std::size_t bin_lo = 0,
+void untangle_real(double* o, const double* w, std::size_t h, std::size_t bin_lo = 0,
                    std::size_t bin_hi = static_cast<std::size_t>(-1)) {
   if (bin_hi > h) bin_hi = h;
   if (bin_lo == 0 || bin_hi == h) {
-    const T z0r = o[0], z0i = o[1];
+    const double z0r = o[0], z0i = o[1];
     o[0] = z0r + z0i;
-    o[1] = T(0);
+    o[1] = 0.0;
     o[2 * h] = z0r - z0i;
-    o[2 * h + 1] = T(0);
+    o[2 * h + 1] = 0.0;
   }
   // Iterating the pair ranges directly keeps the loop body branch-free (and
   // vectorizable).
@@ -78,18 +76,18 @@ void untangle_real(T* o, const T* w, std::size_t h, std::size_t bin_lo = 0,
   const int nr = untangle_pair_ranges(h, bin_lo, bin_hi, ra, rb);
   for (int r = 0; r < nr; ++r) {
     for (std::size_t k = ra[r]; k <= rb[r]; ++k) {
-      const T zkr = o[2 * k], zki = o[2 * k + 1];
-      const T zmr = o[2 * (h - k)], zmi = o[2 * (h - k) + 1];
+      const double zkr = o[2 * k], zki = o[2 * k + 1];
+      const double zmr = o[2 * (h - k)], zmi = o[2 * (h - k) + 1];
       // sum = (Z[k] + conj(Z[h-k]))/2, diff = -i/2 * W * (Z[k] - conj(Z[h-k]));
       // -i/2 * W folds into the twiddle as {W.imag, -W.real}/2.
-      const T dr = zkr - zmr, di = zki + zmi;
-      const T tkr = T(0.5) * w[2 * k + 1], tki = -T(0.5) * w[2 * k];
-      const T tmr = T(0.5) * w[2 * (h - k) + 1], tmi = -T(0.5) * w[2 * (h - k)];
+      const double dr = zkr - zmr, di = zki + zmi;
+      const double tkr = 0.5 * w[2 * k + 1], tki = -0.5 * w[2 * k];
+      const double tmr = 0.5 * w[2 * (h - k) + 1], tmi = -0.5 * w[2 * (h - k)];
       // For the mirror bin, Z[m] - conj(Z[h-m]) with m = h-k is (-dr, di).
-      o[2 * k] = T(0.5) * (zkr + zmr) + tkr * dr - tki * di;
-      o[2 * k + 1] = T(0.5) * (zki - zmi) + tkr * di + tki * dr;
-      o[2 * (h - k)] = T(0.5) * (zmr + zkr) - tmr * dr - tmi * di;
-      o[2 * (h - k) + 1] = T(0.5) * (zmi - zki) + tmr * di - tmi * dr;
+      o[2 * k] = 0.5 * (zkr + zmr) + tkr * dr - tki * di;
+      o[2 * k + 1] = 0.5 * (zki - zmi) + tkr * di + tki * dr;
+      o[2 * (h - k)] = 0.5 * (zmr + zkr) - tmr * dr - tmi * di;
+      o[2 * (h - k) + 1] = 0.5 * (zmi - zki) + tmr * di - tmi * dr;
     }
   }
 }
@@ -191,12 +189,6 @@ void FftPlan::build_radix2_tables() {
       twiddles_[h + k] = Complex{std::cos(a), std::sin(a)};
     }
   }
-  // Narrowed mirror for the float32 pipeline (same stage layout, interleaved).
-  twiddles_f_.resize(2 * twiddles_.size());
-  for (std::size_t i = 0; i < twiddles_.size(); ++i) {
-    twiddles_f_[2 * i] = static_cast<float>(twiddles_[i].real());
-    twiddles_f_[2 * i + 1] = static_cast<float>(twiddles_[i].imag());
-  }
 }
 
 void FftPlan::build_bluestein() {
@@ -227,11 +219,6 @@ void FftPlan::build_real() {
     for (std::size_t k = 0; k <= n_ / 2; ++k) {
       const double a = -2.0 * kPi * static_cast<double>(k) / static_cast<double>(n_);
       real_twiddles_[k] = Complex{std::cos(a), std::sin(a)};
-    }
-    real_twiddles_f_.resize(2 * real_twiddles_.size());
-    for (std::size_t k = 0; k < real_twiddles_.size(); ++k) {
-      real_twiddles_f_[2 * k] = static_cast<float>(real_twiddles_[k].real());
-      real_twiddles_f_[2 * k + 1] = static_cast<float>(real_twiddles_[k].imag());
     }
   } else {
     full_plan_ = get(n_, Kind::kComplex);
@@ -416,8 +403,8 @@ void FftPlan::forward_real(std::span<const double> in, std::span<Complex> out,
   // (k, h-k) pairs so Z can live in the output buffer.
   const std::size_t h = n_ / 2;
   half_transform(in, out, scratch);
-  untangle_real<double>(reinterpret_cast<double*>(out.data()),
-                        reinterpret_cast<const double*>(real_twiddles_.data()), h);
+  untangle_real(reinterpret_cast<double*>(out.data()),
+                reinterpret_cast<const double*>(real_twiddles_.data()), h);
 }
 
 void FftPlan::inverse_real(std::span<const Complex> spectrum, std::span<double> out,
@@ -521,9 +508,9 @@ void FftPlan::power_spectrum_band(std::span<const double> in, std::span<double> 
   scratch.c.resize(real_bins());
   std::span<Complex> bins(scratch.c.data(), real_bins());
   half_transform(in, bins, scratch);
-  untangle_real<double>(reinterpret_cast<double*>(bins.data()),
-                        reinterpret_cast<const double*>(real_twiddles_.data()), h,
-                        bin_lo, bin_hi);
+  untangle_real(reinterpret_cast<double*>(bins.data()),
+                reinterpret_cast<const double*>(real_twiddles_.data()), h, bin_lo,
+                bin_hi);
   simd::active().power_bins_d(
       reinterpret_cast<const double*>(bins.data()) + 2 * bin_lo,
       out.data() + bin_lo, bin_hi - bin_lo + 1, scale);
@@ -567,46 +554,6 @@ void FftPlan::power_spectrum_band_x4(const double* const in[4],
     for (std::size_t l = 0; l < 4; ++l)
       out[l][k] = (s[l] * s[l] + s[4 + l] * s[4 + l]) * scale;
   }
-}
-
-void FftPlan::power_spectrum_f32(std::span<const double> in, std::span<double> out,
-                                 double scale, FftScratch& scratch) const {
-  require(kind_ == Kind::kReal, "FftPlan::power_spectrum_f32: real plan required");
-  require(out.size() == real_bins(),
-          "FftPlan::power_spectrum_f32: output size mismatch");
-  if (n_ == 1 || n_ % 2 != 0 || !half_plan_->radix2_) {
-    // Odd / non-radix-2 sizes are off the hot path; keep them exact.
-    power_spectrum(in, out, scale, scratch);
-    return;
-  }
-  require(in.size() == n_, "FftPlan::power_spectrum_f32: input size mismatch");
-  if (fault::point("fft.execute")) fail("injected fault: fft.execute");
-  const auto& kernel = simd::active();
-  const std::size_t h = n_ / 2;
-  const std::size_t m = real_bins();
-
-  // Narrow + pack + bit-reverse in one pass, as in half_transform.
-  scratch.fa.resize(2 * h >= 2 * m ? 2 * h : 2 * m);
-  float* z = scratch.fa.data();
-  {
-    const std::size_t* rev = half_plan_->bitrev_.data();
-    const double* src = in.data();
-    for (std::size_t i = 0; i < h; ++i) {
-      const std::size_t j = 2 * rev[i];
-      z[2 * i] = static_cast<float>(src[j]);
-      z[2 * i + 1] = static_cast<float>(src[j + 1]);
-    }
-  }
-  kernel.butterflies_f(z, half_plan_->twiddles_f_.data(), h);
-
-  // Untangle needs bin h (one complex past the half transform); run it in the
-  // wider fb buffer, then reduce to |X|^2 in float and widen on store.
-  scratch.fb.resize(2 * m);
-  float* bins = scratch.fb.data();
-  for (std::size_t i = 0; i < 2 * h; ++i) bins[i] = z[i];
-  untangle_real<float>(bins, real_twiddles_f_.data(), h);
-  kernel.power_bins_f(bins, z, m, static_cast<float>(scale));
-  for (std::size_t k = 0; k < m; ++k) out[k] = static_cast<double>(z[k]);
 }
 
 void FftPlan::magnitude_spectrum(std::span<const double> in, std::span<double> out,

@@ -31,8 +31,6 @@ struct FftScratch {
   std::vector<Complex> a;
   std::vector<Complex> b;
   std::vector<Complex> c;
-  std::vector<float> fa;  ///< float32 pipeline: packed half-length transform
-  std::vector<float> fb;  ///< float32 pipeline: untangled real-spectrum bins
   std::vector<double> d;  ///< batched pipeline: four lane-major transforms
 };
 
@@ -108,16 +106,6 @@ class FftPlan {
                               double scale, FftScratch& scratch,
                               std::size_t bin_lo, std::size_t bin_hi) const;
 
-  /// power_spectrum with float32 kernel arithmetic: the input is narrowed to
-  /// float once, the half-length transform / untangle / |X|^2 reduction run
-  /// in float, and the bins are widened back to double on store. The public
-  /// signature stays double — callers opt in per call (see
-  /// SpectrumConfig::precision). Accuracy is bounded by the
-  /// `dsp.fft.power_spectrum.f32` oracle pair. Sizes without the even-n
-  /// radix-2 fast path fall back to the double pipeline.
-  void power_spectrum_f32(std::span<const double> in, std::span<double> out,
-                          double scale, FftScratch& scratch) const;
-
   /// out[k] = |X[k]| for the n/2+1 non-negative-frequency bins.
   void magnitude_spectrum(std::span<const double> in, std::span<double> out,
                           FftScratch& scratch) const;
@@ -145,7 +133,6 @@ class FftPlan {
   // Radix-2 tables (power-of-two complex plans).
   std::vector<std::size_t> bitrev_;  ///< bit-reversed index of each position
   std::vector<Complex> twiddles_;    ///< stage with half-length h at [h, 2h)
-  std::vector<float> twiddles_f_;    ///< same table narrowed, interleaved re/im
 
   // Bluestein state (non-power-of-two complex plans).
   std::shared_ptr<const FftPlan> pad_plan_;  ///< radix-2 plan of size m
@@ -156,7 +143,6 @@ class FftPlan {
   std::shared_ptr<const FftPlan> half_plan_;  ///< complex plan of size n/2 (even n)
   std::shared_ptr<const FftPlan> full_plan_;  ///< complex plan of size n (odd n)
   std::vector<Complex> real_twiddles_;        ///< exp(-2*pi*i*k/n), k = 0..n/2
-  std::vector<float> real_twiddles_f_;        ///< narrowed, interleaved re/im
 };
 
 }  // namespace earsonar::dsp

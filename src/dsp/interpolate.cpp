@@ -33,72 +33,6 @@ std::vector<double> interp_linear(std::span<const double> x, std::span<const dou
   return out;
 }
 
-CubicSpline::CubicSpline(std::span<const double> x, std::span<const double> y)
-    : x_(x.begin(), x.end()), y_(y.begin(), y.end()) {
-  require(x.size() == y.size(), "CubicSpline: x/y size mismatch");
-  require(x.size() >= 2, "CubicSpline: need >= 2 knots");
-  for (std::size_t i = 1; i < x.size(); ++i)
-    require(x[i] > x[i - 1], "CubicSpline: x must be strictly ascending");
-
-  const std::size_t n = x_.size();
-  m_.assign(n, 0.0);
-  if (n == 2) return;  // natural spline through 2 points is a line
-
-  // Thomas algorithm on the tridiagonal system for second derivatives.
-  std::vector<double> a(n, 0.0), b(n, 0.0), c(n, 0.0), d(n, 0.0);
-  b[0] = 1.0;
-  b[n - 1] = 1.0;
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    const double h0 = x_[i] - x_[i - 1];
-    const double h1 = x_[i + 1] - x_[i];
-    a[i] = h0;
-    b[i] = 2.0 * (h0 + h1);
-    c[i] = h1;
-    d[i] = 6.0 * ((y_[i + 1] - y_[i]) / h1 - (y_[i] - y_[i - 1]) / h0);
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    const double w = a[i] / b[i - 1];
-    b[i] -= w * c[i - 1];
-    d[i] -= w * d[i - 1];
-  }
-  m_[n - 1] = d[n - 1] / b[n - 1];
-  for (std::size_t i = n - 1; i-- > 0;) m_[i] = (d[i] - c[i] * m_[i + 1]) / b[i];
-}
-
-double CubicSpline::operator()(double query) const {
-  if (query <= x_.front()) return y_.front();
-  if (query >= x_.back()) return y_.back();
-  const auto it = std::lower_bound(x_.begin(), x_.end(), query);
-  const std::size_t hi = static_cast<std::size_t>(it - x_.begin());
-  const std::size_t lo = hi - 1;
-  const double h = x_[hi] - x_[lo];
-  const double t0 = (x_[hi] - query) / h;
-  const double t1 = (query - x_[lo]) / h;
-  return t0 * y_[lo] + t1 * y_[hi] +
-         ((t0 * t0 * t0 - t0) * m_[lo] + (t1 * t1 * t1 - t1) * m_[hi]) * h * h / 6.0;
-}
-
-std::vector<double> CubicSpline::evaluate(std::span<const double> queries) const {
-  std::vector<double> out(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) out[i] = (*this)(queries[i]);
-  return out;
-}
-
-std::vector<double> resample_to_length(std::span<const double> signal,
-                                       std::size_t target_length) {
-  require(signal.size() >= 2, "resample_to_length: need >= 2 samples");
-  require(target_length >= 2, "resample_to_length: target must be >= 2");
-  std::vector<double> x(signal.size());
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(i);
-  CubicSpline spline(x, signal);
-  std::vector<double> out(target_length);
-  const double scale =
-      static_cast<double>(signal.size() - 1) / static_cast<double>(target_length - 1);
-  for (std::size_t i = 0; i < target_length; ++i)
-    out[i] = spline(static_cast<double>(i) * scale);
-  return out;
-}
-
 double sample_fractional(std::span<const double> signal, double index) {
   if (signal.empty()) return 0.0;
   if (index < 0.0 || index > static_cast<double>(signal.size() - 1)) return 0.0;

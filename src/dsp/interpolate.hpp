@@ -1,6 +1,8 @@
-// Interpolation and resampling. The absorption analysis interpolates the
-// fixed echo window before the FFT (paper §IV-C1), and the simulator uses
-// fractional-delay interpolation to place echoes off the sample grid.
+// Interpolation and resampling. The simulator uses fractional-delay
+// interpolation to place echoes off the sample grid, and ingest converts
+// captures at other rates to the pipeline rate. (The absorption analysis
+// does not interpolate its echo window: zero-padding to the FFT length
+// gives the fine frequency grid — see src/core/absorption.hpp.)
 #pragma once
 
 #include <cstddef>
@@ -13,23 +15,6 @@ namespace earsonar::dsp {
 /// ascending; queries outside [x.front(), x.back()] clamp to the end values.
 std::vector<double> interp_linear(std::span<const double> x, std::span<const double> y,
                                   std::span<const double> queries);
-
-/// Natural cubic spline through (x, y); evaluated at `queries` (clamped).
-class CubicSpline {
- public:
-  CubicSpline(std::span<const double> x, std::span<const double> y);
-
-  [[nodiscard]] double operator()(double query) const;
-  [[nodiscard]] std::vector<double> evaluate(std::span<const double> queries) const;
-
- private:
-  std::vector<double> x_, y_, m_;  // m_ = second derivatives at the knots
-};
-
-/// Resamples `signal` (uniform grid) to `target_length` samples spanning the
-/// same duration, with cubic-spline interpolation.
-std::vector<double> resample_to_length(std::span<const double> signal,
-                                       std::size_t target_length);
 
 /// Reads signal at a fractional index via 4-point cubic (Catmull-Rom)
 /// interpolation; indices outside [0, N-1] return 0 (the simulator treats the

@@ -174,21 +174,6 @@ struct Kern {
     for (; i < n; ++i) dst[i] = a[i] * b[i];
   }
 
-  /// Dot product: W parallel accumulators, lanes combined in index order,
-  /// then the scalar tail folded in last — one fixed summation order.
-  static T dot(const T* a, const T* b, std::size_t n) {
-    V acc = V::zero();
-    std::size_t i = 0;
-    for (; i + W <= n; i += W)
-      acc = V::add(acc, V::mul(V::load(a + i), V::load(b + i)));
-    T lanes[W];
-    V::store(lanes, acc);
-    T sum = lanes[0];
-    for (std::size_t l = 1; l < W; ++l) sum += lanes[l];
-    for (; i < n; ++i) sum += a[i] * b[i];
-    return sum;
-  }
-
   /// One transposed-DF2 biquad section over `frame_count` frames of W
   /// interleaved channels, in place. coef = {b0, b1, b2, a1, a2}.
   static void biquad_interleaved(T* frames, std::size_t frame_count,
@@ -213,29 +198,23 @@ struct Kern {
   }
 };
 
-/// Assembles a KernelSet from a double-lane and a float-lane vector type of
-/// the same level.
-template <class VD, class VF>
+/// Assembles a KernelSet from one double-lane vector type.
+template <class V>
 inline KernelSet make_kernel_set(const char* name) {
   KernelSet set{};
   set.name = name;
-  set.lanes_d = VD::kLanes;
-  set.lanes_f = VF::kLanes;
-  set.butterflies_d = &Kern<VD>::butterflies;
-  set.butterflies_f = &Kern<VF>::butterflies;
-  set.butterflies_x4_d = &Kern<VD>::butterflies_x4;
-  set.power_bins_d = &Kern<VD>::power_bins;
-  set.power_bins_f = &Kern<VF>::power_bins;
-  set.mul_d = &Kern<VD>::mul;
-  set.dot_d = &Kern<VD>::dot;
-  set.dot_f = &Kern<VF>::dot;
-  set.biquad_interleaved_d = &Kern<VD>::biquad_interleaved;
+  set.lanes_d = V::kLanes;
+  set.butterflies_d = &Kern<V>::butterflies;
+  set.butterflies_x4_d = &Kern<V>::butterflies_x4;
+  set.power_bins_d = &Kern<V>::power_bins;
+  set.mul_d = &Kern<V>::mul;
+  set.biquad_interleaved_d = &Kern<V>::biquad_interleaved;
   return set;
 }
 
 // Internal cross-TU hooks (defined in kernels_*.cpp, consumed by simd.cpp).
-const KernelSet& pack_set_w2();   ///< Pack<double,2> / Pack<float,4>
-const KernelSet& pack_set_w4();   ///< Pack<double,4> / Pack<float,8>
+const KernelSet& pack_set_w2();   ///< Pack<double, 2>
+const KernelSet& pack_set_w4();   ///< Pack<double, 4>
 const KernelSet& base_set();      ///< SSE2 / NEON / pack2 per build arch
 const KernelSet* avx2_set();      ///< non-null only in an AVX2-capable build
 

@@ -1,6 +1,6 @@
 // AVX2 kernel build. This translation unit is the only one compiled with
 // -mavx2 (see src/dsp/CMakeLists.txt), so __AVX2__ is defined here even in a
-// baseline build, and VecAvx2D/F exist. avx2_set() itself must stay free of
+// baseline build, and VecAvx2D exists. avx2_set() itself must stay free of
 // AVX2 instructions — it runs before the dispatcher's cpuid check — which it
 // is: it only returns the address of a table of function pointers.
 //
@@ -12,7 +12,7 @@ namespace earsonar::dsp::simd {
 
 #if defined(__AVX2__)
 const KernelSet* avx2_set() {
-  static const KernelSet set = make_kernel_set<VecAvx2D, VecAvx2F>("avx2");
+  static const KernelSet set = make_kernel_set<VecAvx2D>("avx2");
   return &set;
 }
 #else

@@ -6,10 +6,10 @@ namespace earsonar::dsp::simd {
 
 const KernelSet& base_set() {
 #if defined(EARSONAR_SIMD_X86)
-  static const KernelSet set = make_kernel_set<VecSse2D, VecSse2F>("sse2");
+  static const KernelSet set = make_kernel_set<VecSse2D>("sse2");
   return set;
 #elif defined(EARSONAR_SIMD_NEON)
-  static const KernelSet set = make_kernel_set<VecNeonD, VecNeonF>("neon");
+  static const KernelSet set = make_kernel_set<VecNeonD>("neon");
   return set;
 #else
   return pack_set_w2();

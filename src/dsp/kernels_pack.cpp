@@ -6,12 +6,12 @@
 namespace earsonar::dsp::simd {
 
 const KernelSet& pack_set_w2() {
-  static const KernelSet set = make_kernel_set<Pack<double, 2>, Pack<float, 4>>("pack2");
+  static const KernelSet set = make_kernel_set<Pack<double, 2>>("pack2");
   return set;
 }
 
 const KernelSet& pack_set_w4() {
-  static const KernelSet set = make_kernel_set<Pack<double, 4>, Pack<float, 8>>("pack4");
+  static const KernelSet set = make_kernel_set<Pack<double, 4>>("pack4");
   return set;
 }
 

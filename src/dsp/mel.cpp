@@ -1,12 +1,8 @@
 #include "dsp/mel.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
-#include "dsp/fft.hpp"
-#include "dsp/simd.hpp"
-#include "dsp/window.hpp"
 
 namespace earsonar::dsp {
 
@@ -18,135 +14,6 @@ double hz_to_mel(double hz) {
 double mel_to_hz(double mel) {
   require(mel >= 0.0, "mel_to_hz: mel must be >= 0");
   return 700.0 * (std::pow(10.0, mel / 2595.0) - 1.0);
-}
-
-MelFilterbank::MelFilterbank(const MelFilterbankConfig& config) : config_(config) {
-  require(config.filter_count >= 1, "MelFilterbank: need >= 1 filter");
-  require_positive("MelFilterbank sample_rate", config.sample_rate);
-  require(config.fft_size >= 4, "MelFilterbank: fft_size too small");
-  require(config.low_hz >= 0.0 && config.high_hz <= config.sample_rate / 2.0 &&
-              config.low_hz < config.high_hz,
-          "MelFilterbank: need 0 <= low < high <= Nyquist");
-
-  const std::size_t n_bins = bins();
-  const double mel_lo = hz_to_mel(config.low_hz);
-  const double mel_hi = hz_to_mel(config.high_hz);
-  // filter_count triangles need filter_count + 2 edge points.
-  std::vector<double> edges_hz(config.filter_count + 2);
-  for (std::size_t i = 0; i < edges_hz.size(); ++i) {
-    const double mel = mel_lo + (mel_hi - mel_lo) * static_cast<double>(i) /
-                                    static_cast<double>(edges_hz.size() - 1);
-    edges_hz[i] = mel_to_hz(mel);
-  }
-
-  weights_.assign(config.filter_count, std::vector<double>(n_bins, 0.0));
-  for (std::size_t f = 0; f < config.filter_count; ++f) {
-    const double left = edges_hz[f], center = edges_hz[f + 1], right = edges_hz[f + 2];
-    double total = 0.0;
-    for (std::size_t b = 0; b < n_bins; ++b) {
-      const double freq = bin_frequency(b, config.fft_size, config.sample_rate);
-      double w = 0.0;
-      if (freq > left && freq < center) w = (freq - left) / (center - left);
-      else if (freq >= center && freq < right) w = (right - freq) / (right - center);
-      weights_[f][b] = w;
-      total += w;
-    }
-    if (total == 0.0) {
-      // A triangle narrower than one bin spacing can miss every bin center,
-      // which would pin the filter's log energy to log(log_floor) no matter
-      // the input. Collapse such a filter onto the bin nearest its center so
-      // every filter observes the spectrum.
-      const std::size_t nearest =
-          frequency_to_bin(center, config.fft_size, config.sample_rate);
-      weights_[f][std::min(nearest, n_bins - 1)] = 1.0;
-    }
-  }
-
-  // Row-major copies for the SIMD matvec: one contiguous double array plus a
-  // float mirror for the opt-in float32 path.
-  flat_.reserve(config.filter_count * n_bins);
-  flat_f_.reserve(config.filter_count * n_bins);
-  for (const auto& row : weights_)
-    for (double w : row) {
-      flat_.push_back(w);
-      flat_f_.push_back(static_cast<float>(w));
-    }
-}
-
-std::vector<double> MelFilterbank::apply(std::span<const double> power_spectrum) const {
-  require(power_spectrum.size() == bins(), "MelFilterbank::apply: spectrum size mismatch");
-  const std::size_t n_bins = bins();
-  const auto& kernel = simd::active();
-  std::vector<double> energies(config_.filter_count, 0.0);
-  for (std::size_t f = 0; f < config_.filter_count; ++f)
-    energies[f] =
-        kernel.dot_d(flat_.data() + f * n_bins, power_spectrum.data(), n_bins);
-  return energies;
-}
-
-std::vector<double> MelFilterbank::apply_f32(
-    std::span<const double> power_spectrum) const {
-  require(power_spectrum.size() == bins(),
-          "MelFilterbank::apply_f32: spectrum size mismatch");
-  const std::size_t n_bins = bins();
-  const auto& kernel = simd::active();
-  std::vector<float> narrow(n_bins);
-  for (std::size_t b = 0; b < n_bins; ++b)
-    narrow[b] = static_cast<float>(power_spectrum[b]);
-  std::vector<double> energies(config_.filter_count, 0.0);
-  for (std::size_t f = 0; f < config_.filter_count; ++f)
-    energies[f] = static_cast<double>(
-        kernel.dot_f(flat_f_.data() + f * n_bins, narrow.data(), n_bins));
-  return energies;
-}
-
-MfccExtractor::MfccExtractor(const MfccConfig& config)
-    : config_(config), filterbank_(config.filterbank) {
-  require(config.coefficient_count >= 1 &&
-              config.coefficient_count <= config.filterbank.filter_count,
-          "MfccExtractor: coefficient_count must be in [1, filter_count]");
-  require_positive("MfccExtractor log_floor", config.log_floor);
-
-  const std::size_t n = config.filterbank.filter_count;
-  const double pi = 3.14159265358979323846;
-  const double scale0 = std::sqrt(1.0 / static_cast<double>(n));
-  const double scale = std::sqrt(2.0 / static_cast<double>(n));
-  dct_table_.resize(config.coefficient_count * n);
-  for (std::size_t k = 0; k < config.coefficient_count; ++k)
-    for (std::size_t i = 0; i < n; ++i)
-      dct_table_[k * n + i] =
-          (k == 0 ? scale0 : scale) *
-          std::cos(pi / static_cast<double>(n) *
-                   (static_cast<double>(i) + 0.5) * static_cast<double>(k));
-}
-
-std::vector<double> MfccExtractor::compute(std::span<const double> frame) const {
-  require_nonempty("MfccExtractor frame", frame.size());
-  const std::size_t n = config_.filterbank.fft_size;
-  std::vector<double> padded(n, 0.0);
-  const std::size_t copy = std::min(frame.size(), n);
-  std::copy_n(frame.begin(), copy, padded.begin());
-  const std::vector<double> w = hann_window(n);
-  apply_window_inplace(padded, w);
-
-  std::vector<Complex> bins_cx = rfft(padded);
-  std::vector<double> power(bins_cx.size());
-  const double scale = 1.0 / static_cast<double>(n);
-  for (std::size_t i = 0; i < bins_cx.size(); ++i) power[i] = std::norm(bins_cx[i]) * scale;
-  return compute_from_power(power);
-}
-
-std::vector<double> MfccExtractor::compute_from_power(
-    std::span<const double> power_spectrum) const {
-  std::vector<double> energies = filterbank_.apply(power_spectrum);
-  for (double& e : energies) e = std::log(std::max(e, config_.log_floor));
-  // DCT-II against the precomputed orthonormal basis, keep the leading rows.
-  const std::size_t n = energies.size();
-  const auto& kernel = simd::active();
-  std::vector<double> mfcc(config_.coefficient_count, 0.0);
-  for (std::size_t k = 0; k < mfcc.size(); ++k)
-    mfcc[k] = kernel.dot_d(dct_table_.data() + k * n, energies.data(), n);
-  return mfcc;
 }
 
 }  // namespace earsonar::dsp

@@ -1,13 +1,9 @@
-// Mel filterbank and MFCC extraction.
+// Mel scale conversions (HTK formula).
 //
-// The paper computes MFCCs over the segmented eardrum echo; since the chirp
-// band is 16-20 kHz rather than speech-band audio, the filterbank edges are
-// configurable and default to a band bracketing the probe signal.
+// The feature stage (core::FeatureExtractor::band_mfcc) lays its triangular
+// filters on a mel-spaced grid across the 16-20 kHz analysis band; these are
+// the scale conversions it uses.
 #pragma once
-
-#include <cstddef>
-#include <span>
-#include <vector>
 
 namespace earsonar::dsp {
 
@@ -16,74 +12,5 @@ double hz_to_mel(double hz);
 
 /// Mel -> Hz (HTK formula).
 double mel_to_hz(double mel);
-
-struct MelFilterbankConfig {
-  std::size_t filter_count = 20;   ///< number of triangular filters
-  double low_hz = 14000.0;         ///< lower edge of the first filter
-  double high_hz = 22000.0;        ///< upper edge of the last filter
-  std::size_t fft_size = 512;      ///< transform length the filters apply to
-  double sample_rate = 48000.0;
-};
-
-/// Triangular mel filterbank: filter_count rows of fft_size/2+1 weights.
-///
-/// Degenerate triangles: with a high filter_count relative to fft_size (or a
-/// narrow band), a triangle can fall entirely between two bin centers and
-/// collect zero weight everywhere — its band energy would then be stuck at
-/// the log floor. Such a filter is collapsed onto the single bin nearest its
-/// center frequency, so every row is guaranteed a positive weight sum.
-class MelFilterbank {
- public:
-  explicit MelFilterbank(const MelFilterbankConfig& config);
-
-  /// Applies the filterbank to a power spectrum of size fft_size/2+1;
-  /// returns filter_count band energies.
-  [[nodiscard]] std::vector<double> apply(std::span<const double> power_spectrum) const;
-
-  /// apply() with float32 kernel arithmetic: the spectrum is narrowed once
-  /// and each row reduction runs in float against pre-narrowed weights; the
-  /// energies are widened on return. Accuracy is bounded by the
-  /// dsp.mel.filterbank.f32 oracle pair.
-  [[nodiscard]] std::vector<double> apply_f32(std::span<const double> power_spectrum) const;
-
-  [[nodiscard]] const MelFilterbankConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t bins() const { return config_.fft_size / 2 + 1; }
-  [[nodiscard]] const std::vector<std::vector<double>>& weights() const { return weights_; }
-
- private:
-  MelFilterbankConfig config_;
-  std::vector<std::vector<double>> weights_;  ///< row per filter (public view)
-  std::vector<double> flat_;   ///< row-major copy the SIMD matvec reads
-  std::vector<float> flat_f_;  ///< narrowed mirror for the float32 path
-};
-
-struct MfccConfig {
-  MelFilterbankConfig filterbank;
-  std::size_t coefficient_count = 13;  ///< DCT coefficients kept
-  double log_floor = 1e-12;            ///< floor before the log to avoid -inf
-};
-
-/// MFCC extractor: power spectrum -> mel energies -> log -> DCT-II.
-class MfccExtractor {
- public:
-  explicit MfccExtractor(const MfccConfig& config);
-
-  /// MFCCs of a time-domain frame (frame is zero-padded/truncated to
-  /// fft_size, Hann-windowed, transformed internally).
-  [[nodiscard]] std::vector<double> compute(std::span<const double> frame) const;
-
-  /// MFCCs from an already-computed power spectrum (size fft_size/2+1).
-  [[nodiscard]] std::vector<double> compute_from_power(
-      std::span<const double> power_spectrum) const;
-
-  [[nodiscard]] const MfccConfig& config() const { return config_; }
-
- private:
-  MfccConfig config_;
-  MelFilterbank filterbank_;
-  /// DCT-II basis with the orthonormal scale folded in, row-major
-  /// [coefficient][filter] — computed once instead of per compute() call.
-  std::vector<double> dct_table_;
-};
 
 }  // namespace earsonar::dsp

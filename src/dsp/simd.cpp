@@ -50,12 +50,4 @@ const KernelSet& active() {
 
 const char* native_arch() { return kernel_set(Level::kNative).name; }
 
-bool float32_requested() {
-  static const bool requested = [] {
-    const char* env = std::getenv("EARSONAR_PRECISION");
-    return env != nullptr && std::strcmp(env, "float32") == 0;
-  }();
-  return requested;
-}
-
 }  // namespace earsonar::dsp::simd

@@ -1,22 +1,21 @@
 // Portable SIMD kernel dispatch for the hot DSP inner loops.
 //
 // Every vectorizable kernel (FFT butterfly stages, the complex-bin power
-// reduction, elementwise window multiplies, the mel filterbank dot product,
-// and the interleaved multi-channel biquad recurrence) exists in two
-// interchangeable builds of the *same* templated source
-// (src/dsp/kernel_impl.hpp):
+// reduction, elementwise window multiplies, and the interleaved
+// multi-channel biquad recurrence) exists in two interchangeable builds of
+// the *same* templated source (src/dsp/kernel_impl.hpp):
 //
 //   * a native build using the widest instruction set the translation unit
-//     was compiled for — AVX2 (4 doubles / 8 floats, compiled into its own
-//     TU with -mavx2 and selected at runtime behind a cpuid check), SSE2
-//     (2 / 4) or NEON (2 / 4) from the baseline flags;
+//     was compiled for — AVX2 (4 doubles, compiled into its own TU with
+//     -mavx2 and selected at runtime behind a cpuid check), SSE2 (2) or
+//     NEON (2) from the baseline flags;
 //   * a scalar "pack" build emulating vectors of the *same* lane count with
 //     plain arrays, compiled without intrinsics.
 //
 // Because both builds instantiate identical code over op sets whose per-lane
 // arithmetic is the same IEEE operation sequence (subtraction is expressed as
 // add(x, negate(y)) in both, reductions combine lanes in one fixed order),
-// double-precision results are bit-identical across the two dispatch modes —
+// results are bit-identical across the two dispatch modes —
 // the property the `simd`-labeled parity tests pin. The whole earsonar_dsp
 // target is compiled with -ffp-contract=off so a native-arch build cannot
 // contract mul+add into FMA in one mode only.
@@ -40,13 +39,11 @@ enum class Level {
 struct KernelSet {
   const char* name;     ///< "avx2", "sse2", "neon", "pack2", "pack4"
   std::size_t lanes_d;  ///< doubles per vector (complex doubles = lanes_d/2)
-  std::size_t lanes_f;  ///< floats per vector
 
   /// Radix-2 DIT butterfly stages over n complex values already in
   /// bit-reversed order. `twiddles` uses the FftPlan stage layout: the stage
   /// with half-length h keeps its h twiddles at complex offset [h, 2h).
   void (*butterflies_d)(double* data, const double* twiddles, std::size_t n);
-  void (*butterflies_f)(float* data, const float* twiddles, std::size_t n);
 
   /// butterflies_d over four transforms at once in a lane-major layout:
   /// complex index k of transform l lives at data[8k + l] (real part) and
@@ -57,14 +54,9 @@ struct KernelSet {
 
   /// out[k] = (bins[2k]^2 + bins[2k+1]^2) * scale for k in [0, m).
   void (*power_bins_d)(const double* bins, double* out, std::size_t m, double scale);
-  void (*power_bins_f)(const float* bins, float* out, std::size_t m, float scale);
 
   /// dst[i] = a[i] * b[i] (dst may alias a or b).
   void (*mul_d)(double* dst, const double* a, const double* b, std::size_t n);
-
-  /// Dot product with a lanes-wide accumulator tree (fixed combine order).
-  double (*dot_d)(const double* a, const double* b, std::size_t n);
-  float (*dot_f)(const float* a, const float* b, std::size_t n);
 
   /// One transposed-DF2 biquad section over `frames` frames of `lanes_d`
   /// interleaved channels, in place. coef = {b0, b1, b2, a1, a2}; z1/z2 are
@@ -86,10 +78,5 @@ const KernelSet& active();
 /// Name of the native instruction set ("avx2" / "sse2" / "neon" / "pack2"),
 /// independent of EARSONAR_SIMD. Reported in bench context and logs.
 const char* native_arch();
-
-/// True when EARSONAR_PRECISION=float32 (read once per process) — the default
-/// value of the opt-in float32 kernel switches (SpectrumConfig::
-/// float32_kernels). Any other value, or unset, keeps exact float64.
-bool float32_requested();
 
 }  // namespace earsonar::dsp::simd

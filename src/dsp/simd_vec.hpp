@@ -2,7 +2,7 @@
 //
 // Each type models the same static interface:
 //
-//   using value_type = double|float;       scalar element
+//   using value_type = double;             scalar element
 //   static constexpr std::size_t kLanes;   element count
 //   load / store (unaligned), zero, broadcast, add, sub, mul, negate,
 //   dup_even   — a[0],a[0],a[2],a[2],...   (complex: broadcast real parts)
@@ -121,7 +121,7 @@ struct Pack {
 #if defined(EARSONAR_SIMD_X86)
 
 // ---------------------------------------------------------------------------
-// SSE2 (baseline on x86-64): 2 doubles / 4 floats.
+// SSE2 (baseline on x86-64): 2 doubles.
 // ---------------------------------------------------------------------------
 struct VecSse2D {
   using value_type = double;
@@ -156,47 +156,10 @@ struct VecSse2D {
   }
 };
 
-struct VecSse2F {
-  using value_type = float;
-  static constexpr std::size_t kLanes = 4;
-  __m128 v;
-
-  static VecSse2F wrap(__m128 x) { return VecSse2F{x}; }
-  static VecSse2F load(const float* p) { return wrap(_mm_loadu_ps(p)); }
-  static void store(float* p, VecSse2F a) { _mm_storeu_ps(p, a.v); }
-  static VecSse2F zero() { return wrap(_mm_setzero_ps()); }
-  static VecSse2F broadcast(float x) { return wrap(_mm_set1_ps(x)); }
-  static VecSse2F add(VecSse2F a, VecSse2F b) { return wrap(_mm_add_ps(a.v, b.v)); }
-  static VecSse2F sub(VecSse2F a, VecSse2F b) { return wrap(_mm_sub_ps(a.v, b.v)); }
-  static VecSse2F mul(VecSse2F a, VecSse2F b) { return wrap(_mm_mul_ps(a.v, b.v)); }
-  static VecSse2F negate(VecSse2F a) {
-    return wrap(_mm_xor_ps(a.v, _mm_set1_ps(-0.0f)));
-  }
-  static VecSse2F dup_even(VecSse2F a) {
-    return wrap(_mm_shuffle_ps(a.v, a.v, _MM_SHUFFLE(2, 2, 0, 0)));
-  }
-  static VecSse2F dup_odd(VecSse2F a) {
-    return wrap(_mm_shuffle_ps(a.v, a.v, _MM_SHUFFLE(3, 3, 1, 1)));
-  }
-  static VecSse2F swap_pairs(VecSse2F a) {
-    return wrap(_mm_shuffle_ps(a.v, a.v, _MM_SHUFFLE(2, 3, 0, 1)));
-  }
-  static VecSse2F neg_even(VecSse2F a) {
-    return wrap(_mm_xor_ps(a.v, _mm_set_ps(0.0f, -0.0f, 0.0f, -0.0f)));
-  }
-  static VecSse2F hadd_pairs(VecSse2F a, VecSse2F b) {
-    // even lanes of both operands, then odd; their sum is already in the
-    // required concatenated order a01, a23, b01, b23.
-    const __m128 even = _mm_shuffle_ps(a.v, b.v, _MM_SHUFFLE(2, 0, 2, 0));
-    const __m128 odd = _mm_shuffle_ps(a.v, b.v, _MM_SHUFFLE(3, 1, 3, 1));
-    return wrap(_mm_add_ps(even, odd));
-  }
-};
-
 #if defined(__AVX2__)
 
 // ---------------------------------------------------------------------------
-// AVX2: 4 doubles / 8 floats. Only compiled into the -mavx2 TU.
+// AVX2: 4 doubles. Only compiled into the -mavx2 TU.
 // ---------------------------------------------------------------------------
 struct VecAvx2D {
   using value_type = double;
@@ -231,46 +194,12 @@ struct VecAvx2D {
   }
 };
 
-struct VecAvx2F {
-  using value_type = float;
-  static constexpr std::size_t kLanes = 8;
-  __m256 v;
-
-  static VecAvx2F wrap(__m256 x) { return VecAvx2F{x}; }
-  static VecAvx2F load(const float* p) { return wrap(_mm256_loadu_ps(p)); }
-  static void store(float* p, VecAvx2F a) { _mm256_storeu_ps(p, a.v); }
-  static VecAvx2F zero() { return wrap(_mm256_setzero_ps()); }
-  static VecAvx2F broadcast(float x) { return wrap(_mm256_set1_ps(x)); }
-  static VecAvx2F add(VecAvx2F a, VecAvx2F b) { return wrap(_mm256_add_ps(a.v, b.v)); }
-  static VecAvx2F sub(VecAvx2F a, VecAvx2F b) { return wrap(_mm256_sub_ps(a.v, b.v)); }
-  static VecAvx2F mul(VecAvx2F a, VecAvx2F b) { return wrap(_mm256_mul_ps(a.v, b.v)); }
-  static VecAvx2F negate(VecAvx2F a) {
-    return wrap(_mm256_xor_ps(a.v, _mm256_set1_ps(-0.0f)));
-  }
-  static VecAvx2F dup_even(VecAvx2F a) { return wrap(_mm256_moveldup_ps(a.v)); }
-  static VecAvx2F dup_odd(VecAvx2F a) { return wrap(_mm256_movehdup_ps(a.v)); }
-  static VecAvx2F swap_pairs(VecAvx2F a) {
-    return wrap(_mm256_permute_ps(a.v, 0xB1));  // 2,3,0,1 per 128-bit half
-  }
-  static VecAvx2F neg_even(VecAvx2F a) {
-    return wrap(_mm256_xor_ps(
-        a.v, _mm256_set_ps(0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f)));
-  }
-  static VecAvx2F hadd_pairs(VecAvx2F a, VecAvx2F b) {
-    // hadd_ps per half: a01,a23,b01,b23 | a45,a67,b45,b67. Viewed as four
-    // 64-bit lanes that is (A0, B0, A1, B1); permuting lanes 0,2,1,3 gives
-    // the required concatenated order a01,a23,a45,a67,b01,b23,b45,b67.
-    const __m256d h = _mm256_castps_pd(_mm256_hadd_ps(a.v, b.v));
-    return wrap(_mm256_castpd_ps(_mm256_permute4x64_pd(h, 0xD8)));
-  }
-};
-
 #endif  // __AVX2__
 
 #elif defined(EARSONAR_SIMD_NEON)
 
 // ---------------------------------------------------------------------------
-// NEON (aarch64): 2 doubles / 4 floats.
+// NEON (aarch64): 2 doubles.
 // ---------------------------------------------------------------------------
 struct VecNeonD {
   using value_type = double;
@@ -296,33 +225,6 @@ struct VecNeonD {
   }
   static VecNeonD hadd_pairs(VecNeonD a, VecNeonD b) {
     return wrap(vpaddq_f64(a.v, b.v));
-  }
-};
-
-struct VecNeonF {
-  using value_type = float;
-  static constexpr std::size_t kLanes = 4;
-  float32x4_t v;
-
-  static VecNeonF wrap(float32x4_t x) { return VecNeonF{x}; }
-  static VecNeonF load(const float* p) { return wrap(vld1q_f32(p)); }
-  static void store(float* p, VecNeonF a) { vst1q_f32(p, a.v); }
-  static VecNeonF zero() { return wrap(vdupq_n_f32(0.0f)); }
-  static VecNeonF broadcast(float x) { return wrap(vdupq_n_f32(x)); }
-  static VecNeonF add(VecNeonF a, VecNeonF b) { return wrap(vaddq_f32(a.v, b.v)); }
-  static VecNeonF sub(VecNeonF a, VecNeonF b) { return wrap(vsubq_f32(a.v, b.v)); }
-  static VecNeonF mul(VecNeonF a, VecNeonF b) { return wrap(vmulq_f32(a.v, b.v)); }
-  static VecNeonF negate(VecNeonF a) { return wrap(vnegq_f32(a.v)); }
-  static VecNeonF dup_even(VecNeonF a) { return wrap(vtrn1q_f32(a.v, a.v)); }
-  static VecNeonF dup_odd(VecNeonF a) { return wrap(vtrn2q_f32(a.v, a.v)); }
-  static VecNeonF swap_pairs(VecNeonF a) { return wrap(vrev64q_f32(a.v)); }
-  static VecNeonF neg_even(VecNeonF a) {
-    const uint32x4_t mask = {0x80000000U, 0, 0x80000000U, 0};
-    return wrap(vreinterpretq_f32_u32(
-        veorq_u32(vreinterpretq_u32_f32(a.v), mask)));
-  }
-  static VecNeonF hadd_pairs(VecNeonF a, VecNeonF b) {
-    return wrap(vpaddq_f32(a.v, b.v));  // a01, a23, b01, b23 — already in order
   }
 };
 

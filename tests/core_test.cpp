@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "audio/chirp.hpp"
 #include "audio/noise.hpp"
@@ -275,28 +276,39 @@ TEST(AbsorptionTest, AverageOfIdenticalEchoesIsStable) {
 
 TEST(AbsorptionTest, ExtractAllMatchesPerEchoExtractBitwise) {
   // extract_all routes groups of four echoes through the batched four-lane
-  // band PSD with a scalar tail; every spectrum must equal the per-echo
+  // band PSD with a per-echo tail; every spectrum must equal the per-echo
   // extract() bit for bit (the feature vector depends on exact values).
+  // Counts 1, 4 and 7 cover tail-only, x4-only and x4 + tail; every anchor
+  // places its window differently, each with the transmit reference on.
   audio::FmcwConfig chirp;
-  EchoSpectrumExtractor extractor;
-  extractor.set_reference(chirp);
   const audio::Waveform rec = synthetic_recording(7, 8, 0.4, 10, 0.02);
-  std::vector<EchoSegment> echoes;
-  for (std::size_t k = 0; k < 7; ++k) {
-    EchoSegment e;
-    e.event_start = k * 240;
-    e.peak_index = k * 240 + 20;
-    e.direct_peak_index = k * 240 + 12;
-    echoes.push_back(e);
-  }
-  const std::vector<dsp::Spectrum> batched = extractor.extract_all(rec, echoes);
-  ASSERT_EQ(batched.size(), echoes.size());
-  for (std::size_t k = 0; k < echoes.size(); ++k) {
-    const dsp::Spectrum single = extractor.extract(rec, echoes[k]);
-    ASSERT_EQ(batched[k].size(), single.size());
-    for (std::size_t i = 0; i < single.size(); ++i) {
-      EXPECT_EQ(batched[k].psd[i], single.psd[i]) << "echo=" << k << " bin=" << i;
-      EXPECT_EQ(batched[k].frequency_hz[i], single.frequency_hz[i]);
+  for (WindowAnchor anchor : {WindowAnchor::kEventStart, WindowAnchor::kEchoPeak,
+                              WindowAnchor::kDirectGate}) {
+    SpectrumConfig cfg;
+    cfg.anchor = anchor;
+    EchoSpectrumExtractor extractor(cfg);
+    extractor.set_reference(chirp);
+    for (std::size_t count : {1UL, 4UL, 7UL}) {
+      SCOPED_TRACE("anchor=" + std::to_string(static_cast<int>(anchor)) +
+                   " echoes=" + std::to_string(count));
+      std::vector<EchoSegment> echoes;
+      for (std::size_t k = 0; k < count; ++k) {
+        EchoSegment e;
+        e.event_start = k * 240;
+        e.peak_index = k * 240 + 20;
+        e.direct_peak_index = k * 240 + 12;
+        echoes.push_back(e);
+      }
+      const std::vector<dsp::Spectrum> batched = extractor.extract_all(rec, echoes);
+      ASSERT_EQ(batched.size(), echoes.size());
+      for (std::size_t k = 0; k < echoes.size(); ++k) {
+        const dsp::Spectrum single = extractor.extract(rec, echoes[k]);
+        ASSERT_EQ(batched[k].size(), single.size());
+        for (std::size_t i = 0; i < single.size(); ++i) {
+          ASSERT_EQ(batched[k].psd[i], single.psd[i]) << "echo=" << k << " bin=" << i;
+          ASSERT_EQ(batched[k].frequency_hz[i], single.frequency_hz[i]);
+        }
+      }
     }
   }
 }
@@ -308,6 +320,24 @@ TEST(AbsorptionTest, ConfigValidation) {
   cfg = SpectrumConfig{};
   cfg.band_low_hz = 21000.0;
   cfg.band_high_hz = 17000.0;
+  EXPECT_THROW(EchoSpectrumExtractor{cfg}, std::invalid_argument);
+  // fft_size must hold every anchor's window: event_window_length + 1,
+  // pre_peak + post_peak + 1 and gate_length + 1 samples. 128 holds the
+  // defaults.
+  cfg = SpectrumConfig{};
+  cfg.fft_size = 128;
+  EXPECT_NO_THROW(EchoSpectrumExtractor{cfg});
+  cfg.event_window_length = 127;
+  EXPECT_NO_THROW(EchoSpectrumExtractor{cfg});
+  cfg.event_window_length = 128;
+  EXPECT_THROW(EchoSpectrumExtractor{cfg}, std::invalid_argument);
+  cfg = SpectrumConfig{};
+  cfg.fft_size = 128;
+  cfg.post_peak = 128 - cfg.pre_peak;
+  EXPECT_THROW(EchoSpectrumExtractor{cfg}, std::invalid_argument);
+  cfg = SpectrumConfig{};
+  cfg.fft_size = 128;
+  cfg.gate_length = 128;
   EXPECT_THROW(EchoSpectrumExtractor{cfg}, std::invalid_argument);
 }
 

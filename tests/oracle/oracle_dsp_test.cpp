@@ -1,28 +1,32 @@
 // Differential oracle for the non-FFT DSP kernels: convolution and
 // correlation (FFT path vs direct sums), Goertzel vs the literal DTFT,
 // DCT-II vs the literal formula, the transposed biquad cascade vs a
-// per-sample direct-form-I reference, mel filterbank weights and the full
-// MFCC chain vs their textbook forms, and Welch PSD vs a naive
-// segment-average. Includes the regression tests for the two bugs this
-// harness surfaced: the Goertzel factor-of-N normalization and the
-// all-zero mel filter rows.
+// per-sample direct-form-I reference, the feature stage's band MFCC vs its
+// textbook chain, and Welch PSD vs a naive segment-average. Includes the
+// regression test for the Goertzel factor-of-N normalization this harness
+// surfaced.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "check/cases.hpp"
 #include "check/reference.hpp"
 #include "check/tolerance.hpp"
+#include "common/rng.hpp"
+#include "core/features.hpp"
+#include "core/pipeline.hpp"
 #include "dsp/biquad.hpp"
 #include "dsp/butterworth.hpp"
 #include "dsp/convolution.hpp"
 #include "dsp/dct.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/goertzel.hpp"
-#include "dsp/mel.hpp"
 #include "dsp/spectrum.hpp"
+#include "sim/dataset.hpp"
+#include "sim/probe.hpp"
 
 namespace earsonar {
 namespace {
@@ -139,54 +143,35 @@ TEST(OracleBiquadTest, CascadeMatchesPerSampleDirectForm1) {
   }
 }
 
-// --------------------------------------------------------------- mel
+// --------------------------------------------------------- band MFCC
 
-TEST(OracleMelTest, WeightsMatchLiteralTriangles) {
-  const Tolerance tol = check::pair_policy("dsp.mel.filterbank").tol;
-  std::vector<dsp::MelFilterbankConfig> configs(3);
-  configs[1].filter_count = 40;
-  configs[2].filter_count = 64;   // narrow triangles: exercises the fallback
-  configs[2].fft_size = 128;
-  for (const dsp::MelFilterbankConfig& mc : configs) {
-    const dsp::MelFilterbank bank(mc);
-    const auto want = check::mel_weights_naive(mc);
-    ASSERT_EQ(bank.weights().size(), want.size());
-    for (std::size_t f = 0; f < want.size(); ++f) {
-      const CompareResult r = check::compare_vectors(bank.weights()[f], want[f], tol);
-      EXPECT_TRUE(r.ok) << "filters=" << mc.filter_count << " row " << f << ": "
-                        << check::describe_failure("dsp.mel.filterbank", r);
+// The MFCC the feature vector actually carries: mel triangles laid on the
+// absorption stage's uniform band grid. Driven with real extracted spectra
+// (clear and effusion ears) at band grids from just above the filter count
+// to well past the default.
+TEST(OracleBandMfccTest, MatchesLiteralChainOnExtractedSpectra) {
+  sim::SubjectFactory factory(42);
+  sim::ProbeConfig probe_config;
+  probe_config.chirp_count = 10;
+  const sim::EarProbe probe(probe_config);
+  for (sim::EffusionState state : {sim::EffusionState::kClear,
+                                   sim::EffusionState::kMucoid}) {
+    Rng rng(kSeed ^ 13);
+    const audio::Waveform recording = probe.record_state(
+        factory.make(0), state, sim::reference_earphone(), {}, rng);
+    for (std::size_t bins : {32UL, 64UL, 128UL, 200UL}) {
+      core::PipelineConfig config;
+      config.features.spectrum.band_bins = bins;
+      const core::EchoAnalysis analysis = core::EarSonar(config).analyze(recording);
+      ASSERT_EQ(analysis.mean_spectrum.size(), bins);
+      const core::FeatureExtractor extractor(config.features);
+      expect_pair("core.band_mfcc", extractor.band_mfcc(analysis.mean_spectrum),
+                  check::band_mfcc_naive(analysis.mean_spectrum,
+                                         config.features.mfcc_filters,
+                                         config.features.mfcc_coefficients),
+                  "state " + std::to_string(static_cast<int>(state)) + " bins " +
+                      std::to_string(bins));
     }
-  }
-}
-
-// Satellite regression: narrow triangles used to leave all-zero filter rows,
-// silently pinning those MFCC inputs to log(log_floor).
-TEST(OracleMelTest, NoFilterRowIsAllZero) {
-  dsp::MelFilterbankConfig mc;
-  mc.filter_count = 64;   // 64 triangles over ~21 usable bins of a 128-pt FFT
-  mc.fft_size = 128;
-  const dsp::MelFilterbank bank(mc);
-  for (std::size_t f = 0; f < bank.weights().size(); ++f) {
-    double total = 0.0;
-    for (double w : bank.weights()[f]) total += w;
-    EXPECT_GT(total, 0.0) << "filter row " << f << " collects no spectrum";
-  }
-  // A flat spectrum must therefore lift every band energy above the floor.
-  const std::vector<double> flat(bank.bins(), 1.0);
-  for (double e : bank.apply(flat)) EXPECT_GT(e, 0.0);
-}
-
-TEST(OracleMfccTest, ExtractorMatchesLiteralChain) {
-  dsp::MfccConfig config;  // defaults: 20 filters, 13 coefficients, 512-pt FFT
-  const dsp::MfccExtractor extractor(config);
-  for (const check::SignalCase& c : check::cases_for_size(512, kSeed ^ 10)) {
-    expect_pair("dsp.mfcc", extractor.compute(c.data),
-                check::mfcc_naive(config, c.data), c.name);
-  }
-  // Short (zero-padded) and long (truncated) frames take the same path.
-  for (const check::SignalCase& c : check::cases_for_size(100, kSeed ^ 11)) {
-    expect_pair("dsp.mfcc", extractor.compute(c.data),
-                check::mfcc_naive(config, c.data), c.name + "/padded");
   }
 }
 

@@ -1,9 +1,9 @@
-// SIMD dispatch-parity and float32-pipeline tests (ctest label `simd`).
+// SIMD dispatch-parity tests (ctest label `simd`).
 //
 // The dispatch contract (src/dsp/simd.hpp) is that kernel_set(kScalar) — the
 // Pack emulation at the native lane geometry — produces BIT-IDENTICAL output
-// to kernel_set(kNative) for every kernel, double and float alike, because
-// both instantiate the same templated operation sequence. These tests
+// to kernel_set(kNative) for every kernel, because both instantiate the same
+// templated operation sequence. These tests
 // exercise every KernelSet entry point on both levels and compare bitwise
 // (the `dsp.simd.dispatch` oracle pair, tolerance {0, 0}).
 //
@@ -11,9 +11,7 @@
 //   * dsp.biquad.interleaved — MultiBiquadCascade vs per-channel
 //     BiquadCascade, bit-exact, including partial lanes and carried state;
 //   * StreamingSession::feed_many vs sequential feed(), bit-exact at chunk
-//     sizes {1, 64, 480, whole};
-//   * the float32 pairs dsp.fft.power_spectrum.f32, dsp.mel.filterbank.f32
-//     and dsp.features.f32 against their float64 references.
+//     sizes {1, 64, 480, whole}.
 //
 // tests/CMakeLists.txt registers this binary twice — once with
 // EARSONAR_SIMD=scalar and once with =native — so the env-dispatched
@@ -32,7 +30,6 @@
 #include "dsp/biquad.hpp"
 #include "dsp/butterworth.hpp"
 #include "dsp/fft_plan.hpp"
-#include "dsp/mel.hpp"
 #include "dsp/multibiquad.hpp"
 #include "dsp/simd.hpp"
 #include "serve/streaming.hpp"
@@ -56,31 +53,23 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed,
   return v;
 }
 
-std::vector<float> narrowed(const std::vector<double>& v) {
-  std::vector<float> f(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) f[i] = static_cast<float>(v[i]);
-  return f;
-}
-
 // Builds the interleaved radix-2 twiddle table in FftPlan's layout: the
 // stage with half-length h keeps its h complex twiddles exp(-i*pi*k/h) at
 // scalar offset 2h. Total 2n scalars (entry 0..1 unused).
-template <class T>
-std::vector<T> twiddle_table(std::size_t n) {
-  std::vector<T> w(2 * n, T(0));
+std::vector<double> twiddle_table(std::size_t n) {
+  std::vector<double> w(2 * n, 0.0);
   for (std::size_t h = 1; h < n; h <<= 1) {
     const double angle = -std::numbers::pi / static_cast<double>(h);
     for (std::size_t k = 0; k < h; ++k) {
       const double a = angle * static_cast<double>(k);
-      w[2 * (h + k)] = static_cast<T>(std::cos(a));
-      w[2 * (h + k) + 1] = static_cast<T>(std::sin(a));
+      w[2 * (h + k)] = std::cos(a);
+      w[2 * (h + k) + 1] = std::sin(a);
     }
   }
   return w;
 }
 
-template <class T>
-void expect_bitwise_equal(std::span<const T> got, std::span<const T> want,
+void expect_bitwise_equal(std::span<const double> got, std::span<const double> want,
                           const char* what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (std::size_t i = 0; i < got.size(); ++i)
@@ -96,7 +85,6 @@ TEST(SimdDispatchTest, LevelsResolveAndReportLanes) {
   EXPECT_GE(native.lanes_d, 2u);
   EXPECT_EQ(scalar.lanes_d, native.lanes_d)
       << "scalar twin must match the native lane geometry for bit parity";
-  EXPECT_EQ(scalar.lanes_f, native.lanes_f);
   EXPECT_STREQ(dsp::simd::native_arch(), native.name);
 }
 
@@ -104,19 +92,13 @@ TEST(SimdDispatchTest, ButterfliesBitIdenticalAcrossLevels) {
   const check::Tolerance tol = check::pair_policy("dsp.simd.dispatch").tol;
   for (std::size_t n : {1ul, 2ul, 4ul, 8ul, 64ul, 512ul, 4096ul}) {
     const std::vector<double> input = random_vector(2 * n, kSeed + n);
-    const std::vector<double> wd = twiddle_table<double>(n);
+    const std::vector<double> wd = twiddle_table(n);
     std::vector<double> a = input, b = input;
     dsp::simd::kernel_set(Level::kNative).butterflies_d(a.data(), wd.data(), n);
     dsp::simd::kernel_set(Level::kScalar).butterflies_d(b.data(), wd.data(), n);
     const CompareResult r = check::compare_vectors(a, b, tol);
     EXPECT_TRUE(r.ok) << "n=" << n << ": "
                       << check::describe_failure("dsp.simd.dispatch", r);
-
-    const std::vector<float> wf = twiddle_table<float>(n);
-    std::vector<float> fa = narrowed(input), fb = fa;
-    dsp::simd::kernel_set(Level::kNative).butterflies_f(fa.data(), wf.data(), n);
-    dsp::simd::kernel_set(Level::kScalar).butterflies_f(fb.data(), wf.data(), n);
-    expect_bitwise_equal<float>(fa, fb, "butterflies_f");
   }
 }
 
@@ -128,15 +110,7 @@ TEST(SimdDispatchTest, PowerBinsBitIdenticalAcrossLevels) {
         .power_bins_d(bins.data(), a.data(), m, 0.125);
     dsp::simd::kernel_set(Level::kScalar)
         .power_bins_d(bins.data(), b.data(), m, 0.125);
-    expect_bitwise_equal<double>(a, b, "power_bins_d");
-
-    const std::vector<float> fbins = narrowed(bins);
-    std::vector<float> fa(m), fb(m);
-    dsp::simd::kernel_set(Level::kNative)
-        .power_bins_f(fbins.data(), fa.data(), m, 0.125f);
-    dsp::simd::kernel_set(Level::kScalar)
-        .power_bins_f(fbins.data(), fb.data(), m, 0.125f);
-    expect_bitwise_equal<float>(fa, fb, "power_bins_f");
+    expect_bitwise_equal(a, b, "power_bins_d");
   }
 }
 
@@ -147,16 +121,7 @@ TEST(SimdDispatchTest, MulAndDotBitIdenticalAcrossLevels) {
     std::vector<double> a(n), b(n);
     dsp::simd::kernel_set(Level::kNative).mul_d(a.data(), x.data(), y.data(), n);
     dsp::simd::kernel_set(Level::kScalar).mul_d(b.data(), x.data(), y.data(), n);
-    expect_bitwise_equal<double>(a, b, "mul_d");
-
-    const double dn = dsp::simd::kernel_set(Level::kNative).dot_d(x.data(), y.data(), n);
-    const double ds = dsp::simd::kernel_set(Level::kScalar).dot_d(x.data(), y.data(), n);
-    EXPECT_EQ(dn, ds) << "dot_d n=" << n;
-
-    const std::vector<float> fx = narrowed(x), fy = narrowed(y);
-    const float fn = dsp::simd::kernel_set(Level::kNative).dot_f(fx.data(), fy.data(), n);
-    const float fs = dsp::simd::kernel_set(Level::kScalar).dot_f(fx.data(), fy.data(), n);
-    EXPECT_EQ(fn, fs) << "dot_f n=" << n;
+    expect_bitwise_equal(a, b, "mul_d");
   }
 }
 
@@ -171,9 +136,9 @@ TEST(SimdDispatchTest, BiquadInterleavedBitIdenticalAcrossLevels) {
   std::vector<double> z1a(w, 0.0), z2a(w, 0.0), z1b(w, 0.0), z2b(w, 0.0);
   native.biquad_interleaved_d(a.data(), frames, coef, z1a.data(), z2a.data());
   scalar.biquad_interleaved_d(b.data(), frames, coef, z1b.data(), z2b.data());
-  expect_bitwise_equal<double>(a, b, "biquad_interleaved_d frames");
-  expect_bitwise_equal<double>(z1a, z1b, "biquad_interleaved_d z1");
-  expect_bitwise_equal<double>(z2a, z2b, "biquad_interleaved_d z2");
+  expect_bitwise_equal(a, b, "biquad_interleaved_d frames");
+  expect_bitwise_equal(z1a, z1b, "biquad_interleaved_d z1");
+  expect_bitwise_equal(z2a, z2b, "biquad_interleaved_d z2");
 }
 
 // --------------------------------------- interleaved multi-channel cascade
@@ -247,7 +212,7 @@ TEST(MultiBiquadTest, ChannelStateCarriesAcrossCalls) {
   run(second, split, n);
 
   for (std::size_t c = 0; c < channels; ++c)
-    expect_bitwise_equal<double>(got[c], want[c], "state handoff");
+    expect_bitwise_equal(got[c], want[c], "state handoff");
 }
 
 // --------------------------------------------- feed_many stream equivalence
@@ -313,7 +278,7 @@ TEST(FeedManyTest, BitIdenticalToSequentialFeedsAtEveryChunkSize) {
       const core::EchoAnalysis a = batched[i].finish(pipeline);
       const core::EchoAnalysis b = sequential[i].finish(pipeline);
       ASSERT_EQ(a.features.size(), b.features.size());
-      expect_bitwise_equal<double>(a.features, b.features, "finish features");
+      expect_bitwise_equal(a.features, b.features, "finish features");
       EXPECT_EQ(a.events.size(), b.events.size());
     }
   }
@@ -354,72 +319,6 @@ TEST(FeedManyTest, RejectsOverflowPerSessionLikeFeed) {
   EXPECT_EQ(a.rejected_chunks(), 1u);
   EXPECT_EQ(a.samples_buffered(), 0u);
   EXPECT_EQ(b.samples_buffered(), 256u);
-}
-
-// ------------------------------------------------------- float32 pipeline
-
-TEST(Float32PipelineTest, PowerSpectrumWithinOracleTolerance) {
-  const check::Tolerance tol = check::pair_policy("dsp.fft.power_spectrum.f32").tol;
-  thread_local dsp::FftScratch scratch;
-  for (std::size_t n : {64ul, 512ul, 4096ul}) {
-    const std::vector<double> signal = random_vector(n, kSeed + 13 * n);
-    const auto plan = dsp::FftPlan::get(n, dsp::FftPlan::Kind::kReal);
-    const double norm = 1.0 / static_cast<double>(n);
-    std::vector<double> want(plan->real_bins()), got(plan->real_bins());
-    plan->power_spectrum(signal, want, norm, scratch);
-    plan->power_spectrum_f32(signal, got, norm, scratch);
-    const CompareResult r = check::compare_vectors(got, want, tol);
-    EXPECT_TRUE(r.ok) << "n=" << n << ": "
-                      << check::describe_failure("dsp.fft.power_spectrum.f32", r);
-  }
-}
-
-TEST(Float32PipelineTest, PowerSpectrumF32FallsBackForNonRadix2) {
-  // Odd / non-power-of-two sizes have no float32 kernel path; the f32 entry
-  // point must produce the double result exactly.
-  thread_local dsp::FftScratch scratch;
-  for (std::size_t n : {1ul, 9ul, 12ul}) {
-    const std::vector<double> signal = random_vector(n, kSeed + 17 * n);
-    const auto plan = dsp::FftPlan::get(n, dsp::FftPlan::Kind::kReal);
-    std::vector<double> want(plan->real_bins()), got(plan->real_bins());
-    plan->power_spectrum(signal, want, 1.0, scratch);
-    plan->power_spectrum_f32(signal, got, 1.0, scratch);
-    expect_bitwise_equal<double>(got, want, "f32 fallback");
-  }
-}
-
-TEST(Float32PipelineTest, MelFilterbankWithinOracleTolerance) {
-  const check::Tolerance tol = check::pair_policy("dsp.mel.filterbank.f32").tol;
-  dsp::MelFilterbankConfig cfg;
-  cfg.filter_count = 26;
-  cfg.fft_size = 1024;
-  const dsp::MelFilterbank bank(cfg);
-  const std::vector<double> spectrum =
-      random_vector(cfg.fft_size / 2 + 1, kSeed + 31, 0.0, 2.0);
-  const std::vector<double> want = bank.apply(spectrum);
-  const std::vector<double> got = bank.apply_f32(spectrum);
-  const CompareResult r = check::compare_vectors(got, want, tol);
-  EXPECT_TRUE(r.ok) << check::describe_failure("dsp.mel.filterbank.f32", r);
-}
-
-TEST(Float32PipelineTest, EndToEndFeaturesWithinOracleTolerance) {
-  const check::Tolerance tol = check::pair_policy("dsp.features.f32").tol;
-  const audio::Waveform rec = test_recording(7);
-
-  core::PipelineConfig f64_cfg;
-  f64_cfg.features.spectrum.float32_kernels = false;
-  core::PipelineConfig f32_cfg;
-  f32_cfg.features.spectrum.float32_kernels = true;
-  const core::EchoAnalysis want = core::EarSonar(f64_cfg).analyze(rec);
-  const core::EchoAnalysis got = core::EarSonar(f32_cfg).analyze(rec);
-
-  ASSERT_EQ(got.features.size(), want.features.size());
-  ASSERT_FALSE(want.features.empty());
-  const CompareResult r = check::compare_vectors(got.features, want.features, tol);
-  EXPECT_TRUE(r.ok) << check::describe_failure("dsp.features.f32", r);
-  // The echo segmentation itself runs in float64 either way.
-  EXPECT_EQ(got.events.size(), want.events.size());
-  EXPECT_EQ(got.echoes.size(), want.echoes.size());
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// DCT, mel filterbank / MFCC, and interpolation tests.
+// DCT, mel scale, and interpolation tests.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,7 +6,6 @@
 
 #include "common/rng.hpp"
 #include "dsp/dct.hpp"
-#include "dsp/fft.hpp"
 #include "dsp/interpolate.hpp"
 #include "dsp/mel.hpp"
 
@@ -89,84 +88,6 @@ TEST(MelTest, KnownAnchor1000Hz) {
   EXPECT_NEAR(hz_to_mel(1000.0), 999.99, 0.5);
 }
 
-TEST(MelFilterbankTest, FiltersPartitionTheBand) {
-  MelFilterbankConfig cfg;
-  cfg.filter_count = 12;
-  MelFilterbank fb(cfg);
-  // Sum of all filter weights at in-band bins should be ~1 (triangles tile).
-  std::vector<double> column_sum(fb.bins(), 0.0);
-  for (const auto& row : fb.weights())
-    for (std::size_t b = 0; b < row.size(); ++b) column_sum[b] += row[b];
-  // Check interior of the band only.
-  const double lo = cfg.low_hz + 800.0, hi = cfg.high_hz - 800.0;
-  for (std::size_t b = 0; b < fb.bins(); ++b) {
-    const double f = bin_frequency(b, cfg.fft_size, cfg.sample_rate);
-    if (f > lo && f < hi) {
-      EXPECT_NEAR(column_sum[b], 1.0, 0.35) << f;
-    }
-  }
-}
-
-TEST(MelFilterbankTest, ApplySizeMismatchThrows) {
-  MelFilterbank fb(MelFilterbankConfig{});
-  const std::vector<double> wrong(10, 1.0);
-  EXPECT_THROW(fb.apply(wrong), std::invalid_argument);
-}
-
-TEST(MelFilterbankTest, EnergyInOneFilterForNarrowTone) {
-  MelFilterbankConfig cfg;
-  cfg.filter_count = 8;
-  MelFilterbank fb(cfg);
-  std::vector<double> power(fb.bins(), 0.0);
-  // Tone at the center of the band.
-  const std::size_t tone_bin = frequency_to_bin(18000.0, cfg.fft_size, cfg.sample_rate);
-  power[tone_bin] = 1.0;
-  const auto energies = fb.apply(power);
-  const double total = [&] {
-    double acc = 0;
-    for (double e : energies) acc += e;
-    return acc;
-  }();
-  EXPECT_GT(total, 0.5);
-  // At most two adjacent filters share a single bin.
-  int nonzero = 0;
-  for (double e : energies)
-    if (e > 1e-9) ++nonzero;
-  EXPECT_LE(nonzero, 2);
-}
-
-TEST(MfccTest, DeterministicAndRightSize) {
-  MfccConfig cfg;
-  MfccExtractor mfcc(cfg);
-  Rng rng(6);
-  std::vector<double> frame(256);
-  for (double& v : frame) v = rng.uniform(-1, 1);
-  const auto a = mfcc.compute(frame);
-  const auto b = mfcc.compute(frame);
-  ASSERT_EQ(a.size(), cfg.coefficient_count);
-  EXPECT_EQ(a, b);
-}
-
-TEST(MfccTest, DifferentSpectraGiveDifferentCoefficients) {
-  MfccExtractor mfcc(MfccConfig{});
-  std::vector<double> tone_a(512), tone_b(512);
-  for (std::size_t i = 0; i < 512; ++i) {
-    tone_a[i] = std::sin(2 * std::numbers::pi * 16500.0 * i / 48000.0);
-    tone_b[i] = std::sin(2 * std::numbers::pi * 19500.0 * i / 48000.0);
-  }
-  const auto ca = mfcc.compute(tone_a);
-  const auto cb = mfcc.compute(tone_b);
-  double diff = 0;
-  for (std::size_t k = 0; k < ca.size(); ++k) diff += std::abs(ca[k] - cb[k]);
-  EXPECT_GT(diff, 1.0);
-}
-
-TEST(MfccTest, CoefficientCountBeyondFiltersThrows) {
-  MfccConfig cfg;
-  cfg.coefficient_count = cfg.filterbank.filter_count + 1;
-  EXPECT_THROW(MfccExtractor{cfg}, std::invalid_argument);
-}
-
 // ---------------------------------------------------------- interpolation
 
 TEST(InterpLinearTest, ExactOnLinearData) {
@@ -193,41 +114,6 @@ TEST(InterpLinearTest, NonAscendingXThrows) {
   const std::vector<double> y{1, 2};
   const std::vector<double> q{0.5};
   EXPECT_THROW(interp_linear(x, y, q), std::invalid_argument);
-}
-
-TEST(CubicSplineTest, InterpolatesKnotsExactly) {
-  const std::vector<double> x{0, 1, 2, 3, 4};
-  const std::vector<double> y{1, 3, 2, 5, 4};
-  CubicSpline s(x, y);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(s(x[i]), y[i], 1e-10);
-}
-
-TEST(CubicSplineTest, ReproducesStraightLine) {
-  const std::vector<double> x{0, 1, 2, 3};
-  const std::vector<double> y{1, 3, 5, 7};
-  CubicSpline s(x, y);
-  for (double q = 0.0; q <= 3.0; q += 0.1) EXPECT_NEAR(s(q), 1 + 2 * q, 1e-9);
-}
-
-TEST(CubicSplineTest, SmoothOnSine) {
-  std::vector<double> x, y;
-  for (int i = 0; i <= 40; ++i) {
-    x.push_back(i * 0.25);
-    y.push_back(std::sin(x.back()));
-  }
-  CubicSpline s(x, y);
-  // Natural end conditions are less accurate near the edges; test interior.
-  for (double q = 0.5; q <= 9.5; q += 0.05)
-    EXPECT_NEAR(s(q), std::sin(q), 1e-3);
-}
-
-TEST(ResampleToLengthTest, PreservesEndpoints) {
-  const std::vector<double> x{1, 2, 3, 4, 5};
-  const auto y = resample_to_length(x, 9);
-  ASSERT_EQ(y.size(), 9u);
-  EXPECT_NEAR(y.front(), 1.0, 1e-9);
-  EXPECT_NEAR(y.back(), 5.0, 1e-9);
-  EXPECT_NEAR(y[4], 3.0, 1e-9);  // midpoint
 }
 
 TEST(SampleFractionalTest, ExactAtIntegerIndices) {
