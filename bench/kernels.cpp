@@ -101,7 +101,8 @@ BENCHMARK(BM_WindowMul)->Arg(512)->Arg(4096);
 // ------------------------------------------------------------------ biquad
 
 void BM_BiquadBlock(benchmark::State& state) {
-  // The section-major single-channel cascade (the streaming filter's shape).
+  // The single-channel four-section band-pass (the streaming filter's
+  // shape), through the kernel `earsonar_biquad_path` names.
   const auto n = static_cast<std::size_t>(state.range(0));
   dsp::BiquadCascade cascade =
       dsp::butterworth_bandpass(4, 14000.0, 21000.0, 48000.0);
@@ -162,6 +163,9 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("earsonar_simd_level", dsp::simd::active().name);
   benchmark::AddCustomContext("earsonar_crc32_path",
                               net::crc32_path(dsp::simd::active_level()));
+  benchmark::AddCustomContext(
+      "earsonar_biquad_path",
+      dsp::biquad_path(dsp::butterworth_bandpass(4, 14000.0, 21000.0, 48000.0).section_count()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

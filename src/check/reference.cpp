@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "common/error.hpp"
+#include "common/units.hpp"
 
 namespace earsonar::check {
 
@@ -223,6 +224,166 @@ std::vector<double> welch_psd_naive(std::span<const double> signal, double sampl
   }
   for (double& v : acc) v /= static_cast<double>(count);
   return acc;
+}
+
+std::vector<core::Event> event_detect_naive(std::span<const double> signal,
+                                            const core::EventDetectorConfig& config) {
+  require_nonempty("event_detect_naive input", signal.size());
+  const std::size_t n = signal.size();
+  std::vector<double> power(n);
+  for (std::size_t i = 0; i < n; ++i) power[i] = signal[i] * signal[i];
+
+  // Trailing running sum over `smooth` samples, its mean stored at the
+  // window's center; the last half-window of centers stays zero.
+  const std::size_t s = std::min(config.smooth, n);
+  const std::size_t half = s / 2;
+  std::vector<double> envelope(n, 0.0);
+  double run = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    run += power[i];
+    if (i >= s) run -= power[i - s];
+    envelope[i >= half ? i - half : 0] =
+        run / static_cast<double>(std::min(i + 1, s));
+  }
+  double global_mean = 0.0;
+  for (double p : power) global_mean += p;
+  global_mean /= static_cast<double>(n);
+  const double floor_env = std::max(percentile_naive(envelope, 50.0), 1e-30);
+
+  const double alpha = 1.0 / static_cast<double>(config.window);
+  double mu = envelope[0];
+  double sigma = 0.0;
+  std::vector<core::Event> events;
+  bool in_event = false;
+  core::Event current;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double e = envelope[i];
+    if (!in_event) {
+      if (e > mu + config.start_threshold_k * sigma && e > global_mean) {
+        in_event = true;
+        current.start = i;
+      } else {
+        const double dev = std::abs(e - mu);
+        mu = alpha * e + (1.0 - alpha) * mu;
+        sigma = alpha * dev + (1.0 - alpha) * sigma;
+      }
+      continue;
+    }
+    if (i - current.start >= config.max_length || e < global_mean || i + 1 == n) {
+      current.end = i + 1;
+      in_event = false;
+      double peak = 0.0;
+      for (std::size_t j = current.start; j < current.end; ++j)
+        peak = std::max(peak, envelope[j]);
+      if (current.length() >= config.min_length && peak >= config.prominence * global_mean &&
+          peak >= config.floor_prominence * floor_env)
+        events.push_back(current);
+    }
+  }
+
+  std::vector<core::Event> merged;
+  for (core::Event e : events) {
+    e.start = e.start > half ? e.start - half : 0;
+    e.end = std::min(n, e.end + half);
+    if (!merged.empty() && e.start < merged.back().end + config.merge_gap &&
+        e.end - merged.back().start <= config.max_length)
+      merged.back().end = std::max(merged.back().end, e.end);
+    else
+      merged.push_back(e);
+  }
+  return merged;
+}
+
+std::optional<core::EchoSegment> segment_naive(std::span<const double> signal,
+                                               const core::Event& event,
+                                               const core::SegmenterConfig& config) {
+  require(event.start < event.end && event.end <= signal.size(),
+          "segment_naive: event outside signal");
+  const std::span<const double> x = signal.subspan(event.start, event.length());
+  const double fs = config.sample_rate;
+  const double min_offset = echo_delay_seconds(config.min_distance_m) * fs;
+  const double max_offset = echo_delay_seconds(config.max_distance_m) * fs;
+  if (static_cast<double>(x.size()) < min_offset + 4.0) return std::nullopt;
+
+  // Direct pulse: T/2 after the emission-grid point nearest the event start.
+  const double interval = config.chirp_interval_s * fs;
+  const double grid_start =
+      std::round(static_cast<double>(event.start) / interval) * interval;
+  const auto direct_rel = static_cast<std::ptrdiff_t>(
+                              std::lround(grid_start + config.chirp_duration_s * fs / 2.0)) -
+                          static_cast<std::ptrdiff_t>(event.start);
+  const auto direct = static_cast<std::size_t>(
+      std::clamp<std::ptrdiff_t>(direct_rel, 0, static_cast<std::ptrdiff_t>(x.size()) - 1));
+
+  // Every local maximum of |x * x| that passes the parity test.
+  struct Candidate {
+    double center, ratio, energy;
+  };
+  std::vector<Candidate> candidates;
+  const std::size_t half = config.min_support / 2;
+  if (x.size() >= config.min_support) {
+    const std::vector<double> ac = convolve_naive(x, x);
+    for (std::size_t m = 1; m + 1 < ac.size(); ++m) {
+      if (!(std::abs(ac[m]) >= std::abs(ac[m - 1]) && std::abs(ac[m]) >= std::abs(ac[m + 1])))
+        continue;
+      const double n0 = static_cast<double>(m) / 2.0;
+      if (n0 < static_cast<double>(half) ||
+          n0 > static_cast<double>(x.size() - 1) - static_cast<double>(half))
+        continue;
+      // Even/odd energies of the support y = x[y0, y0 + len) about n0,
+      // zero-extended outside it.
+      const std::size_t y0 = static_cast<std::size_t>(std::floor(n0)) - half;
+      const std::size_t len = std::min(config.min_support, x.size() - y0);
+      const double c = n0 - static_cast<double>(y0);
+      double even = 0.0, odd = 0.0;
+      for (std::size_t i = 0; i < len; ++i) {
+        const double mirror_at = 2.0 * c - static_cast<double>(i);
+        const double mirrored =
+            mirror_at < 0.0 || mirror_at > static_cast<double>(len - 1)
+                ? 0.0
+                : x[y0 + static_cast<std::size_t>(mirror_at)];
+        const double xe = 0.5 * (x[y0 + i] + mirrored);
+        const double xo = 0.5 * (x[y0 + i] - mirrored);
+        even += xe * xe;
+        odd += xo * xo;
+      }
+      const double total = even + odd;
+      if (total <= 0.0) continue;
+      const double ratio = std::max(even, odd) / total;
+      if (ratio >= config.parity_threshold) candidates.push_back({n0, ratio, total});
+    }
+  }
+
+  core::EchoSegment best;
+  best.event_start = event.start;
+  best.direct_peak_index = event.start + direct;
+  bool found = false;
+  double best_score = 0.0;
+  for (const Candidate& cand : candidates) {
+    const double offset = cand.center - static_cast<double>(direct);
+    if (offset < min_offset || offset > max_offset) continue;
+    const double score = cand.ratio * std::sqrt(cand.energy);
+    if (score <= best_score) continue;
+    best_score = score;
+    best.peak_index = event.start + static_cast<std::size_t>(std::lround(cand.center));
+    best.distance_m = samples_to_distance_m(offset, fs);
+    best.parity_ratio = cand.ratio;
+    found = true;
+  }
+  if (found) return best;
+
+  const std::size_t lo = direct + static_cast<std::size_t>(std::lround(min_offset));
+  const std::size_t hi = std::min(
+      x.size(), direct + static_cast<std::size_t>(std::lround(max_offset)) + 1);
+  if (lo + 1 >= hi) return std::nullopt;
+  std::size_t peak = lo;
+  for (std::size_t i = lo; i < hi; ++i)
+    if (std::abs(x[i]) > std::abs(x[peak])) peak = i;
+  best.peak_index = event.start + peak;
+  best.distance_m = samples_to_distance_m(static_cast<double>(peak - direct), fs);
+  best.parity_ratio = 0.0;
+  best.from_fallback = true;
+  return best;
 }
 
 }  // namespace earsonar::check

@@ -13,9 +13,12 @@
 
 #include <complex>
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "core/event_detect.hpp"
+#include "core/segment.hpp"
 #include "dsp/biquad.hpp"
 #include "dsp/spectrum.hpp"
 
@@ -68,6 +71,23 @@ std::vector<double> biquad_cascade_df1_naive(const std::vector<dsp::Biquad>& sec
 std::vector<double> band_mfcc_naive(const dsp::Spectrum& spectrum,
                                     std::size_t filter_count,
                                     std::size_t coefficient_count);
+
+/// core::AdaptiveEventDetector::detect written out plainly: a materialized
+/// power array, the same trailing running sum stored at each window's center,
+/// and the noise-floor gate against a full-sort median (percentile_naive) of
+/// the whole envelope, computed up front.
+std::vector<core::Event> event_detect_naive(std::span<const double> signal,
+                                            const core::EventDetectorConfig& config);
+
+/// core::ParityEchoSegmenter::segment written out plainly: the direct O(L^2)
+/// auto-convolution over every lag (convolve_naive), the parity test at every
+/// local maximum of its magnitude, and only then the echo-distance window
+/// behind the grid-anchored direct pulse; the strongest |x| sample in that
+/// window when no candidate qualifies. `signal` is the whole recording and
+/// `event` indexes into it.
+std::optional<core::EchoSegment> segment_naive(std::span<const double> signal,
+                                               const core::Event& event,
+                                               const core::SegmenterConfig& config);
 
 /// Naive Welch PSD: per-segment Hann periodogram via the naive DFT, 50%
 /// overlap, averaged — dsp::welch_psd's contract. `segment == signal.size()`

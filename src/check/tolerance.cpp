@@ -60,6 +60,17 @@ std::vector<PairPolicy> build_table() {
            {1e-10, 1e-12},
            "triangles, summation order and log floor match term for term, so the log "
            "energies agree to a few ULP; the rest is the dsp.dct2 budget");
+  add_pair(t, "core.event_detect",
+           "core::AdaptiveEventDetector::detect (median only when a peak needs it)",
+           "check::event_detect_naive (full-sort median of the envelope, up front)",
+           {0.0, 0.0},
+           "bit-exact: the octave bracket only decides gates the exact median would "
+           "decide the same way, by monotone rounding; equal events, start and end");
+  add_pair(t, "core.segment", "core::ParityEchoSegmenter::segment (lag-window search)",
+           "check::segment_naive (all-lag direct auto-convolution, then the window)",
+           {0.0, 0.0},
+           "bit-exact: the lag window is a superset of the distance window, and every "
+           "EchoSegment field comes from x and integer positions, not from the sums");
   add_pair(t, "dsp.welch", "dsp::welch_psd / dsp::periodogram", "check::welch_psd_naive",
            {2e-9, 1e-18}, "per-segment transform error, averaged; scaling is identical");
   add_pair(t, "common.percentile", "earsonar::percentile (two order statistics)",

@@ -26,6 +26,12 @@ std::uint64_t order_key(double x) {
   return (bits & 0x8000000000000000ULL) ? ~bits : bits | 0x8000000000000000ULL;
 }
 
+// The double whose order key is `key` (order_key's inverse).
+double from_order_key(std::uint64_t key) {
+  return std::bit_cast<double>((key & 0x8000000000000000ULL) ? key & ~0x8000000000000000ULL
+                                                             : ~key);
+}
+
 // Values at ranks r0 and r1 (0-based order statistics, r1 in {r0, r0+1}) via
 // MSB radix selection: each round histograms an 11-bit digit of the order
 // key, keeps only the bucket range containing both ranks, and recurses on
@@ -257,6 +263,46 @@ double percentile(std::span<const double> xs, double p) {
     v_hi = hi == lo ? v_lo : *std::min_element(nth + 1, work.end());
   }
   return v_lo * (1.0 - frac) + v_hi * frac;
+}
+
+MedianBracket median_bracket(std::span<const double> xs) {
+  require_nonempty("median_bracket input", xs.size());
+  // Bucket b holds every double whose order key has top 12 bits b: one sign
+  // and exponent. Four interleaved histograms, as in the radix pass above:
+  // a smooth input puts neighbours in one bucket, and a single counter array
+  // would serialize on its own increments.
+  constexpr int kShift = 52;
+  constexpr std::size_t kBuckets = std::size_t{1} << 12;
+  thread_local std::vector<std::uint32_t> stripes;
+  stripes.assign(4 * kBuckets, 0);
+  std::uint32_t* h = stripes.data();
+  const std::size_t n = xs.size();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    ++h[0 * kBuckets + (order_key(xs[i]) >> kShift)];
+    ++h[1 * kBuckets + (order_key(xs[i + 1]) >> kShift)];
+    ++h[2 * kBuckets + (order_key(xs[i + 2]) >> kShift)];
+    ++h[3 * kBuckets + (order_key(xs[i + 3]) >> kShift)];
+  }
+  for (; i < n; ++i) ++h[order_key(xs[i]) >> kShift];
+  const auto count = [&](std::size_t b) -> std::size_t {
+    return h[b] + h[kBuckets + b] + h[2 * kBuckets + b] + h[3 * kBuckets + b];
+  };
+
+  // median() = percentile(xs, 50): ranks (n-1)/2 and the next one up.
+  const std::size_t r0 = (n - 1) / 2;
+  const std::size_t r1 = std::min(r0 + 1, n - 1);
+  std::size_t b0 = 0, upto = count(0);
+  while (upto <= r0) upto += count(++b0);
+  std::size_t b1 = b0;
+  while (upto <= r1) upto += count(++b1);
+
+  // Buckets 0 and 4095 hold -inf/-NaN and +inf/+NaN.
+  MedianBracket bracket;
+  bracket.finite = count(0) == 0 && count(kBuckets - 1) == 0;
+  bracket.lo = from_order_key(std::uint64_t{b0} << kShift);
+  bracket.hi = from_order_key((std::uint64_t{b1} << kShift) | ((std::uint64_t{1} << kShift) - 1));
+  return bracket;
 }
 
 double pearson_correlation(std::span<const double> xs, std::span<const double> ys) {

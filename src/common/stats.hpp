@@ -44,6 +44,21 @@ double median(std::span<const double> xs);
 /// Linear-interpolated percentile, p in [0, 100]. Requires non-empty input.
 double percentile(std::span<const double> xs, double p);
 
+/// Bounds on median(xs) from one counting pass over sign and exponent: `lo`
+/// is the smallest double with the sign and exponent of the lower of the two
+/// order statistics median() interpolates, `hi` the largest with those of the
+/// upper one (one octave apart for positive normal values). Interpolating
+/// two values in [lo, hi] stays in [lo, hi] under monotone rounding, except
+/// that halving a value below 2^-1021 in magnitude may round past a bound.
+/// `finite` is false, and the bounds meaningless, when xs holds an infinity
+/// or NaN. Requires non-empty input.
+struct MedianBracket {
+  double lo = 0.0;
+  double hi = 0.0;
+  bool finite = false;
+};
+MedianBracket median_bracket(std::span<const double> xs);
+
 /// Pearson correlation coefficient; inputs must have equal, non-zero length.
 /// Returns 0 when either input is constant (correlation undefined).
 double pearson_correlation(std::span<const double> xs, std::span<const double> ys);

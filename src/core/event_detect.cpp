@@ -61,8 +61,28 @@ std::vector<Event> AdaptiveEventDetector::detect(const audio::Waveform& signal) 
   // Global mean power: the closing threshold mu-bar of Eq. 6-7.
   global_mean /= static_cast<double>(n);
 
-  // Robust noise-floor estimate for the prominence gate.
-  const double floor_env = std::max(median(envelope), 1e-30);
+  // Robust noise-floor gate: peak >= floor_prominence * max(median, 1e-30).
+  // Only a peak near that threshold needs the exact median. One counting
+  // pass brackets the median within an octave, and rounding is monotone, so
+  // the threshold lies in [at_lo, at_hi] (the bracket's subnormal caveat
+  // sits far below the 1e-30 floor): a peak outside that range is decided
+  // by the bracket, and the exact median is computed (once) only for a peak
+  // inside it.
+  const MedianBracket bracket = median_bracket(envelope);
+  const double fp = config_.floor_prominence;
+  const double at_lo = fp * std::max(bracket.lo, 1e-30);
+  const double at_hi = fp * std::max(bracket.hi, 1e-30);
+  double exact_threshold = 0.0;
+  bool have_exact = false;
+  const auto above_floor = [&](double peak) {
+    if (bracket.finite && peak >= at_hi) return true;
+    if (bracket.finite && peak < at_lo) return false;
+    if (!have_exact) {
+      exact_threshold = fp * std::max(median(envelope), 1e-30);
+      have_exact = true;
+    }
+    return peak >= exact_threshold;
+  };
 
   // Running exponential estimates mu(i), sigma(i) with 1/W weighting (Eq. 6).
   // They adapt to the noise floor between events, so an arriving chirp pops
@@ -100,7 +120,7 @@ std::vector<Event> AdaptiveEventDetector::detect(const audio::Waveform& signal) 
           peak_env = std::max(peak_env, envelope[j]);
         if (current.length() >= config_.min_length &&
             peak_env >= config_.prominence * global_mean &&
-            peak_env >= config_.floor_prominence * floor_env)
+            above_floor(peak_env))
           events.push_back(current);
       }
     }

@@ -16,7 +16,7 @@ namespace earsonar::core {
 namespace {
 
 // Triangular mel-spaced filters across [low, high] applied to a uniform-grid
-// band spectrum; returns log filter energies.
+// band spectrum (ascending frequencies); returns log filter energies.
 std::vector<double> mel_band_energies(const dsp::Spectrum& spectrum,
                                       std::size_t filter_count) {
   const double low = spectrum.frequency_hz.front();
@@ -29,10 +29,22 @@ std::vector<double> mel_band_energies(const dsp::Spectrum& spectrum,
     edges[i] = dsp::mel_to_hz(mel_lo + (mel_hi - mel_lo) * static_cast<double>(i) /
                                            static_cast<double>(edges.size() - 1));
 
+  // Each triangle is zero outside [left, right], and on the ascending grid
+  // the bins in that span form one run, so each filter sums only its run, in
+  // bin order. The skipped terms are 0 * psd[b] = +0.0 for finite psd and
+  // leave the sum's bits unchanged. Every bin must still reach a filter, so
+  // that a NaN or infinite bin makes the coefficients non-finite: the runs
+  // keep their zero-weight end bins, and the first filter's run starts at
+  // bin 0 and the last one's ends at the last bin, because the mel round trip
+  // of the outer edges can land just inside the grid's end frequencies.
   std::vector<double> energies(filter_count, 0.0);
+  std::size_t first = 0;
   for (std::size_t f = 0; f < filter_count; ++f) {
     const double left = edges[f], center = edges[f + 1], right = edges[f + 2];
-    for (std::size_t b = 0; b < spectrum.size(); ++b) {
+    const bool last_filter = f + 1 == filter_count;
+    while (f > 0 && first < spectrum.size() && spectrum.frequency_hz[first] < left) ++first;
+    for (std::size_t b = first;
+         b < spectrum.size() && (last_filter || spectrum.frequency_hz[b] <= right); ++b) {
       const double freq = spectrum.frequency_hz[b];
       double w = 0.0;
       if (freq > left && freq < center) w = (freq - left) / (center - left);

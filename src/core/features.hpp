@@ -75,8 +75,9 @@ class FeatureExtractor {
       const std::vector<EchoSegment>& echoes,
       std::span<const dsp::Spectrum> per_echo) const;
 
-  /// MFCC-style coefficients of one band spectrum (mel triangles across the
-  /// analysis band, log, DCT-II). Exposed for tests.
+  /// MFCC-style coefficients of one band spectrum on an ascending frequency
+  /// grid (mel triangles across the analysis band, log, DCT-II). Exposed for
+  /// tests.
   [[nodiscard]] std::vector<double> band_mfcc(const dsp::Spectrum& spectrum) const;
 
   [[nodiscard]] std::size_t dimension() const { return config_.dimension(); }

@@ -46,22 +46,22 @@ ParityEnergies parity_energies(std::span<const double> x, double n0) {
   return energies;
 }
 
-std::vector<SymmetryCandidate> ParityEchoSegmenter::candidates(
-    std::span<const double> x) const {
-  std::vector<SymmetryCandidate> out;
-  if (x.size() < config_.min_support) return out;
+namespace {
 
-  // Step 1: auto-convolution; local maxima of |(x*x)[m]| are candidate
-  // symmetry points at n0 = m / 2.
-  const std::vector<double> ac = dsp::autoconvolve(x);
-  std::vector<double> mag(ac.size());
-  for (std::size_t i = 0; i < ac.size(); ++i) mag[i] = std::abs(ac[i]);
-
-  const std::size_t support = config_.min_support;
+// Parity candidates among lags m in [first, last) of x's auto-convolution,
+// appended in lag order; ac holds lags [first - 1, last + 1), so every lag
+// has both neighbours (1 <= first, last <= 2 * x.size() - 2).
+void collect_candidates(std::span<const double> x, std::span<const double> ac,
+                        std::size_t first, std::size_t last, const SegmenterConfig& config,
+                        std::vector<SymmetryCandidate>& out) {
+  const std::size_t support = config.min_support;
   const std::size_t half = support / 2;
 
-  for (std::size_t m = 1; m + 1 < mag.size(); ++m) {
-    if (!(mag[m] >= mag[m - 1] && mag[m] >= mag[m + 1])) continue;
+  for (std::size_t m = first; m < last; ++m) {
+    // Step 1: local maxima of |(x*x)[m]| are candidate symmetry points at
+    // n0 = m / 2.
+    const double mag = std::abs(ac[m - first + 1]);
+    if (!(mag >= std::abs(ac[m - first]) && mag >= std::abs(ac[m - first + 2]))) continue;
     const double n0 = static_cast<double>(m) / 2.0;
     if (n0 < static_cast<double>(half) ||
         n0 > static_cast<double>(x.size() - 1) - static_cast<double>(half))
@@ -77,7 +77,7 @@ std::vector<SymmetryCandidate> ParityEchoSegmenter::candidates(
     const double total = pe.even + pe.odd;
     if (total <= 0.0) continue;
     const double ratio = std::max(pe.even, pe.odd) / total;
-    if (ratio < config_.parity_threshold) continue;
+    if (ratio < config.parity_threshold) continue;
 
     SymmetryCandidate cand;
     cand.center = n0;
@@ -85,6 +85,15 @@ std::vector<SymmetryCandidate> ParityEchoSegmenter::candidates(
     cand.energy = total;
     out.push_back(cand);
   }
+}
+
+}  // namespace
+
+std::vector<SymmetryCandidate> ParityEchoSegmenter::candidates(
+    std::span<const double> x) const {
+  std::vector<SymmetryCandidate> out;
+  if (x.size() < config_.min_support) return out;
+  collect_candidates(x, dsp::autoconvolve(x), 1, 2 * x.size() - 2, config_, out);
   return out;
 }
 
@@ -104,8 +113,6 @@ std::optional<EchoSegment> ParityEchoSegmenter::segment(const audio::Waveform& s
   // behind the shadowed microphone, but its timing is known: the app emits
   // chirps on the interval grid, so the direct pulse of this event peaks T/2
   // after the nearest grid point.
-  std::vector<double> mag(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) mag[i] = std::abs(x[i]);
   const double interval = config_.chirp_interval_s * fs;
   const double grid_start =
       std::round(static_cast<double>(event.start) / interval) * interval;
@@ -118,10 +125,27 @@ std::optional<EchoSegment> ParityEchoSegmenter::segment(const audio::Waveform& s
       std::clamp<std::ptrdiff_t>(direct_rel, 0,
                                  static_cast<std::ptrdiff_t>(x.size()) - 1));
 
+  // Only candidates at lag m = 2 * n0 with offset n0 - direct_peak in
+  // [min_offset, max_offset] can win, about a dozen lags behind the direct
+  // pulse; auto-convolve just those (plus a lag of slack on either side) and
+  // keep the exact offset test below for the decision.
+  std::vector<SymmetryCandidate> in_window;
+  if (x.size() >= config_.min_support) {
+    const double dp = static_cast<double>(direct_peak);
+    const double lag_lo = std::floor(2.0 * (dp + min_offset)) - 1.0;
+    const double lag_hi = std::ceil(2.0 * (dp + max_offset)) + 2.0;
+    const auto lag_limit = static_cast<double>(2 * x.size() - 2);
+    const auto first = static_cast<std::size_t>(std::clamp(lag_lo, 1.0, lag_limit));
+    const auto last = static_cast<std::size_t>(std::clamp(lag_hi, 1.0, lag_limit));
+    if (first < last)
+      collect_candidates(x, dsp::autoconvolve_range(x, first - 1, last + 1), first, last,
+                         config_, in_window);
+  }
+
   EchoSegment best;
   bool found = false;
   double best_score = 0.0;
-  for (const SymmetryCandidate& cand : candidates(x)) {
+  for (const SymmetryCandidate& cand : in_window) {
     const double offset = cand.center - static_cast<double>(direct_peak);
     if (offset < min_offset || offset > max_offset) continue;
     // Rank qualifying candidates by parity quality weighted by energy: the
@@ -148,7 +172,7 @@ std::optional<EchoSegment> ParityEchoSegmenter::segment(const audio::Waveform& s
     if (lo + 1 >= hi) return std::nullopt;
     std::size_t peak = lo;
     for (std::size_t i = lo; i < hi; ++i)
-      if (mag[i] > mag[peak]) peak = i;
+      if (std::abs(x[i]) > std::abs(x[peak])) peak = i;
     best.event_start = event.start;
     best.peak_index = event.start + peak;
     best.direct_peak_index = event.start + direct_peak;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "dsp/simd.hpp"
 
 namespace earsonar::dsp {
 
@@ -62,9 +63,40 @@ void run_fixed(const Biquad* sec, BiquadCascade::State* st, double* data,
   }
 }
 
+// The active kernel set's four-section wavefront; null unless the set is
+// four lanes wide (AVX2, or its Pack twin under EARSONAR_SIMD=scalar).
+simd::KernelSet::Wavefront4 wavefront4() {
+  static const simd::KernelSet::Wavefront4 fn = simd::active().biquad_wavefront4_d;
+  return fn;
+}
+
+// Runs a four-section cascade through the wavefront kernel: one section per
+// lane, bit-identical to run_fixed<4> (see simd::KernelSet).
+template <bool Reverse>
+void run_wavefront(simd::KernelSet::Wavefront4 kernel, const Biquad* sec,
+                   BiquadCascade::State* st, double* data, std::size_t n) {
+  if (n == 0) return;
+  double coef[20], z1[4], z2[4];
+  for (std::size_t s = 0; s < 4; ++s) {
+    coef[s] = sec[s].b0;
+    coef[4 + s] = sec[s].b1;
+    coef[8 + s] = sec[s].b2;
+    coef[12 + s] = sec[s].a1;
+    coef[16 + s] = sec[s].a2;
+    z1[s] = st[s].z1;
+    z2[s] = st[s].z2;
+  }
+  kernel(Reverse ? data + (n - 1) : data, Reverse ? -1 : 1, n, coef, z1, z2);
+  for (std::size_t s = 0; s < 4; ++s) {
+    st[s].z1 = z1[s];
+    st[s].z2 = z2[s];
+  }
+}
+
 // Dispatches to the fixed-count kernel for every cascade size the
-// Butterworth designer can produce (order <= 8). Returns false for larger
-// cascades, which fall back to the generic per-sample loop.
+// Butterworth designer can produce (order <= 8); four sections take the
+// wavefront instead when the CPU has four-lane vectors. Returns false for
+// larger cascades, which fall back to the generic per-sample loop.
 template <bool Reverse>
 bool run_cascade(const std::vector<Biquad>& sections,
                  std::vector<BiquadCascade::State>& state, double* data,
@@ -75,7 +107,13 @@ bool run_cascade(const std::vector<Biquad>& sections,
     case 1: run_fixed<1, Reverse>(sec, st, data, n); return true;
     case 2: run_fixed<2, Reverse>(sec, st, data, n); return true;
     case 3: run_fixed<3, Reverse>(sec, st, data, n); return true;
-    case 4: run_fixed<4, Reverse>(sec, st, data, n); return true;
+    case 4:
+      if (const auto kernel = wavefront4()) {
+        run_wavefront<Reverse>(kernel, sec, st, data, n);
+      } else {
+        run_fixed<4, Reverse>(sec, st, data, n);
+      }
+      return true;
     case 5: run_fixed<5, Reverse>(sec, st, data, n); return true;
     case 6: run_fixed<6, Reverse>(sec, st, data, n); return true;
     case 7: run_fixed<7, Reverse>(sec, st, data, n); return true;
@@ -99,13 +137,14 @@ double BiquadCascade::process_sample(double x) {
 }
 
 std::vector<double> BiquadCascade::process(std::span<const double> input) {
-  // Sample-major on purpose: the per-section recurrences of *different*
-  // samples overlap in the pipeline (section s of sample i executes during
-  // section s+1 of sample i-1), so the cascade's serial latency hides. A
-  // section-major interchange measures ~2x slower here — each section then
-  // runs one long z1->y->z1 dependency chain with no ILP. The multi-channel
-  // SIMD variant lives in dsp::MultiBiquadCascade, which gets its
-  // parallelism across channels instead.
+  // Never section-major: one section over the whole block is a single long
+  // z1->y->z1 dependency chain with no ILP (~2x slower). The kernels overlap
+  // the sections instead — section s of sample i runs while section s+1
+  // runs sample i-1. The sample-major run_fixed<N> leaves that overlap to
+  // the out-of-order core; the four-section wavefront makes it explicit,
+  // one section per vector lane. The multi-channel SIMD variant lives in
+  // dsp::MultiBiquadCascade, which gets its parallelism across channels
+  // instead.
   std::vector<double> out(input.begin(), input.end());
   if (!run_cascade<false>(sections_, state_, out.data(), out.size()))
     for (std::size_t i = 0; i < out.size(); ++i) out[i] = process_sample(out[i]);
@@ -123,6 +162,12 @@ std::vector<double> BiquadCascade::filtfilt(std::span<const double> input) const
   if (!run_cascade<true>(backward.sections_, backward.state_, y.data(), y.size()))
     for (std::size_t i = y.size(); i-- > 0;) y[i] = backward.process_sample(y[i]);
   return y;
+}
+
+std::string biquad_path(std::size_t section_count) {
+  if (section_count == 4 && wavefront4() != nullptr)
+    return std::string("wavefront_") + simd::active().name;
+  return "scalar";
 }
 
 void BiquadCascade::reset() {

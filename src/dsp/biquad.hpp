@@ -5,6 +5,7 @@
 #include <complex>
 #include <cstddef>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace earsonar::dsp {
@@ -65,5 +66,12 @@ class BiquadCascade {
   std::vector<Biquad> sections_;
   std::vector<State> state_;
 };
+
+/// The kernel BiquadCascade::process and filtfilt run in this process for a
+/// cascade of `section_count` sections: "wavefront_<kernel set>" (four
+/// sections on a four-lane set — "wavefront_avx2", or "wavefront_pack4" under
+/// EARSONAR_SIMD=scalar) or "scalar" (the sample-major loop). Bench reports
+/// carry it as the `earsonar_biquad_path` context field.
+[[nodiscard]] std::string biquad_path(std::size_t section_count);
 
 }  // namespace earsonar::dsp

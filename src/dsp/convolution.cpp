@@ -103,6 +103,28 @@ std::vector<double> autoconvolve(std::span<const double> x) {
                              s.time.begin() + static_cast<std::ptrdiff_t>(out_len));
 }
 
+std::vector<double> autoconvolve_range(std::span<const double> x, std::size_t first,
+                                       std::size_t last) {
+  require_nonempty("autoconvolve input", x.size());
+  const std::size_t n = x.size();
+  require(first <= last && last <= 2 * n - 1, "autoconvolve_range: lags outside [0, 2N-1)");
+  if (!prefer_direct(n, n)) {
+    const std::vector<double> full = autoconvolve(x);
+    return std::vector<double>(full.begin() + static_cast<std::ptrdiff_t>(first),
+                               full.begin() + static_cast<std::ptrdiff_t>(last));
+  }
+  // convolve_direct adds x[i] * x[m - i] into lag m for i ascending from a
+  // 0.0 start; gathering the same terms in the same order is bit-identical.
+  std::vector<double> out(last - first);
+  for (std::size_t m = first; m < last; ++m) {
+    double acc = 0.0;
+    for (std::size_t i = m < n ? 0 : m - n + 1; i <= std::min(m, n - 1); ++i)
+      acc += x[i] * x[m - i];
+    out[m - first] = acc;
+  }
+  return out;
+}
+
 std::vector<double> cross_correlate(std::span<const double> a, std::span<const double> b) {
   require_nonempty("cross_correlate a", a.size());
   require_nonempty("cross_correlate b", b.size());

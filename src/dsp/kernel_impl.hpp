@@ -196,6 +196,66 @@ struct Kern {
     V::store(z1p, z1);
     V::store(z2p, z2);
   }
+
+  /// A four-section cascade over one channel as a section wavefront (see
+  /// KernelSet::biquad_wavefront4_d). At step t lane s runs section s on
+  /// sample t - s; its input is lane s-1's output of step t-1, so one
+  /// shift_in moves every section's output to the next section and brings
+  /// sample t into lane 0. The first and last three steps leave some lanes
+  /// without a sample; they run those steps lane by lane in scalar code with
+  /// the same expressions, so each section consumes exactly the samples of
+  /// this call and its delay line is complete on return.
+  static void biquad_wavefront4(T* data, std::ptrdiff_t stride, std::size_t n,
+                                const T* coef, T* z1p, T* z2p) {
+    constexpr std::size_t S = 4;
+    static_assert(W == S, "one section per lane");
+    const auto at = [&](std::size_t i) -> T& {
+      return data[static_cast<std::ptrdiff_t>(i) * stride];
+    };
+    T z1s[S], z2s[S], carry[S] = {};
+    for (std::size_t s = 0; s < S; ++s) {
+      z1s[s] = z1p[s];
+      z2s[s] = z2p[s];
+    }
+    // Section s on one sample: BiquadCascade::process_sample's expressions.
+    const auto section = [&](std::size_t s, T x) {
+      const T y = coef[s] * x + z1s[s];
+      z1s[s] = coef[S + s] * x - coef[3 * S + s] * y + z2s[s];
+      z2s[s] = coef[2 * S + s] * x - coef[4 * S + s] * y;
+      return y;
+    };
+    // One step for the lanes that hold a sample; lanes run from the last so
+    // each reads its predecessor's output of the previous step.
+    const auto partial_step = [&](std::size_t t) {
+      for (std::size_t s = S; s-- > 0;)
+        if (t >= s && t - s < n) carry[s] = section(s, s == 0 ? at(t) : carry[s - 1]);
+      if (t >= S - 1 && t - (S - 1) < n) at(t - (S - 1)) = carry[S - 1];
+    };
+
+    const std::size_t steps = n + S - 1;
+    std::size_t t = 0;
+    for (; t < S - 1 && t < steps; ++t) partial_step(t);
+    if (n >= S) {  // steps [S-1, n): every lane holds a sample
+      const V b0 = V::load(coef), b1 = V::load(coef + S), b2 = V::load(coef + 2 * S);
+      const V a1 = V::load(coef + 3 * S), a2 = V::load(coef + 4 * S);
+      V z1 = V::load(z1s), z2 = V::load(z2s), y = V::load(carry);
+      for (; t < n; ++t) {
+        const V x = V::shift_in(y, at(t));
+        y = V::add(V::mul(b0, x), z1);
+        z1 = V::add(V::sub(V::mul(b1, x), V::mul(a1, y)), z2);
+        z2 = V::sub(V::mul(b2, x), V::mul(a2, y));
+        at(t - (S - 1)) = V::last_lane(y);
+      }
+      V::store(z1s, z1);
+      V::store(z2s, z2);
+      V::store(carry, y);
+    }
+    for (; t < steps; ++t) partial_step(t);
+    for (std::size_t s = 0; s < S; ++s) {
+      z1p[s] = z1s[s];
+      z2p[s] = z2s[s];
+    }
+  }
 };
 
 /// Assembles a KernelSet from one double-lane vector type.
@@ -209,6 +269,7 @@ inline KernelSet make_kernel_set(const char* name) {
   set.power_bins_d = &Kern<V>::power_bins;
   set.mul_d = &Kern<V>::mul;
   set.biquad_interleaved_d = &Kern<V>::biquad_interleaved;
+  if constexpr (V::kLanes == 4) set.biquad_wavefront4_d = &Kern<V>::biquad_wavefront4;
   return set;
 }
 

@@ -1,9 +1,10 @@
 // Portable SIMD kernel dispatch for the hot DSP inner loops.
 //
 // Every vectorizable kernel (FFT butterfly stages, the complex-bin power
-// reduction, elementwise window multiplies, and the interleaved
-// multi-channel biquad recurrence) exists in two interchangeable builds of
-// the *same* templated source (src/dsp/kernel_impl.hpp):
+// reduction, elementwise window multiplies, the interleaved multi-channel
+// biquad recurrence, and the four-section biquad wavefront) exists in two
+// interchangeable builds of the *same* templated source
+// (src/dsp/kernel_impl.hpp):
 //
 //   * a native build using the widest instruction set the translation unit
 //     was compiled for — AVX2 (4 doubles, compiled into its own TU with
@@ -63,6 +64,19 @@ struct KernelSet {
   /// lanes_d-wide delay lines, updated on return.
   void (*biquad_interleaved_d)(double* frames, std::size_t frame_count,
                                const double* coef, double* z1, double* z2);
+
+  /// A four-section transposed-DF2 cascade over one channel, run as a
+  /// section wavefront: lane s holds section s, which at step t filters
+  /// sample t - s. Sample i lives at data[i * stride] (stride -1 from the
+  /// last element runs the signal back to front), filtered in place.
+  /// coef = {b0[4], b1[4], b2[4], a1[4], a2[4]} by section; z1/z2 are the
+  /// four sections' delay lines, updated on return. Every section-step is
+  /// the expression sequence of BiquadCascade::process_sample, so output
+  /// and delay lines are bit-identical to the sample-major cascade. Null
+  /// in sets whose lane count is not four.
+  using Wavefront4 = void (*)(double* data, std::ptrdiff_t stride, std::size_t n,
+                              const double* coef, double* z1, double* z2);
+  Wavefront4 biquad_wavefront4_d;
 };
 
 /// The dispatch mode chosen from EARSONAR_SIMD (read once per process;

@@ -13,6 +13,12 @@
 //                      a[2k]+a[2k+1], lanes [W/2, W) hold b[2k]+b[2k+1]
 //                      (complex: |z|^2 reduction of 2W scalars to W, in order)
 //
+// The four-lane types (Pack<T, 4>, VecAvx2D) also provide the two lane moves
+// of the biquad section wavefront (Kern::biquad_wavefront4):
+//
+//   shift_in(a, x) — x,a[0],a[1],...,a[W-2]  (one-lane shift up, x enters lane 0)
+//   last_lane(a)   — a[W-1]
+//
 // `Pack<T, W>` is the intrinsic-free twin: a plain array looped per lane.
 // Bit-parity across dispatch modes rests on every intrinsic here mapping to
 // exactly the per-lane IEEE operation the Pack version performs — permutes
@@ -116,6 +122,13 @@ struct Pack {
     }
     return r;
   }
+  static Pack shift_in(Pack a, T x) {
+    Pack r;
+    r.v[0] = x;
+    for (std::size_t i = 1; i < W; ++i) r.v[i] = a.v[i - 1];
+    return r;
+  }
+  static T last_lane(Pack a) { return a.v[W - 1]; }
 };
 
 #if defined(EARSONAR_SIMD_X86)
@@ -191,6 +204,15 @@ struct VecAvx2D {
     // _mm256_hadd_pd works within 128-bit halves: (a01, b01, a23, b23);
     // permute lanes 0,2,1,3 into the required order (a01, a23, b01, b23).
     return wrap(_mm256_permute4x64_pd(_mm256_hadd_pd(a.v, b.v), 0xD8));
+  }
+  static VecAvx2D shift_in(VecAvx2D a, double x) {
+    // (a0, a0, a1, a2), then x blended into lane 0.
+    return wrap(_mm256_blend_pd(_mm256_permute4x64_pd(a.v, 0x90),
+                                _mm256_set1_pd(x), 0b0001));
+  }
+  static double last_lane(VecAvx2D a) {
+    const __m128d hi = _mm256_extractf128_pd(a.v, 1);
+    return _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
   }
 };
 

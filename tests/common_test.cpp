@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -380,6 +381,28 @@ TEST(StatsTest, PercentileLargeInputMatchesSort) {
     const double expected = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
     EXPECT_DOUBLE_EQ(percentile(xs, p), expected) << "p=" << p;
   }
+}
+
+// median_bracket's bounds hold the exact median, span one octave around a
+// single positive value, and flag non-finite input.
+TEST(StatsTest, MedianBracketHoldsMedian) {
+  Rng rng(23);
+  for (std::size_t n : {1UL, 2UL, 3UL, 10UL, 1001UL, 7712UL}) {
+    for (double scale : {1e-12, 1.0, 3e5}) {
+      std::vector<double> xs(n);
+      for (double& x : xs) x = scale * rng.uniform(-0.2, 1.0);
+      const double m = median(xs);
+      const MedianBracket b = median_bracket(xs);
+      EXPECT_TRUE(b.finite);
+      EXPECT_LE(b.lo, m) << "n=" << n << " scale=" << scale;
+      EXPECT_GE(b.hi, m) << "n=" << n << " scale=" << scale;
+      if (n == 1 && b.lo > 0.0) EXPECT_LT(b.hi, 2.0 * b.lo);  // one value, one octave
+    }
+  }
+  const std::vector<double> with_inf = {1.0, std::numeric_limits<double>::infinity(), 2.0};
+  EXPECT_FALSE(median_bracket(with_inf).finite);
+  const std::vector<double> with_nan = {1.0, std::numeric_limits<double>::quiet_NaN(), 2.0};
+  EXPECT_FALSE(median_bracket(with_nan).finite);
 }
 
 TEST(StatsTest, PercentileRanksStraddlingRadixBuckets) {

@@ -2,7 +2,10 @@
 // the parity echo segmenter relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -90,6 +93,39 @@ TEST(AutoconvolveTest, OddSymmetricPulseAlsoPeaksAtCenter) {
   std::vector<double> mag(ac.size());
   for (std::size_t i = 0; i < ac.size(); ++i) mag[i] = std::abs(ac[i]);
   EXPECT_EQ(argmax(mag), 2 * c);
+}
+
+// autoconvolve_range must return exactly the slice of autoconvolve: the
+// direct regime (N <= 64) re-gathers each lag in the direct sum's order, the
+// FFT regime slices the transform's result. Sliding 13-lag windows (the
+// segmenter's echo window is about that wide), windows at both edges, the
+// full range and empty windows, for every length from 1 to 130.
+TEST(AutoconvolveTest, RangeEqualsSliceBitwise) {
+  Rng rng(17);
+  for (std::size_t n = 1; n <= 130; ++n) {
+    std::vector<double> x(n);
+    for (double& v : x) v = rng.uniform(-1, 1);
+    const std::vector<double> full = autoconvolve(x);
+    const std::size_t lags = full.size();
+    const auto check = [&](std::size_t first, std::size_t last) {
+      const std::vector<double> got = autoconvolve_range(x, first, last);
+      ASSERT_EQ(got.size(), last - first) << "n=" << n;
+      for (std::size_t m = first; m < last; ++m)
+        ASSERT_EQ(std::memcmp(&got[m - first], &full[m], sizeof(double)), 0)
+            << "n=" << n << " lag " << m << " of window [" << first << ", " << last << ")";
+    };
+    for (std::size_t first = 0; first < lags; ++first)
+      check(first, std::min(first + 13, lags));
+    for (std::size_t k : {1UL, 2UL, 13UL}) {
+      check(0, std::min(k, lags));
+      check(lags - std::min(k, lags), lags);
+    }
+    check(0, lags);
+    for (std::size_t at : {0UL, lags / 2, lags}) check(at, at);
+  }
+  const std::vector<double> x(8, 1.0);
+  EXPECT_THROW((void)autoconvolve_range(x, 3, 2), std::invalid_argument);
+  EXPECT_THROW((void)autoconvolve_range(x, 0, 16), std::invalid_argument);
 }
 
 TEST(CrossCorrelateTest, FindsKnownLag) {

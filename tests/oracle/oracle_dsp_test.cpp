@@ -7,9 +7,13 @@
 // surfaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/cases.hpp"
@@ -143,6 +147,52 @@ TEST(OracleBiquadTest, CascadeMatchesPerSampleDirectForm1) {
   }
 }
 
+// Whatever kernel the section count and CPU select (the four-section
+// wavefront on a four-lane set, run_fixed<N> otherwise) must equal the
+// sample-major per-sample cascade bit for bit, fed in chunks of any length
+// with the delay lines carried across splits, and in filtfilt's reverse
+// pass. The bound above is against direct form I; this one is exact.
+TEST(OracleBiquadTest, BlockKernelsMatchSampleMajorCascadeBitwise) {
+  const std::vector<dsp::BiquadCascade> filters = {
+      dsp::butterworth_bandpass(4, 15000.0, 21000.0, 48000.0),  // 4 sections
+      dsp::butterworth_bandpass(2, 15000.0, 21000.0, 48000.0),  // 2 sections
+  };
+  const check::Tolerance exact{0.0, 0.0};
+  for (const dsp::BiquadCascade& filter : filters) {
+    for (const check::SignalCase& c : check::standard_cases(kSeed ^ 10, 4801)) {
+      const std::size_t n = c.data.size();
+      dsp::BiquadCascade reference(filter.sections());
+      std::vector<double> forward(n);
+      for (std::size_t i = 0; i < n; ++i) forward[i] = reference.process_sample(c.data[i]);
+      for (std::size_t chunk : {1UL, 2UL, 3UL, 4UL, 5UL, 480UL, 4800UL}) {
+        dsp::BiquadCascade chunked(filter.sections());
+        std::vector<double> got;
+        got.reserve(n);
+        for (std::size_t pos = 0; pos < n; pos += chunk) {
+          const std::vector<double> piece = chunked.process(
+              std::span<const double>(c.data).subspan(pos, std::min(chunk, n - pos)));
+          got.insert(got.end(), piece.begin(), piece.end());
+        }
+        const std::string label = c.name + " sections=" +
+                                  std::to_string(filter.section_count()) +
+                                  " chunk=" + std::to_string(chunk);
+        const CompareResult r = check::compare_vectors(got, forward, exact);
+        EXPECT_TRUE(r.ok) << label << ": " << check::describe_failure("dsp.biquad.block", r);
+        for (std::size_t s = 0; s < filter.section_count(); ++s) {
+          EXPECT_EQ(chunked.state()[s].z1, reference.state()[s].z1) << label;
+          EXPECT_EQ(chunked.state()[s].z2, reference.state()[s].z2) << label;
+        }
+      }
+      dsp::BiquadCascade backward(filter.sections());
+      std::vector<double> zero_phase = forward;
+      for (std::size_t i = n; i-- > 0;) zero_phase[i] = backward.process_sample(zero_phase[i]);
+      const CompareResult r = check::compare_vectors(filter.filtfilt(c.data), zero_phase, exact);
+      EXPECT_TRUE(r.ok) << c.name << " filtfilt sections=" << filter.section_count() << ": "
+                        << check::describe_failure("dsp.biquad.block", r);
+    }
+  }
+}
+
 // --------------------------------------------------------- band MFCC
 
 // The MFCC the feature vector actually carries: mel triangles laid on the
@@ -171,6 +221,43 @@ TEST(OracleBandMfccTest, MatchesLiteralChainOnExtractedSpectra) {
                                          config.features.mfcc_coefficients),
                   "state " + std::to_string(static_cast<int>(state)) + " bins " +
                       std::to_string(bins));
+    }
+  }
+}
+
+// band_mfcc sums each mel triangle only over the bins of its closed span, so
+// a non-finite bin reaches only the filters whose span holds it (at least
+// one: the spans cover the grid), not all of them. Kept: a NaN bin makes
+// every coefficient NaN, because the DCT mixes every log energy into every
+// coefficient. Changed: a +inf bin used to make every coefficient NaN too
+// (0 * inf in every filter); now a filter with a positive weight on it gets a
+// +inf log energy, which the DCT spreads as +/-inf, so every coefficient is
+// non-finite (+/-inf, or NaN where opposite infinities or a zero-weight end
+// bin meet it) but not necessarily NaN.
+//
+// Grids: the default 16-20 kHz band, and one whose end frequencies do not
+// survive the hz -> mel -> hz round trip of the filter edges (174.5 Hz comes
+// back a hair higher, 249 Hz a hair lower), so its first and last bins fall
+// just outside the outermost triangles.
+TEST(OracleBandMfccTest, NonFiniteBinYieldsNonFiniteCoefficients) {
+  const core::FeatureExtractor extractor;
+  const std::size_t bins = extractor.config().spectrum.band_bins;
+  for (const auto& [low, high] : {std::pair{16000.0, 20000.0}, std::pair{174.5, 249.0}}) {
+    dsp::Spectrum spectrum;
+    for (std::size_t b = 0; b < bins; ++b) {
+      spectrum.frequency_hz.push_back(low + (high - low) * static_cast<double>(b) /
+                                                static_cast<double>(bins - 1));
+      spectrum.psd.push_back(1e-6 * (1.0 + 0.5 * std::sin(0.3 * static_cast<double>(b))));
+    }
+    for (const std::size_t bad : {0UL, bins / 3, bins - 1}) {
+      dsp::Spectrum nan_bin = spectrum;
+      nan_bin.psd[bad] = std::numeric_limits<double>::quiet_NaN();
+      for (double c : extractor.band_mfcc(nan_bin))
+        EXPECT_TRUE(std::isnan(c)) << "NaN at bin " << bad << " of " << low << "-" << high;
+      dsp::Spectrum inf_bin = spectrum;
+      inf_bin.psd[bad] = std::numeric_limits<double>::infinity();
+      for (double c : extractor.band_mfcc(inf_bin))
+        EXPECT_FALSE(std::isfinite(c)) << "+inf at bin " << bad << " of " << low << "-" << high;
     }
   }
 }

@@ -18,10 +18,12 @@
 // `active()` path runs under both levels in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <numbers>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "check/tolerance.hpp"
@@ -139,6 +141,62 @@ TEST(SimdDispatchTest, BiquadInterleavedBitIdenticalAcrossLevels) {
   expect_bitwise_equal(a, b, "biquad_interleaved_d frames");
   expect_bitwise_equal(z1a, z1b, "biquad_interleaved_d z1");
   expect_bitwise_equal(z2a, z2b, "biquad_interleaved_d z2");
+}
+
+// The four-section wavefront (a four-lane set's biquad_wavefront4_d) against
+// the other level and against the sample-major cascade
+// (BiquadCascade::process_sample), bitwise: forward and back to front, fed in
+// chunks with the delay lines carried across every split.
+TEST(SimdDispatchTest, BiquadWavefrontBitIdenticalAcrossLevelsAndSampleMajor) {
+  const KernelSet& native = dsp::simd::kernel_set(Level::kNative);
+  const KernelSet& scalar = dsp::simd::kernel_set(Level::kScalar);
+  if (native.lanes_d != 4) {
+    EXPECT_EQ(native.biquad_wavefront4_d, nullptr);
+    EXPECT_EQ(scalar.biquad_wavefront4_d, nullptr);
+    return;
+  }
+  ASSERT_NE(native.biquad_wavefront4_d, nullptr);
+  ASSERT_NE(scalar.biquad_wavefront4_d, nullptr);
+  const dsp::BiquadCascade design =
+      dsp::butterworth_bandpass(4, 15000.0, 21000.0, 48000.0);
+  ASSERT_EQ(design.section_count(), 4u);
+  double coef[20];
+  for (std::size_t s = 0; s < 4; ++s) {
+    const dsp::Biquad& b = design.sections()[s];
+    coef[s] = b.b0;
+    coef[4 + s] = b.b1;
+    coef[8 + s] = b.b2;
+    coef[12 + s] = b.a1;
+    coef[16 + s] = b.a2;
+  }
+  const std::vector<double> input = random_vector(9607, kSeed + 4);
+  const std::size_t n = input.size();
+  for (bool reverse : {false, true}) {
+    dsp::BiquadCascade reference(design.sections());
+    std::vector<double> want = input;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t j = reverse ? n - 1 - i : i;
+      want[j] = reference.process_sample(want[j]);
+    }
+    for (std::size_t chunk : {1ul, 2ul, 3ul, 4ul, 5ul, 480ul, 4800ul}) {
+      for (const KernelSet* set : {&native, &scalar}) {
+        std::vector<double> got = input;
+        double z1[4] = {}, z2[4] = {};
+        for (std::size_t pos = 0; pos < n; pos += chunk) {
+          const std::size_t len = std::min(chunk, n - pos);
+          double* first = reverse ? got.data() + (n - 1 - pos) : got.data() + pos;
+          set->biquad_wavefront4_d(first, reverse ? -1 : 1, len, coef, z1, z2);
+        }
+        SCOPED_TRACE(std::string(set->name) + (reverse ? " reverse" : " forward") +
+                     " chunk=" + std::to_string(chunk));
+        expect_bitwise_equal(got, want, "biquad_wavefront4_d samples");
+        for (std::size_t s = 0; s < 4; ++s) {
+          ASSERT_EQ(z1[s], reference.state()[s].z1) << "section " << s;
+          ASSERT_EQ(z2[s], reference.state()[s].z2) << "section " << s;
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------- interleaved multi-channel cascade
