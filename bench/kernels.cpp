@@ -6,7 +6,8 @@
 // Each kernel is measured through the *dispatched* entry point
 // (simd::active(), and net::crc32 for the frame checksum), so
 // EARSONAR_SIMD=scalar vs native quantifies the SIMD speedup per kernel on
-// the same build.
+// the same build. Two scalar rows without roofline counters close the file:
+// the detector fit's Laplacian score and the MFCC's truncated DCT-II.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -16,10 +17,13 @@
 #include <vector>
 
 #include "roofline.hpp"
+#include "common/rng.hpp"
 #include "dsp/biquad.hpp"
 #include "dsp/butterworth.hpp"
+#include "dsp/dct.hpp"
 #include "dsp/multibiquad.hpp"
 #include "dsp/simd.hpp"
+#include "ml/laplacian.hpp"
 #include "net/frame.hpp"
 
 using namespace earsonar;
@@ -152,6 +156,26 @@ void BM_Crc32(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_Crc32);
+
+// ------------------------------------------------- detector fit and MFCC
+
+void BM_LaplacianScores(benchmark::State& state) {
+  // The fit's feature ranking at the enrollment cohort's shape: 448 rows of
+  // 105 standard-normal features, k = 5 neighbours.
+  Rng rng(448105);
+  ml::Matrix data(448, std::vector<double>(105));
+  for (std::vector<double>& row : data)
+    for (double& v : row) v = rng.normal(0.0, 1.0);
+  for (auto _ : state) benchmark::DoNotOptimize(ml::laplacian_scores(data));
+}
+BENCHMARK(BM_LaplacianScores)->Unit(benchmark::kMillisecond);
+
+void BM_Dct2Truncated(benchmark::State& state) {
+  // The MFCC's last step: 24 log mel energies to 13 coefficients.
+  const std::vector<double> log_energies = test_signal(24);
+  for (auto _ : state) benchmark::DoNotOptimize(dsp::dct2_truncated(log_energies, 13));
+}
+BENCHMARK(BM_Dct2Truncated);
 
 }  // namespace
 

@@ -72,7 +72,7 @@ run_flavor asan address,undefined \
            serve_test stagegraph_test fault_test wav_fuzz_replay simd_test \
            net_test chaos_test frame_fuzz_replay longitudinal_test \
            oracle_fft_test oracle_dsp_test oracle_stats_test \
-           oracle_stream_test oracle_golden_test
+           oracle_ml_test oracle_stream_test oracle_golden_test
 run_flavor tsan thread \
            'serve|stagegraph|fault|oracle_stream|net|chaos|longitudinal' native \
            serve_test stagegraph_test fault_test wav_fuzz_replay net_test \

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
@@ -384,6 +386,92 @@ std::optional<core::EchoSegment> segment_naive(std::span<const double> signal,
   best.parity_ratio = 0.0;
   best.from_fallback = true;
   return best;
+}
+
+std::vector<double> laplacian_scores_naive(const ml::Matrix& data,
+                                          const ml::LaplacianConfig& config) {
+  require_nonempty("laplacian_scores_naive data", data.size());
+  require(config.neighbors >= 1, "LaplacianConfig: neighbors must be >= 1");
+  require(config.heat_sigma > 0.0, "LaplacianConfig: heat_sigma must be > 0");
+  const std::size_t n = data.size();
+  const std::size_t d = data.front().size();
+  require_nonempty("laplacian_scores_naive feature dimension", d);
+  for (const auto& row : data)
+    require(row.size() == d, "laplacian_scores_naive: ragged matrix");
+  require(n >= 2, "laplacian_scores_naive: need >= 2 samples");
+
+  const std::size_t k = std::min(config.neighbors, n - 1);
+
+  // Pairwise distances + kNN sets.
+  std::vector<std::vector<double>> dist(n, std::vector<double>(n, 0.0));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t f = 0; f < d; ++f) {
+        const double diff = data[i][f] - data[j][f];
+        acc += diff * diff;
+      }
+      dist[i][j] = dist[j][i] = acc;
+    }
+
+  std::vector<std::vector<std::size_t>> knn(n);
+  double mean_knn_dist2 = 0.0;
+  std::size_t knn_edges = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    // Stable: equal distances keep ascending index order.
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return dist[i][a] < dist[i][b]; });
+    for (std::size_t j = 0; j < n && knn[i].size() < k; ++j) {
+      if (order[j] == i) continue;
+      knn[i].push_back(order[j]);
+      mean_knn_dist2 += dist[i][order[j]];
+      ++knn_edges;
+    }
+  }
+  mean_knn_dist2 = std::max(mean_knn_dist2 / static_cast<double>(knn_edges), 1e-12);
+  const double t = config.heat_sigma * mean_knn_dist2;
+
+  // Symmetric heat-kernel weight matrix on the kNN graph.
+  std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j : knn[i]) {
+      const double weight = std::exp(-dist[i][j] / t);
+      w[i][j] = std::max(w[i][j], weight);
+      w[j][i] = w[i][j];
+    }
+
+  std::vector<double> degree(n, 0.0);
+  double total_degree = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) degree[i] += w[i][j];
+    total_degree += degree[i];
+  }
+
+  std::vector<double> scores(d, std::numeric_limits<double>::max());
+  for (std::size_t f = 0; f < d; ++f) {
+    // Center the feature against the degree-weighted mean (removes the
+    // trivial all-ones eigenvector of the graph Laplacian).
+    double weighted_mean = 0.0;
+    for (std::size_t i = 0; i < n; ++i) weighted_mean += data[i][f] * degree[i];
+    weighted_mean /= std::max(total_degree, 1e-12);
+
+    double smoothness = 0.0;  // f~^T L f~  = sum_ij w_ij (fi - fj)^2 / 2
+    double variance = 0.0;    // f~^T D f~
+    for (std::size_t i = 0; i < n; ++i) {
+      const double fi = data[i][f] - weighted_mean;
+      variance += fi * fi * degree[i];
+      for (std::size_t j = 0; j < n; ++j) {
+        const double fj = data[j][f] - weighted_mean;
+        smoothness += w[i][j] * (fi - fj) * (fi - fj);
+      }
+    }
+    smoothness /= 2.0;
+    // Constant features carry no information: keep score at +inf-like max.
+    if (variance > 1e-12) scores[f] = smoothness / variance;
+  }
+  return scores;
 }
 
 }  // namespace earsonar::check

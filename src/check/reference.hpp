@@ -21,6 +21,7 @@
 #include "core/segment.hpp"
 #include "dsp/biquad.hpp"
 #include "dsp/spectrum.hpp"
+#include "ml/laplacian.hpp"
 
 namespace earsonar::check {
 
@@ -88,6 +89,13 @@ std::vector<core::Event> event_detect_naive(std::span<const double> signal,
 std::optional<core::EchoSegment> segment_naive(std::span<const double> signal,
                                                const core::Event& event,
                                                const core::SegmenterConfig& config);
+
+/// ml::laplacian_scores written out densely: the full n x n distance and
+/// heat-kernel weight matrices, a full stable sort of every row to pick the k
+/// nearest (ties by ascending index), and the degree and smoothness sums over
+/// all n^2 pairs.
+std::vector<double> laplacian_scores_naive(const ml::Matrix& data,
+                                           const ml::LaplacianConfig& config = {});
 
 /// Naive Welch PSD: per-segment Hann periodogram via the naive DFT, 50%
 /// overlap, averaged — dsp::welch_psd's contract. `segment == signal.size()`

@@ -71,6 +71,11 @@ std::vector<PairPolicy> build_table() {
            {0.0, 0.0},
            "bit-exact: the lag window is a superset of the distance window, and every "
            "EchoSegment field comes from x and integer positions, not from the sums");
+  add_pair(t, "ml.laplacian", "ml::laplacian_scores (sparse kNN graph, edge sums)",
+           "check::laplacian_scores_naive (dense n x n weights, full-row sorts)",
+           {0.0, 0.0},
+           "bit-exact: same distance bits, the same (distance, index) neighbour order, "
+           "and every skipped off-graph term is +0.0 into a non-negative sum");
   add_pair(t, "dsp.welch", "dsp::welch_psd / dsp::periodogram", "check::welch_psd_naive",
            {2e-9, 1e-18}, "per-segment transform error, averaged; scaling is identical");
   add_pair(t, "common.percentile", "earsonar::percentile (two order statistics)",

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "common/error.hpp"
 #include "ml/hungarian.hpp"
@@ -23,6 +25,13 @@ void MeeDetector::fit(const ml::Matrix& features, const std::vector<std::size_t>
   require(features.size() >= kMeeStateCount, "MeeDetector: too few samples");
   require(config_.selected_features <= features.front().size(),
           "MeeDetector: selected_features exceeds feature dimension");
+  // A non-finite value would make its column's scaler mean NaN, and through
+  // the pairwise distances every Laplacian score.
+  for (std::size_t i = 0; i < features.size(); ++i)
+    for (std::size_t j = 0; j < features[i].size(); ++j)
+      if (!std::isfinite(features[i][j]))
+        throw std::invalid_argument("MeeDetector: non-finite feature " + std::to_string(j) +
+                                    " in training row " + std::to_string(i));
 
   // 1. Standardize.
   scaler_.fit(features);

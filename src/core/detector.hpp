@@ -45,7 +45,8 @@ class MeeDetector {
   explicit MeeDetector(DetectorConfig config = {});
 
   /// Fits scaler, feature selection, clustering, and the cluster -> state
-  /// mapping on labeled training features (labels in [0, 4)).
+  /// mapping on labeled training features (labels in [0, 4)). Throws
+  /// std::invalid_argument on a non-finite feature.
   void fit(const ml::Matrix& features, const std::vector<std::size_t>& labels);
 
   /// Diagnoses one feature vector (dimension = training dimension).

@@ -1,5 +1,6 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <utility>
@@ -292,7 +293,10 @@ void EarSonar::fit(const std::vector<audio::Waveform>& recordings,
   ml::Matrix features;
   std::vector<std::size_t> usable_labels;
   for (std::size_t i = 0; i < analyses.size(); ++i) {
-    if (!analyses[i].usable()) continue;
+    const std::vector<double>& row = analyses[i].features;
+    if (!analyses[i].usable() ||
+        !std::all_of(row.begin(), row.end(), [](double v) { return std::isfinite(v); }))
+      continue;
     features.push_back(std::move(analyses[i].features));
     usable_labels.push_back(labels[i]);
   }

@@ -159,8 +159,9 @@ class EarSonar {
       pipeline::StageGraph* graph = nullptr) const;
 
   /// Trains the detection head on labeled recordings (label indices follow
-  /// kMeeStateNames). Recordings whose analysis fails are skipped; at least
-  /// four usable recordings are required.
+  /// kMeeStateNames). Recordings whose analysis yields no features, or a
+  /// non-finite one, are skipped; at least four usable recordings are
+  /// required.
   void fit(const std::vector<audio::Waveform>& recordings,
            const std::vector<std::size_t>& labels);
 

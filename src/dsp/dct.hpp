@@ -13,7 +13,10 @@ std::vector<double> dct2(std::span<const double> input);
 /// Orthonormal DCT-III (the inverse of dct2).
 std::vector<double> idct2(std::span<const double> input);
 
-/// First `count` DCT-II coefficients of `input` (count <= input.size()).
+/// First `count` DCT-II coefficients of `input` (count <= input.size()),
+/// bit-identical to the first `count` values of dct2(input). Only the kept
+/// rows are computed, against a cosine basis each thread caches for the last
+/// input size it saw (n * count doubles).
 std::vector<double> dct2_truncated(std::span<const double> input, std::size_t count);
 
 }  // namespace earsonar::dsp

@@ -17,6 +17,10 @@ struct LaplacianConfig {
 };
 
 /// Laplacian score per feature column of `data` (lower = more informative).
+/// Each row's k = min(neighbors, rows - 1) nearest neighbours are taken by
+/// squared Euclidean distance, ties broken by the lower row index; the graph
+/// joins i and j when either is among the other's neighbours. Every value
+/// must be finite. Cost: O(n^2 d) for the distances, O(n k d) for the scores.
 std::vector<double> laplacian_scores(const Matrix& data, const LaplacianConfig& config = {});
 
 /// Indices of the `count` best (lowest-score) features, in score order.

@@ -3,8 +3,11 @@
 // facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <sstream>
 #include <string>
 
 #include "audio/chirp.hpp"
@@ -15,6 +18,7 @@
 #include "core/detector.hpp"
 #include "core/event_detect.hpp"
 #include "core/features.hpp"
+#include "core/model_io.hpp"
 #include "core/pipeline.hpp"
 #include "core/preprocess.hpp"
 #include "core/segment.hpp"
@@ -473,6 +477,27 @@ TEST(DetectorTest, MissingClassInTrainingThrows) {
   EXPECT_THROW(detector.fit(features, labels), std::invalid_argument);
 }
 
+TEST(DetectorTest, NonFiniteFeatureThrows) {
+  Rng rng(17);
+  ml::Matrix features;
+  std::vector<std::size_t> labels;
+  for (std::size_t c = 0; c < kMeeStateCount; ++c)
+    for (int i = 0; i < 5; ++i) {
+      features.push_back({c + rng.normal(0, 0.1), c + rng.normal(0, 0.1)});
+      labels.push_back(c);
+    }
+  DetectorConfig cfg;
+  cfg.selected_features = 2;
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    ml::Matrix poisoned = features;
+    poisoned[7][1] = bad;
+    MeeDetector detector(cfg);
+    EXPECT_THROW(detector.fit(poisoned, labels), std::invalid_argument);
+    EXPECT_FALSE(detector.fitted());
+  }
+}
+
 TEST(DetectorTest, KMustBeFour) {
   DetectorConfig cfg;
   cfg.kmeans.k = 3;
@@ -578,6 +603,43 @@ TEST(PipelineTest, FitAndDiagnoseEndToEnd) {
     if (d->state == labels[i]) ++correct;
   }
   EXPECT_GT(static_cast<double>(correct) / waves.size(), 0.85);
+}
+
+TEST(PipelineTest, FitSkipsRecordingsWithNonFiniteFeatures) {
+  sim::CohortConfig cc;
+  cc.subject_count = 6;
+  cc.sessions_per_state = 1;
+  cc.probe.chirp_count = 10;
+  cc.randomize_conditions = false;
+  std::vector<audio::Waveform> waves;
+  std::vector<std::size_t> labels;
+  for (const auto& r : sim::CohortGenerator(cc).generate()) {
+    waves.push_back(r.waveform);
+    labels.push_back(sim::state_index(r.state));
+  }
+  EarSonar clean;
+  clean.fit(waves, labels);
+
+  // A recording 1e100 times too loud still analyzes, but its band powers
+  // overflow to infinity; fit must leave it out rather than train on it.
+  std::vector<double> loud(waves[3].samples().begin(), waves[3].samples().end());
+  for (double& v : loud) v *= 1e100;
+  const audio::Waveform overflowing(loud, waves[3].sample_rate());
+  const EchoAnalysis analysis = clean.analyze(overflowing);
+  ASSERT_TRUE(analysis.usable());
+  ASSERT_FALSE(std::all_of(analysis.features.begin(), analysis.features.end(),
+                           [](double v) { return std::isfinite(v); }));
+
+  std::vector<audio::Waveform> with_loud = waves;
+  std::vector<std::size_t> with_loud_labels = labels;
+  with_loud.insert(with_loud.begin() + 5, overflowing);
+  with_loud_labels.insert(with_loud_labels.begin() + 5, labels[3]);
+  EarSonar skipped;
+  skipped.fit(with_loud, with_loud_labels);
+  std::ostringstream want, got;
+  save_detector(clean.detector(), want);
+  save_detector(skipped.detector(), got);
+  EXPECT_EQ(got.str(), want.str());
 }
 
 TEST(PipelineTest, StageTimingsSumToTotal) {

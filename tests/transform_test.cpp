@@ -1,8 +1,12 @@
 // DCT, mel scale, and interpolation tests.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <span>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "dsp/dct.hpp"
@@ -60,6 +64,66 @@ TEST(DctTest, TruncationKeepsLeadingCoefficients) {
   const auto trunc = dct2_truncated(x, 5);
   ASSERT_EQ(trunc.size(), 5u);
   for (std::size_t k = 0; k < 5; ++k) EXPECT_DOUBLE_EQ(trunc[k], full[k]);
+}
+
+std::vector<double> dct_input(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> x(n);
+  for (double& v : x) v = rng.uniform(-3, 3);
+  return x;
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& v, std::size_t count) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t k = 0; k < count; ++k) out.push_back(std::bit_cast<std::uint64_t>(v[k]));
+  return out;
+}
+
+// The orthonormal DCT-II with cos() evaluated in every term, in dct2's
+// operation order.
+std::vector<double> dct2_per_term_cos(std::span<const double> x) {
+  const std::size_t n = x.size();
+  std::vector<double> out(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      acc += x[i] * std::cos(std::numbers::pi / static_cast<double>(n) *
+                             (static_cast<double>(i) + 0.5) * static_cast<double>(k));
+    out[k] = acc * std::sqrt((k == 0 ? 1.0 : 2.0) / static_cast<double>(n));
+  }
+  return out;
+}
+
+TEST(DctTest, TruncationIsBitIdenticalPrefixAtEverySize) {
+  for (std::size_t n = 1; n <= 64; ++n) {
+    const std::vector<double> x = dct_input(n, 100 + n);
+    const std::vector<double> full = dct2(x);
+    ASSERT_EQ(bits(full, n), bits(dct2_per_term_cos(x), n)) << "n=" << n;
+    // Rows added to the cached basis one at a time, then read back shrinking.
+    for (std::size_t count = 0; count <= n; ++count)
+      ASSERT_EQ(bits(dct2_truncated(x, count), count), bits(full, count))
+          << "n=" << n << " count=" << count;
+    for (std::size_t count = n + 1; count-- > 0;)
+      ASSERT_EQ(bits(dct2_truncated(x, count), count), bits(full, count))
+          << "n=" << n << " count=" << count;
+  }
+}
+
+TEST(DctTest, TruncationAlternatingSizesRebuildsBasis) {
+  // The per-thread basis follows the size of each call: alternate sizes and
+  // row counts on one thread, against full transforms taken beforehand.
+  const std::vector<std::size_t> sizes{24, 13, 24, 64, 1, 24, 2, 63, 24};
+  std::vector<std::vector<double>> inputs, fulls;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    inputs.push_back(dct_input(sizes[i], 900 + i));
+    fulls.push_back(dct2_per_term_cos(inputs.back()));
+  }
+  for (std::size_t round = 1; round <= 3; ++round)
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      const std::size_t count = sizes[i] * round / 3;
+      ASSERT_EQ(bits(dct2_truncated(inputs[i], count), count), bits(fulls[i], count))
+          << "round " << round << " n=" << sizes[i];
+    }
 }
 
 TEST(DctTest, TruncationBeyondSizeThrows) {
