@@ -21,7 +21,6 @@
 #include "dsp/biquad.hpp"
 #include "dsp/butterworth.hpp"
 #include "dsp/dct.hpp"
-#include "dsp/multibiquad.hpp"
 #include "dsp/simd.hpp"
 #include "ml/laplacian.hpp"
 #include "net/frame.hpp"
@@ -117,32 +116,6 @@ void BM_BiquadBlock(benchmark::State& state) {
                       16.0 * sections * static_cast<double>(n));
 }
 BENCHMARK(BM_BiquadBlock)->Arg(4800)->Arg(48000);
-
-void BM_BiquadInterleaved(benchmark::State& state) {
-  // The multi-channel interleaved cascade at `channels` concurrent streams
-  // (what serve::StreamingSession::feed_many runs per group).
-  const auto channels = static_cast<std::size_t>(state.range(0));
-  const std::size_t n = 4800;
-  const dsp::BiquadCascade design =
-      dsp::butterworth_bandpass(4, 14000.0, 21000.0, 48000.0);
-  dsp::MultiBiquadCascade multi(design.sections(), channels);
-  std::vector<std::vector<double>> ins(channels, test_signal(n));
-  std::vector<std::vector<double>> outs(channels, std::vector<double>(n));
-  std::vector<std::span<const double>> in_spans(channels);
-  std::vector<std::span<double>> out_spans(channels);
-  for (std::size_t c = 0; c < channels; ++c) {
-    in_spans[c] = ins[c];
-    out_spans[c] = outs[c];
-  }
-  for (auto _ : state) {
-    multi.process(in_spans, out_spans);
-    benchmark::DoNotOptimize(outs.data());
-  }
-  const double sections = static_cast<double>(design.section_count());
-  const double samples = static_cast<double>(channels * n);
-  bench::set_roofline(state, 9.0 * sections * samples, 16.0 * sections * samples);
-}
-BENCHMARK(BM_BiquadInterleaved)->Arg(2)->Arg(4)->Arg(8);
 
 // ------------------------------------------------------------ frame CRC-32
 

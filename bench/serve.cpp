@@ -1,13 +1,7 @@
-// Serving-engine throughput bench: requests/sec vs worker count, ingestion
-// chunk-size sweep, and overload (backpressure) behavior.
-//
-// The headline sweep replays *real-time* sessions: every request feeds its
-// recording in 10 ms chunks with a 10 ms pause between them, exactly as a
-// live earbud would deliver audio. A recording therefore occupies a worker
-// for its full audio duration (~150 ms) while costing only ~3 ms of CPU, so
-// adding workers multiplies how many concurrent live sessions the engine
-// sustains — even on a single-core host, where the scaling comes from
-// latency hiding rather than parallel compute.
+// Serving-engine throughput bench: ingestion chunk-size sweep and overload
+// (backpressure) behavior, in process. The engine never paces a request, so
+// every figure here is compute; slot capacity under real-time pacing is a
+// networked figure (bench/net.cpp, whose clients pace themselves).
 //
 // Prints human-readable tables by default; `--json` emits a single JSON
 // object for bench/run_bench.sh to embed in the repo bench report.
@@ -20,7 +14,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/stats.hpp"
 #include "core/model_io.hpp"
 #include "serve/engine.hpp"
 #include "sim/probe.hpp"
@@ -63,53 +56,6 @@ audio::Waveform bench_recording() {
   Rng rng(7);
   return probe.record_state(factory.make(0), sim::EffusionState::kClear,
                             sim::reference_earphone(), {}, rng);
-}
-
-struct SweepPoint {
-  std::size_t workers = 0;
-  std::size_t requests = 0;
-  double rps = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-};
-
-SweepPoint run_paced(const audio::Waveform& recording, std::size_t workers,
-                     std::size_t requests, double chunk_period_s) {
-  serve::EngineConfig cfg;
-  cfg.workers = workers;
-  cfg.queue_capacity = requests;  // the sweep measures service, not rejection
-  cfg.session.pipeline = causal_config();
-  serve::ServingEngine engine(cfg);
-  engine.registry().install(bench_model(), "bench");
-  engine.start();
-
-  const auto t0 = Clock::now();
-  std::vector<std::future<serve::ServeResult>> futures;
-  futures.reserve(requests);
-  for (std::size_t i = 0; i < requests; ++i) {
-    serve::ServeRequest request;
-    request.id = "r" + std::to_string(i);
-    request.recording = recording;
-    request.chunk_period_s = chunk_period_s;
-    serve::Submission sub = engine.submit(std::move(request));
-    if (sub.accepted) futures.push_back(std::move(sub.result));
-  }
-  // Percentiles come from the exact per-request totals, not the engine's
-  // log2 latency histogram (whose bucket midpoints are only good to ~sqrt 2).
-  std::vector<double> total_ms;
-  total_ms.reserve(futures.size());
-  for (auto& future : futures) total_ms.push_back(future.get().total_ms);
-  const double elapsed = seconds_since(t0);
-  SweepPoint point;
-  point.workers = workers;
-  point.requests = futures.size();
-  point.rps = static_cast<double>(futures.size()) / elapsed;
-  if (!total_ms.empty()) {
-    point.p50_ms = percentile(total_ms, 50.0);
-    point.p95_ms = percentile(total_ms, 95.0);
-  }
-  engine.stop();
-  return point;
 }
 
 struct ChunkPoint {
@@ -172,7 +118,6 @@ OverloadResult run_overload(const audio::Waveform& recording) {
     request.id = "o" + std::to_string(i);
     request.recording = recording;
     request.chunk_samples = recording.size() / 4 + 1;
-    request.chunk_period_s = 0.005;  // slow enough that the burst outruns it
     serve::Submission sub = engine.submit(std::move(request));
     if (sub.accepted) futures.push_back(std::move(sub.result));
   }
@@ -190,17 +135,6 @@ int main(int argc, char** argv) {
   const bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
 
   const audio::Waveform recording = bench_recording();
-  // 10 ms chunks arriving in real time; a session occupies its worker for
-  // the recording's audio duration.
-  const double chunk_period_s = 0.01;
-  const std::size_t per_worker = bench::smoke_mode() ? 2 : 4;
-
-  std::vector<SweepPoint> scaling;
-  for (std::size_t workers : {1u, 2u, 4u, 8u})
-    scaling.push_back(
-        run_paced(recording, workers, per_worker * workers, chunk_period_s));
-  const double speedup = scaling.back().rps / scaling.front().rps;
-
   const std::size_t chunk_requests = bench::smoke_mode() ? 4 : 16;
   std::vector<ChunkPoint> chunks;
   for (std::size_t chunk : {std::size_t{64}, std::size_t{480}, std::size_t{4800},
@@ -212,14 +146,7 @@ int main(int argc, char** argv) {
   if (json) {
     std::ostringstream out;
     out << "{\n  \"recording_seconds\": "
-        << recording.duration_seconds() << ",\n  \"thread_scaling\": [";
-    for (std::size_t i = 0; i < scaling.size(); ++i) {
-      const SweepPoint& p = scaling[i];
-      out << (i ? ", " : "") << "{\"workers\": " << p.workers
-          << ", \"requests\": " << p.requests << ", \"rps\": " << p.rps
-          << ", \"p50_ms\": " << p.p50_ms << ", \"p95_ms\": " << p.p95_ms << "}";
-    }
-    out << "],\n  \"scaling_1_to_8\": " << speedup << ",\n  \"chunk_sweep\": [";
+        << recording.duration_seconds() << ",\n  \"chunk_sweep\": [";
     for (std::size_t i = 0; i < chunks.size(); ++i) {
       const ChunkPoint& p = chunks[i];
       out << (i ? ", " : "") << "{\"chunk_samples\": " << p.chunk
@@ -238,15 +165,6 @@ int main(int argc, char** argv) {
   std::printf("recording: %.0f ms of audio, %zu samples\n\n",
               recording.duration_seconds() * 1000.0, recording.size());
 
-  std::printf("real-time sessions (10 ms chunks at live pace) vs workers:\n");
-  AsciiTable table({"workers", "requests", "req/s", "p50 ms", "p95 ms"});
-  for (const SweepPoint& p : scaling)
-    table.add_row({std::to_string(p.workers), std::to_string(p.requests),
-                   AsciiTable::format(p.rps, 1), AsciiTable::format(p.p50_ms, 1),
-                   AsciiTable::format(p.p95_ms, 1)});
-  bench::print_table(table);
-  std::printf("1 -> 8 worker scaling: %.1fx\n\n", speedup);
-
   std::printf("ingestion chunk-size sweep (1 worker, backlogged uploads):\n");
   AsciiTable chunk_table({"chunk", "req/s", "mean ms"});
   for (const ChunkPoint& p : chunks)
@@ -254,7 +172,7 @@ int main(int argc, char** argv) {
                          AsciiTable::format(p.mean_ms, 2)});
   bench::print_table(chunk_table);
 
-  std::printf("\noverload burst (32 paced requests, queue capacity 4):\n");
+  std::printf("\noverload burst (32 back-to-back requests, queue capacity 4):\n");
   std::printf("  accepted %zu, rejected %zu (explicit backpressure), "
               "completed %zu — accepted work is never dropped\n",
               overload.accepted, overload.rejected, overload.completed);

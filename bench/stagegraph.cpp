@@ -1,9 +1,9 @@
 // Cross-request batching throughput: requests/sec vs engine batch_max on a
 // single worker draining a backlogged queue. Every point serves the same
 // request set through the same stage graph; only the batch width changes, so
-// the sweep isolates what the shared MultiBiquadCascade ingest lanes and the
-// cross-request x4 echo-PSD packing buy (results are bit-identical at every
-// width — pinned by the `stagegraph` test label, not re-proved here).
+// the sweep isolates what the cross-request x4 echo-PSD packing buys (ingest
+// is per job at every width; results are bit-identical at every width —
+// pinned by the `stagegraph` test label, not re-proved here).
 //
 // Prints a human-readable table by default; `--json` emits one JSON object
 // for bench/run_bench.sh to embed in the repo bench report. Exits nonzero

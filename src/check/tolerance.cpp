@@ -51,10 +51,6 @@ std::vector<PairPolicy> build_table() {
            "dsp::simd::kernel_set(kScalar) (Pack emulation, same lane count)", {0.0, 0.0},
            "bit-exact: both levels instantiate the identical templated op sequence "
            "(src/dsp/kernel_impl.hpp) at the same lane width with -ffp-contract=off");
-  add_pair(t, "dsp.biquad.interleaved", "dsp::MultiBiquadCascade (interleaved channels)",
-           "dsp::BiquadCascade::process per channel", {0.0, 0.0},
-           "bit-exact: each interleaved lane runs the exact per-channel DF2T recurrence; "
-           "only the channel loop is restructured");
   add_pair(t, "core.band_mfcc", "core::FeatureExtractor::band_mfcc",
            "check::band_mfcc_naive (literal mel/log/DCT chain on the band grid)",
            {1e-10, 1e-12},

@@ -142,9 +142,7 @@ std::vector<double> BiquadCascade::process(std::span<const double> input) {
   // the sections instead — section s of sample i runs while section s+1
   // runs sample i-1. The sample-major run_fixed<N> leaves that overlap to
   // the out-of-order core; the four-section wavefront makes it explicit,
-  // one section per vector lane. The multi-channel SIMD variant lives in
-  // dsp::MultiBiquadCascade, which gets its parallelism across channels
-  // instead.
+  // one section per vector lane.
   std::vector<double> out(input.begin(), input.end());
   if (!run_cascade<false>(sections_, state_, out.data(), out.size()))
     for (std::size_t i = 0; i < out.size(); ++i) out[i] = process_sample(out[i]);
@@ -172,12 +170,6 @@ std::string biquad_path(std::size_t section_count) {
 
 void BiquadCascade::reset() {
   for (State& st : state_) st = State{};
-}
-
-void BiquadCascade::set_state(std::vector<State> state) {
-  require(state.size() == sections_.size(),
-          "BiquadCascade::set_state: state size must match section count");
-  state_ = std::move(state);
 }
 
 std::complex<double> BiquadCascade::response(double w) const {

@@ -57,10 +57,8 @@ class BiquadCascade {
   [[nodiscard]] std::size_t section_count() const { return sections_.size(); }
   [[nodiscard]] const std::vector<Biquad>& sections() const { return sections_; }
 
-  /// Delay-line snapshot / restore — lets MultiBiquadCascade move a stream's
-  /// filter state into an interleaved lane and back without re-filtering.
+  /// The delay lines, one State per section.
   [[nodiscard]] const std::vector<State>& state() const { return state_; }
-  void set_state(std::vector<State> state);
 
  private:
   std::vector<Biquad> sections_;

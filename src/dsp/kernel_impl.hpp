@@ -174,29 +174,6 @@ struct Kern {
     for (; i < n; ++i) dst[i] = a[i] * b[i];
   }
 
-  /// One transposed-DF2 biquad section over `frame_count` frames of W
-  /// interleaved channels, in place. coef = {b0, b1, b2, a1, a2}.
-  static void biquad_interleaved(T* frames, std::size_t frame_count,
-                                 const T* coef, T* z1p, T* z2p) {
-    const V b0 = V::broadcast(coef[0]);
-    const V b1 = V::broadcast(coef[1]);
-    const V b2 = V::broadcast(coef[2]);
-    const V a1 = V::broadcast(coef[3]);
-    const V a2 = V::broadcast(coef[4]);
-    V z1 = V::load(z1p);
-    V z2 = V::load(z2p);
-    for (std::size_t t = 0; t < frame_count; ++t) {
-      T* p = frames + t * W;
-      const V x = V::load(p);
-      const V y = V::add(V::mul(b0, x), z1);
-      z1 = V::add(V::sub(V::mul(b1, x), V::mul(a1, y)), z2);
-      z2 = V::sub(V::mul(b2, x), V::mul(a2, y));
-      V::store(p, y);
-    }
-    V::store(z1p, z1);
-    V::store(z2p, z2);
-  }
-
   /// A four-section cascade over one channel as a section wavefront (see
   /// KernelSet::biquad_wavefront4_d). At step t lane s runs section s on
   /// sample t - s; its input is lane s-1's output of step t-1, so one
@@ -268,7 +245,6 @@ inline KernelSet make_kernel_set(const char* name) {
   set.butterflies_x4_d = &Kern<V>::butterflies_x4;
   set.power_bins_d = &Kern<V>::power_bins;
   set.mul_d = &Kern<V>::mul;
-  set.biquad_interleaved_d = &Kern<V>::biquad_interleaved;
   if constexpr (V::kLanes == 4) set.biquad_wavefront4_d = &Kern<V>::biquad_wavefront4;
   return set;
 }

@@ -1,10 +1,9 @@
 // Portable SIMD kernel dispatch for the hot DSP inner loops.
 //
 // Every vectorizable kernel (FFT butterfly stages, the complex-bin power
-// reduction, elementwise window multiplies, the interleaved multi-channel
-// biquad recurrence, and the four-section biquad wavefront) exists in two
-// interchangeable builds of the *same* templated source
-// (src/dsp/kernel_impl.hpp):
+// reduction, elementwise window multiplies, and the four-section biquad
+// wavefront) exists in two interchangeable builds of the *same* templated
+// source (src/dsp/kernel_impl.hpp):
 //
 //   * a native build using the widest instruction set the translation unit
 //     was compiled for — AVX2 (4 doubles, compiled into its own TU with
@@ -58,12 +57,6 @@ struct KernelSet {
 
   /// dst[i] = a[i] * b[i] (dst may alias a or b).
   void (*mul_d)(double* dst, const double* a, const double* b, std::size_t n);
-
-  /// One transposed-DF2 biquad section over `frames` frames of `lanes_d`
-  /// interleaved channels, in place. coef = {b0, b1, b2, a1, a2}; z1/z2 are
-  /// lanes_d-wide delay lines, updated on return.
-  void (*biquad_interleaved_d)(double* frames, std::size_t frame_count,
-                               const double* coef, double* z1, double* z2);
 
   /// A four-section transposed-DF2 cascade over one channel, run as a
   /// section wavefront: lane s holds section s, which at step t filters

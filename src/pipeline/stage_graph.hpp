@@ -4,9 +4,10 @@
 //
 // (docs/architecture.md draws the full picture). core::EarSonar's
 // analyze_filtered() walks the post-filter stages as passes over N >= 1
-// requests, and the serving engine filters many sessions' chunks in one
-// MultiBiquadCascade pass; this layer names the stages as first-class nodes
-// and counts their occupancy, so the counters show where batching wins.
+// requests, while the serving engine filters each session on its own (the
+// `filter` stage is never batched); this layer names the stages as
+// first-class nodes and counts their occupancy, so the counters show where
+// batching wins.
 // It depends on nothing else in the repository, so every layer above it can
 // record into a StageGraph.
 //

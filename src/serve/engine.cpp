@@ -250,7 +250,7 @@ ServeResult ServingEngine::process_absorbance(const ServeRequest& request) {
 
 ServeResult ServingEngine::finalize_analysis(const std::string& id,
                                              core::EchoAnalysis analysis,
-                                             double resample_ms) {
+                                             double bandpass_ms) {
   ServeResult result;
   result.id = id;
   result.usable = analysis.usable();
@@ -258,7 +258,7 @@ ServeResult ServingEngine::finalize_analysis(const std::string& id,
   result.echoes = analysis.echoes.size();
   result.quality = analysis.quality;
   result.timings = analysis.timings;
-  result.timings.bandpass_ms = resample_ms;  // chunk filtering folds into feed()
+  result.timings.bandpass_ms = bandpass_ms;
 
   metrics_.latency.bandpass.record(result.timings.bandpass_ms);
   metrics_.latency.event_detect.record(result.timings.event_detect_ms);
@@ -298,17 +298,12 @@ void ServingEngine::process_batch(std::vector<Job> batch) {
 
   // Partition by workload type: a pipeline batch never mixes types
   // (docs/workloads.md). Absorbance jobs form their own type-pure group —
-  // they have no waveform to ingest. A paced EarSonar job (chunk_period_s >
-  // 0) sleeps between chunks, which would stall lane-mates, so it runs as
-  // its own batch of one.
+  // they have no waveform to ingest.
   std::vector<Admitted> earsonar;
   std::vector<Admitted> absorbance;
   for (const Admitted& a : live) {
-    const ServeRequest& request = batch[a.job].request;
-    if (request.workload == WorkloadType::kAbsorbance)
+    if (batch[a.job].request.workload == WorkloadType::kAbsorbance)
       absorbance.push_back(a);
-    else if (request.session == nullptr && request.chunk_period_s > 0.0)
-      run_pipeline(batch, {&a, 1});
     else
       earsonar.push_back(a);
   }
@@ -349,104 +344,53 @@ void ServingEngine::run_pipeline(std::vector<Job>& batch,
     per_type.batched_requests.fetch_add(group.size(), std::memory_order_relaxed);
   }
 
-  // --- Ingest: jobs that arrived as whole recordings stream into fresh
-  // sessions in chunk rounds; each round feeds every active job's next chunk
-  // through ONE StreamingSession::feed_many call, whose interleaved
-  // MultiBiquadCascade pass filters the lanes together (bit-identical to
-  // per-session feeds). Pre-fed sessions (the networked path) skip this.
+  // --- Ingest, one job at a time: a job that arrived as a whole recording
+  // streams into a fresh session in `chunk_samples` slices, its deadline
+  // checked before every chunk; an error lands on that job alone. The
+  // `bandpass` span (resample + every feed) is the job's bandpass_ms and its
+  // `filter` stage occupancy, as in EarSonar::analyze. Pre-fed sessions (the
+  // networked path) skip this.
   struct Lane {
     StreamingSession* session = nullptr;
     std::unique_ptr<StreamingSession> own;  ///< engine-built session
-    std::vector<double> resampled;          ///< owns off-rate sample storage
-    std::span<const double> samples;
-    std::size_t chunk = 0, pos = 0;
-    double resample_ms = 0.0;
+    double bandpass_ms = 0.0;
     std::exception_ptr error;
   };
   std::vector<Lane> lanes(group.size());
   const double rate = config_.session.pipeline.chirp.sample_rate;
-  double period_s = 0.0;  ///< nonzero only for a paced batch of one
   for (std::size_t j = 0; j < group.size(); ++j) {
     Lane& lane = lanes[j];
-    ServeRequest& request = batch[group[j].job].request;
+    const ServeRequest& request = batch[group[j].job].request;
     if (request.session != nullptr) {
-      lane.session = request.session.get();
-      continue;  // already fed by the connection thread
+      lane.session = request.session.get();  // fed by the connection thread
+      continue;
     }
     try {
+      obs::Span bandpass_span("bandpass", "serve");
       lane.own = std::make_unique<StreamingSession>(config_.session);
       lane.session = lane.own.get();
-      lane.samples = request.recording.view();
-      obs::Span resample_span("resample", "serve");
+      std::span<const double> samples = request.recording.view();
+      std::vector<double> resampled;
       if (request.recording.sample_rate() != rate) {
-        lane.resampled =
-            dsp::resample_to_rate(lane.samples, request.recording.sample_rate(), rate);
-        lane.samples = lane.resampled;
+        obs::Span resample_span("resample", "serve");
+        resampled =
+            dsp::resample_to_rate(samples, request.recording.sample_rate(), rate);
+        samples = resampled;
       }
-      resample_span.end();
-      lane.resample_ms = resample_span.elapsed_ms();
-      lane.chunk =
+      const std::size_t chunk =
           request.chunk_samples > 0 ? request.chunk_samples : config_.chunk_samples;
-      period_s = std::max(period_s, request.chunk_period_s);
+      for (std::size_t pos = 0; pos < samples.size(); pos += chunk) {
+        group[j].cancel.check("stream_ingest");
+        (void)lane.session->feed(
+            samples.subspan(pos, std::min(chunk, samples.size() - pos)));
+        metrics_.chunks_fed.fetch_add(1, std::memory_order_relaxed);
+      }
+      bandpass_span.end();
+      lane.bandpass_ms = bandpass_span.elapsed_ms();
+      stage_graph_.record(pipeline::StageId::kFilter, lane.bandpass_ms, 1, false);
     } catch (...) {
       lane.error = std::current_exception();
     }
-  }
-
-  std::vector<StreamingSession*> round_sessions;
-  std::vector<std::span<const double>> round_chunks;
-  std::vector<std::size_t> round_lanes;
-  for (bool first = true;; first = false) {
-    round_sessions.clear();
-    round_chunks.clear();
-    round_lanes.clear();
-    for (std::size_t j = 0; j < group.size(); ++j) {
-      Lane& lane = lanes[j];
-      if (lane.error || lane.own == nullptr || lane.pos >= lane.samples.size())
-        continue;
-      try {
-        group[j].cancel.check("stream_ingest");
-      } catch (...) {
-        lane.error = std::current_exception();
-        continue;
-      }
-      const std::size_t len = std::min(lane.chunk, lane.samples.size() - lane.pos);
-      round_sessions.push_back(lane.session);
-      round_chunks.push_back(lane.samples.subspan(lane.pos, len));
-      round_lanes.push_back(j);
-      lane.pos += len;
-    }
-    if (round_sessions.empty()) break;
-    // Real-time pacing: the next chunk has not arrived from the device yet.
-    if (!first && period_s > 0.0)
-      std::this_thread::sleep_for(std::chrono::duration<double>(period_s));
-    obs::Span filter_span("batch.filter", "serve");
-    filter_span.set_arg("sessions", static_cast<std::int64_t>(round_sessions.size()));
-    try {
-      (void)StreamingSession::feed_many(round_sessions, round_chunks);
-      metrics_.chunks_fed.fetch_add(round_sessions.size(), std::memory_order_relaxed);
-    } catch (...) {
-      // feed_many failed as a unit (e.g. an injected serve.stream.feed
-      // fault). A lone lane owns the error; otherwise re-feed this round per
-      // session so the error lands on the session that owns it and
-      // lane-mates survive.
-      if (round_lanes.size() == 1) {
-        lanes[round_lanes[0]].error = std::current_exception();
-      } else {
-        for (std::size_t r = 0; r < round_lanes.size(); ++r) {
-          Lane& lane = lanes[round_lanes[r]];
-          try {
-            (void)lane.session->feed(round_chunks[r]);
-            metrics_.chunks_fed.fetch_add(1, std::memory_order_relaxed);
-          } catch (...) {
-            lane.error = std::current_exception();
-          }
-        }
-      }
-    }
-    filter_span.end();
-    stage_graph_.record(pipeline::StageId::kFilter, filter_span.elapsed_ms(),
-                        round_sessions.size(), round_sessions.size() > 1);
   }
 
   // --- Finish: one pass over every surviving session; the echo-PSD stage
@@ -475,7 +419,7 @@ void ServingEngine::run_pipeline(std::vector<Job>& batch,
     ServeResult result =
         outcome_of[j]
             ? finalize_analysis(job.request.id, std::move(outcome_of[j]->analysis),
-                                lanes[j].resample_ms)
+                                lanes[j].bandpass_ms)
             : error_result(job.request.id, lanes[j].error);
     finish_job(job, std::move(result), group[j].queue_ms);
   }

@@ -19,14 +19,12 @@
 // training, never both at once.
 //
 // Every EarSonar job runs through process_batch(): a worker pops a job,
-// collects up to `batch_max - 1` more, and feeds each job's recording
-// through a StreamingSession in `chunk_samples` slices, one shared
-// feed_many() round per chunk, before one finish over the whole batch. At
-// batch_max 1 a job is a batch of one. Requests may carry `chunk_period_s`
-// to replay the device's real arrival cadence; such a job is its own batch
-// of one whose rounds sleep between chunks as a live session would.
-// bench_serve uses that to measure how many concurrent real-time sessions a
-// worker count sustains.
+// collects up to `batch_max - 1` more, feeds each job's recording through
+// its own StreamingSession in `chunk_samples` slices, one job after the
+// other, then runs one finish over the whole batch. At batch_max 1 a job is
+// a batch of one. The engine never paces a job: a live device's chunks
+// arrive on the networked front-end's connection thread, which feeds the
+// session and submits only the finish.
 #pragma once
 
 #include <atomic>
@@ -68,11 +66,10 @@ struct EngineConfig {
   bool dedicated_threads = false;
   /// Cross-request batching: a worker that pops a request keeps collecting
   /// up to this many requests (lingering at most batch_wait_us for
-  /// stragglers), then runs them through the stage graph as ONE batch —
-  /// shared MultiBiquadCascade filter passes during ingest and
-  /// cross-request x4 lanes in the echo-PSD stage
-  /// (core::EarSonar::analyze_filtered). At 1 every job is a batch of one
-  /// and nothing lingers. Results are bit-identical at every size; see
+  /// stragglers), ingests each on its own, then finishes them through the
+  /// stage graph as ONE batch — cross-request x4 lanes in the echo-PSD
+  /// stage (core::EarSonar::analyze_filtered). At 1 every job is a batch of
+  /// one and nothing lingers. Results are bit-identical at every size; see
   /// docs/serving.md "Batching semantics".
   std::size_t batch_max = 1;
   /// Microseconds a batch-leading worker lingers for more requests after its
@@ -96,9 +93,6 @@ struct ServeRequest {
   /// value per wideband grid bin; length checked against the loaded model).
   std::vector<double> absorbance;
   std::size_t chunk_samples = 0;  ///< 0 = engine default
-  /// Seconds between chunk arrivals (0 = backlogged upload, feed immediately).
-  /// Real-time device streaming = chunk_samples / sample_rate.
-  double chunk_period_s = 0.0;
   /// Request deadline in milliseconds from submit() (0 = none). An expired
   /// request is shed at dequeue — before any pipeline work — and a request
   /// that expires mid-pipeline is cancelled at the next stage boundary;
@@ -227,8 +221,8 @@ class ServingEngine {
   /// One collected batch: shed expired jobs, split it into type-pure
   /// groups, and complete every job.
   void process_batch(std::vector<Job> batch);
-  /// The EarSonar pipeline over `group` (jobs of `batch`): shared
-  /// feed_many ingest rounds, one StreamingSession::finish, inference.
+  /// The EarSonar pipeline over `group` (jobs of `batch`): each job's
+  /// chunked ingest, one StreamingSession::finish, inference.
   void run_pipeline(std::vector<Job>& batch, std::span<const Admitted> group);
   /// Result assembly from one analysis, stage-latency metrics, and
   /// inference.

@@ -56,18 +56,6 @@ class StreamingSession {
   /// full under OverflowPolicy::kReject.
   FeedStatus feed(std::span<const double> chunk);
 
-  /// feed() for one chunk per session, sharing band-pass filter passes:
-  /// sessions with an identical filter design and equal chunk length are
-  /// filtered together through one interleaved dsp::MultiBiquadCascade pass
-  /// (N streams per SIMD sweep) instead of N sequential cascades; the rest
-  /// fall back to individual processing. Per-session results — filter state,
-  /// buffered samples, rejection status, fault injection — are bit-identical
-  /// to calling sessions[i]->feed(chunks[i]) in order. Sessions must be
-  /// distinct; a session may appear at most once per call.
-  static std::vector<FeedStatus> feed_many(
-      std::span<StreamingSession* const> sessions,
-      std::span<const std::span<const double>> chunks);
-
   /// Ends every session and analyzes them as one batch through `pipeline`
   /// (see core::EarSonar::analyze_filtered), whose config must match the
   /// sessions' pipeline config. Outcome [i] is session i's analysis, with
@@ -91,12 +79,6 @@ class StreamingSession {
   [[nodiscard]] bool truncated() const { return base_ > 0; }
 
  private:
-  /// kReject-policy capacity gate; bumps rejected_chunks_ when it trips.
-  bool reject_would_overflow(std::size_t incoming);
-  /// Post-filter half of feed(): buffer the filtered chunk and apply
-  /// eviction. `fed` is the raw chunk length for samples_fed_.
-  void ingest_filtered(std::span<const double> filtered, std::size_t fed);
-
   StreamingConfig config_;
   dsp::BiquadCascade filter_;
 

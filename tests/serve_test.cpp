@@ -406,6 +406,32 @@ serve::EngineConfig small_engine(std::size_t workers, std::size_t queue) {
   return cfg;
 }
 
+// A CPU-bound request that keeps a lone worker busy far longer than a test
+// takes to submit its backlog: the test recording tiled to ten seconds and
+// fed one sample per chunk (~0.1 s of ingest in a Release build). Nothing
+// sleeps; the worker is simply busy.
+serve::ServeRequest busy_request(const std::string& id) {
+  const audio::Waveform tile = test_recording();
+  std::vector<double> samples;
+  while (samples.size() < 10 * 48000)
+    samples.insert(samples.end(), tile.samples().begin(), tile.samples().end());
+  serve::ServeRequest request;
+  request.id = id;
+  request.recording = audio::Waveform(std::move(samples), tile.sample_rate());
+  request.chunk_samples = 1;
+  return request;
+}
+
+// Submits busy_request() to an idle engine and returns once a worker has
+// admitted it, so whatever the test submits next queues up behind it rather
+// than joining its batch.
+serve::Submission occupy_worker(serve::ServingEngine& engine) {
+  serve::Submission sub = engine.submit(busy_request("busy"));
+  while (sub.accepted && engine.metrics().queue_depth.load() > 0)
+    std::this_thread::yield();
+  return sub;
+}
+
 TEST(ServingEngineTest, DiagnosesMatchDirectPrediction) {
   const audio::Waveform recording = test_recording();
   const core::EarSonar batch_pipeline(causal_config());
@@ -446,9 +472,12 @@ TEST(ServingEngineTest, FullQueueRejectsWithReasonAndDropsNothing) {
   engine.registry().install(tiny_model(), "test");
   engine.start();
 
-  // Slow, paced requests so the single worker falls behind: each request
-  // sleeps between chunks like a live device upload.
+  // A busy request holds the single worker, so the burst below overflows
+  // the two-slot queue.
   std::vector<std::future<serve::ServeResult>> accepted;
+  serve::Submission busy = occupy_worker(engine);
+  ASSERT_TRUE(busy.accepted) << busy.reason;
+  accepted.push_back(std::move(busy.result));
   std::size_t rejected = 0;
   std::string reason;
   for (int i = 0; i < 10; ++i) {
@@ -456,7 +485,6 @@ TEST(ServingEngineTest, FullQueueRejectsWithReasonAndDropsNothing) {
     request.id = "r" + std::to_string(i);
     request.recording = recording;
     request.chunk_samples = recording.size() / 4 + 1;
-    request.chunk_period_s = 0.02;
     serve::Submission sub = engine.submit(std::move(request));
     if (sub.accepted) {
       accepted.push_back(std::move(sub.result));
@@ -585,13 +613,8 @@ TEST(ServingEngineChaosTest, ExpiredDeadlineIsShedWithoutPipelineWork) {
   engine.registry().install(tiny_model(), "test");
   engine.start();
 
-  // Occupy the lone worker with a paced request (~0.2 s of chunk arrivals)...
-  serve::ServeRequest slow;
-  slow.id = "slow";
-  slow.recording = recording;
-  slow.chunk_samples = 480;
-  slow.chunk_period_s = 0.04;
-  serve::Submission slow_sub = engine.submit(std::move(slow));
+  // Occupy the lone worker with a busy request...
+  serve::Submission slow_sub = occupy_worker(engine);
   ASSERT_TRUE(slow_sub.accepted) << slow_sub.reason;
 
   // ...so this 1 ms-deadline request is already stale when a worker finally
@@ -623,16 +646,11 @@ TEST(ServingEngineChaosTest, ExpiredDeadlineIsShedWithoutPipelineWork) {
 }
 
 TEST(ServingEngineChaosTest, MidIngestDeadlineCancelsBetweenChunks) {
-  const audio::Waveform recording = test_recording();
   serve::ServingEngine engine(small_engine(1, 4));
   engine.start();
-  // The deadline expires while chunks are still arriving; the worker must
+  // The deadline expires while the worker is still feeding chunks; it must
   // abandon the session at the next chunk boundary instead of finishing.
-  serve::ServeRequest request;
-  request.id = "late";
-  request.recording = recording;
-  request.chunk_samples = 480;
-  request.chunk_period_s = 0.03;
+  serve::ServeRequest request = busy_request("late");
   request.timeout_ms = 40.0;
   serve::Submission sub = engine.submit(std::move(request));
   ASSERT_TRUE(sub.accepted) << sub.reason;
@@ -797,14 +815,10 @@ TEST(MixedWorkloadTest, MixedTrafficBatchesAreTypePureWithExactCounters) {
   engine.install_wideband(fx.screener);
   engine.start();
 
-  // Occupy the single worker with a paced session so the mixed backlog
+  // Occupy the single worker with a busy request so the mixed backlog
   // accumulates in the queue; when the worker returns it collects the whole
   // backlog as one batch and must partition it into type-pure groups.
-  serve::ServeRequest pacer;
-  pacer.id = "pacer";
-  pacer.recording = recording;
-  pacer.chunk_period_s = 0.01;
-  serve::Submission pace = engine.submit(std::move(pacer));
+  serve::Submission pace = occupy_worker(engine);
   ASSERT_TRUE(pace.accepted) << pace.reason;
 
   constexpr std::size_t kPerType = 4;
@@ -839,7 +853,7 @@ TEST(MixedWorkloadTest, MixedTrafficBatchesAreTypePureWithExactCounters) {
   EXPECT_EQ(abs_seen, kPerType);
 
   // Exact per-type accounting: accepted == completed for both types, with
-  // the pacer on the EarSonar side, and no cross-type leakage.
+  // the busy request on the EarSonar side, and no cross-type leakage.
   const serve::ServeMetrics& m = engine.metrics();
   const auto& ear_counters =
       m.workload[serve::workload_index(serve::WorkloadType::kEarSonar)];

@@ -7,12 +7,6 @@
 // exercise every KernelSet entry point on both levels and compare bitwise
 // (the `dsp.simd.dispatch` oracle pair, tolerance {0, 0}).
 //
-// Also covered here:
-//   * dsp.biquad.interleaved — MultiBiquadCascade vs per-channel
-//     BiquadCascade, bit-exact, including partial lanes and carried state;
-//   * StreamingSession::feed_many vs sequential feed(), bit-exact at chunk
-//     sizes {1, 64, 480, whole}.
-//
 // tests/CMakeLists.txt registers this binary twice — once with
 // EARSONAR_SIMD=scalar and once with =native — so the env-dispatched
 // `active()` path runs under both levels in CI.
@@ -28,15 +22,10 @@
 
 #include "check/tolerance.hpp"
 #include "common/rng.hpp"
-#include "core/pipeline.hpp"
 #include "dsp/biquad.hpp"
 #include "dsp/butterworth.hpp"
 #include "dsp/fft_plan.hpp"
-#include "dsp/multibiquad.hpp"
 #include "dsp/simd.hpp"
-#include "serve/streaming.hpp"
-#include "sim/dataset.hpp"
-#include "sim/probe.hpp"
 
 namespace earsonar {
 namespace {
@@ -127,22 +116,6 @@ TEST(SimdDispatchTest, MulAndDotBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(SimdDispatchTest, BiquadInterleavedBitIdenticalAcrossLevels) {
-  const KernelSet& native = dsp::simd::kernel_set(Level::kNative);
-  const KernelSet& scalar = dsp::simd::kernel_set(Level::kScalar);
-  const std::size_t w = native.lanes_d;
-  const std::size_t frames = 300;
-  const std::vector<double> input = random_vector(frames * w, kSeed + 77);
-  const double coef[5] = {0.2, 0.4, 0.2, -1.1, 0.45};
-  std::vector<double> a = input, b = input;
-  std::vector<double> z1a(w, 0.0), z2a(w, 0.0), z1b(w, 0.0), z2b(w, 0.0);
-  native.biquad_interleaved_d(a.data(), frames, coef, z1a.data(), z2a.data());
-  scalar.biquad_interleaved_d(b.data(), frames, coef, z1b.data(), z2b.data());
-  expect_bitwise_equal(a, b, "biquad_interleaved_d frames");
-  expect_bitwise_equal(z1a, z1b, "biquad_interleaved_d z1");
-  expect_bitwise_equal(z2a, z2b, "biquad_interleaved_d z2");
-}
-
 // The four-section wavefront (a four-lane set's biquad_wavefront4_d) against
 // the other level and against the sample-major cascade
 // (BiquadCascade::process_sample), bitwise: forward and back to front, fed in
@@ -197,186 +170,6 @@ TEST(SimdDispatchTest, BiquadWavefrontBitIdenticalAcrossLevelsAndSampleMajor) {
       }
     }
   }
-}
-
-// --------------------------------------- interleaved multi-channel cascade
-
-TEST(MultiBiquadTest, MatchesPerChannelCascadeBitExact) {
-  const check::Tolerance tol = check::pair_policy("dsp.biquad.interleaved").tol;
-  const dsp::BiquadCascade design =
-      dsp::butterworth_bandpass(4, 14000.0, 21000.0, 48000.0);
-  for (std::size_t channels : {1ul, 2ul, 3ul, 5ul, 9ul}) {
-    for (std::size_t n : {1ul, 17ul, 997ul}) {
-      std::vector<std::vector<double>> inputs(channels);
-      for (std::size_t c = 0; c < channels; ++c)
-        inputs[c] = random_vector(n, kSeed + 101 * channels + c);
-
-      dsp::MultiBiquadCascade multi(design.sections(), channels);
-      std::vector<std::vector<double>> outs(channels, std::vector<double>(n));
-      std::vector<std::span<const double>> ins(channels);
-      std::vector<std::span<double>> out_spans(channels);
-      for (std::size_t c = 0; c < channels; ++c) {
-        ins[c] = inputs[c];
-        out_spans[c] = outs[c];
-      }
-      multi.process(ins, out_spans);
-
-      for (std::size_t c = 0; c < channels; ++c) {
-        dsp::BiquadCascade solo = design;
-        const std::vector<double> want = solo.process(inputs[c]);
-        const CompareResult r = check::compare_vectors(outs[c], want, tol);
-        EXPECT_TRUE(r.ok) << "channels=" << channels << " n=" << n
-                          << " channel " << c << ": "
-                          << check::describe_failure("dsp.biquad.interleaved", r);
-      }
-    }
-  }
-}
-
-TEST(MultiBiquadTest, ChannelStateCarriesAcrossCalls) {
-  const dsp::BiquadCascade design =
-      dsp::butterworth_bandpass(4, 14000.0, 21000.0, 48000.0);
-  const std::size_t channels = 3, n = 400, split = 153;
-  std::vector<std::vector<double>> inputs(channels);
-  for (std::size_t c = 0; c < channels; ++c)
-    inputs[c] = random_vector(n, kSeed + 211 + c);
-
-  // One shot per channel (the reference)...
-  std::vector<std::vector<double>> want(channels);
-  for (std::size_t c = 0; c < channels; ++c) {
-    dsp::BiquadCascade solo = design;
-    want[c] = solo.process(inputs[c]);
-  }
-
-  // ...vs two multi passes with get/set_channel_state between them.
-  dsp::MultiBiquadCascade first(design.sections(), channels);
-  dsp::MultiBiquadCascade second(design.sections(), channels);
-  std::vector<std::vector<double>> got(channels, std::vector<double>(n));
-  auto run = [&](dsp::MultiBiquadCascade& multi, std::size_t from, std::size_t to) {
-    std::vector<std::span<const double>> ins(channels);
-    std::vector<std::span<double>> outs(channels);
-    for (std::size_t c = 0; c < channels; ++c) {
-      ins[c] = std::span<const double>(inputs[c]).subspan(from, to - from);
-      outs[c] = std::span<double>(got[c]).subspan(from, to - from);
-    }
-    multi.process(ins, outs);
-  };
-  run(first, 0, split);
-  for (std::size_t c = 0; c < channels; ++c) {
-    std::vector<dsp::BiquadCascade::State> state(design.section_count());
-    first.get_channel_state(c, state);
-    second.set_channel_state(c, state);
-  }
-  run(second, split, n);
-
-  for (std::size_t c = 0; c < channels; ++c)
-    expect_bitwise_equal(got[c], want[c], "state handoff");
-}
-
-// --------------------------------------------- feed_many stream equivalence
-
-// Same deterministic recording idiom as tests/serve_test.cpp.
-audio::Waveform test_recording(std::uint64_t seed) {
-  sim::SubjectFactory factory(42);
-  sim::ProbeConfig pc;
-  pc.chirp_count = 10;
-  sim::EarProbe probe(pc);
-  Rng rng(seed);
-  return probe.record_state(factory.make(0), sim::EffusionState::kClear,
-                            sim::reference_earphone(), {}, rng);
-}
-
-serve::StreamingConfig streaming_config() {
-  serve::StreamingConfig cfg;
-  cfg.pipeline.preprocess.zero_phase = false;
-  return cfg;
-}
-
-TEST(FeedManyTest, BitIdenticalToSequentialFeedsAtEveryChunkSize) {
-  const std::vector<audio::Waveform> recordings = {
-      test_recording(7), test_recording(8), test_recording(9)};
-  const std::size_t shortest =
-      std::min({recordings[0].samples().size(), recordings[1].samples().size(),
-                recordings[2].samples().size()});
-  const core::EarSonar pipeline(streaming_config().pipeline);
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{64}, std::size_t{480},
-                            shortest}) {
-    std::vector<serve::StreamingSession> batched, sequential;
-    for (std::size_t i = 0; i < recordings.size(); ++i) {
-      batched.emplace_back(streaming_config());
-      sequential.emplace_back(streaming_config());
-    }
-    // Feed in lockstep: one feed_many per step vs three feed() calls. The
-    // shortest recording bounds the stepped region; tails go in one final
-    // per-session pass so every session ingests its full recording.
-    for (std::size_t start = 0; start < shortest; start += chunk) {
-      std::vector<serve::StreamingSession*> sessions;
-      std::vector<std::span<const double>> chunks;
-      for (std::size_t i = 0; i < recordings.size(); ++i) {
-        const std::size_t take = std::min(chunk, shortest - start);
-        sessions.push_back(&batched[i]);
-        chunks.push_back(std::span<const double>(recordings[i].samples())
-                             .subspan(start, take));
-        const serve::FeedStatus st = sequential[i].feed(chunks.back());
-        ASSERT_EQ(st, serve::FeedStatus::kAccepted);
-      }
-      const std::vector<serve::FeedStatus> status =
-          serve::StreamingSession::feed_many(sessions, chunks);
-      for (serve::FeedStatus st : status) ASSERT_EQ(st, serve::FeedStatus::kAccepted);
-    }
-    for (std::size_t i = 0; i < recordings.size(); ++i) {
-      const std::span<const double> tail =
-          std::span<const double>(recordings[i].samples()).subspan(shortest);
-      if (!tail.empty()) {
-        batched[i].feed(tail);
-        sequential[i].feed(tail);
-      }
-      ASSERT_EQ(batched[i].samples_fed(), sequential[i].samples_fed());
-      ASSERT_EQ(batched[i].samples_buffered(), sequential[i].samples_buffered());
-      const core::EchoAnalysis a = batched[i].finish(pipeline);
-      const core::EchoAnalysis b = sequential[i].finish(pipeline);
-      ASSERT_EQ(a.features.size(), b.features.size());
-      expect_bitwise_equal(a.features, b.features, "finish features");
-      EXPECT_EQ(a.events.size(), b.events.size());
-    }
-  }
-}
-
-TEST(FeedManyTest, MixedChunkLengthsFallBackToSingletonPasses) {
-  const audio::Waveform rec = test_recording(11);
-  std::vector<serve::StreamingSession> batched, sequential;
-  for (int i = 0; i < 2; ++i) {
-    batched.emplace_back(streaming_config());
-    sequential.emplace_back(streaming_config());
-  }
-  // Different chunk lengths per session — cannot interleave, must still be
-  // bit-identical through the singleton path.
-  const std::span<const double> all(rec.samples());
-  const std::vector<std::span<const double>> chunks = {all.first(1000),
-                                                       all.first(777)};
-  std::vector<serve::StreamingSession*> sessions = {&batched[0], &batched[1]};
-  serve::StreamingSession::feed_many(sessions, chunks);
-  sequential[0].feed(chunks[0]);
-  sequential[1].feed(chunks[1]);
-  for (int i = 0; i < 2; ++i)
-    ASSERT_EQ(batched[i].samples_buffered(), sequential[i].samples_buffered());
-}
-
-TEST(FeedManyTest, RejectsOverflowPerSessionLikeFeed) {
-  serve::StreamingConfig small = streaming_config();
-  small.max_buffered_samples = 1024;
-  serve::StreamingSession a(small), b(streaming_config());
-  const std::vector<double> big(2048, 0.25);
-  const std::vector<double> ok(256, 0.25);
-  std::vector<serve::StreamingSession*> sessions = {&a, &b};
-  std::vector<std::span<const double>> chunks = {big, ok};
-  const std::vector<serve::FeedStatus> status =
-      serve::StreamingSession::feed_many(sessions, chunks);
-  EXPECT_EQ(status[0], serve::FeedStatus::kRejected);
-  EXPECT_EQ(status[1], serve::FeedStatus::kAccepted);
-  EXPECT_EQ(a.rejected_chunks(), 1u);
-  EXPECT_EQ(a.samples_buffered(), 0u);
-  EXPECT_EQ(b.samples_buffered(), 256u);
 }
 
 }  // namespace

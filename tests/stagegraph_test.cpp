@@ -337,6 +337,96 @@ TEST(StageGraphEngineTest, BatchedEngineMatchesPerRequestResults) {
             std::string::npos);
 }
 
+// Engine config whose single worker collects `batch_max` requests into one
+// batch: the test submits fast, well inside the linger.
+serve::EngineConfig one_batch_engine(std::size_t batch_max) {
+  serve::EngineConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 16;
+  cfg.session.pipeline = causal_config();
+  cfg.batch_max = batch_max;
+  cfg.batch_wait_us = 200000;
+  return cfg;
+}
+
+// Ingest is per job even inside a batch: each job's chunked feed is its own
+// `filter` pass (never batched) and its bandpass_ms, as in EarSonar::analyze.
+TEST(StageGraphEngineTest, IngestIsPerJobAndTimedAsBandpass) {
+  constexpr std::size_t kRequests = 4;
+  serve::ServingEngine engine(one_batch_engine(kRequests));
+  engine.start();
+  std::vector<std::future<serve::ServeResult>> futures;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    serve::ServeRequest request;
+    request.id = "r" + std::to_string(i);
+    request.recording = test_recording(700 + i);
+    serve::Submission sub = engine.submit(std::move(request));
+    ASSERT_TRUE(sub.accepted) << sub.reason;
+    futures.push_back(std::move(sub.result));
+  }
+  for (auto& future : futures) {
+    const serve::ServeResult result = future.get();
+    EXPECT_TRUE(result.error.empty()) << result.error;
+    EXPECT_GT(result.timings.bandpass_ms, 0.0) << result.id;
+  }
+  engine.stop();
+  const pipeline::StageStats& filter =
+      engine.stage_graph().stats(pipeline::StageId::kFilter);
+  EXPECT_EQ(filter.items.load(), kRequests);
+  EXPECT_EQ(filter.passes.load(), kRequests);
+  EXPECT_EQ(filter.batched_items.load(), 0u);
+}
+
+// A fired serve.stream.feed fault fails the job whose feed it hit and no
+// other: with one chunk per job, nth:2 counts job-major and lands on the
+// second job of the batch, while its batch-mates still match
+// EarSonar::analyze bit for bit.
+TEST(StageGraphEngineTest, StreamFeedFaultFailsOnlyItsJobInABatch) {
+  const core::EarSonar pipeline(causal_config());
+  constexpr std::size_t kRequests = 4;
+  std::vector<audio::Waveform> recordings;
+  std::vector<core::EchoAnalysis> baselines;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    recordings.push_back(test_recording(800 + i));
+    baselines.push_back(pipeline.analyze(recordings.back()));
+  }
+
+  serve::ServingEngine engine(one_batch_engine(kRequests));
+  std::vector<serve::ServeResult> results;
+  {
+    fault::ScopedFault guard("serve.stream.feed=nth:2");
+    engine.start();
+    std::vector<std::future<serve::ServeResult>> futures;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      serve::ServeRequest request;
+      request.id = "r" + std::to_string(i);
+      request.recording = recordings[i];
+      request.chunk_samples = recordings[i].size();  // one feed per job
+      serve::Submission sub = engine.submit(std::move(request));
+      ASSERT_TRUE(sub.accepted) << sub.reason;
+      futures.push_back(std::move(sub.result));
+    }
+    for (auto& future : futures) results.push_back(future.get());
+    engine.stop();
+  }
+
+  EXPECT_NE(results[1].error.find("injected fault: serve.stream.feed"),
+            std::string::npos)
+      << results[1].error;
+  for (std::size_t i : {0u, 2u, 3u}) {
+    SCOPED_TRACE(results[i].id);
+    EXPECT_TRUE(results[i].error.empty()) << results[i].error;
+    ASSERT_TRUE(results[i].usable);
+    ASSERT_EQ(results[i].features.size(), baselines[i].features.size());
+    for (std::size_t f = 0; f < baselines[i].features.size(); ++f)
+      EXPECT_EQ(results[i].features[f], baselines[i].features[f])
+          << "feature " << f;
+  }
+  EXPECT_EQ(engine.metrics().failed.load(), 1u);
+  EXPECT_EQ(engine.metrics().completed.load(), kRequests - 1);
+  EXPECT_EQ(engine.metrics().batches.load(), 1u);
+}
+
 // Deadline-mid-linger shed: a request whose deadline expires while the batch
 // leader lingers must be shed before pipeline work, flagged
 // deadline_exceeded, while fresh lane-mates complete normally.
