@@ -478,10 +478,11 @@ int cmd_inspect(const Args& args) {
     std::printf("\n");
   }
 
-  std::printf("\nstage timings: band-pass %.2f ms, events %.2f ms, "
-              "segmentation %.2f ms, features %.2f ms\n",
-              analysis.timings.bandpass_ms, analysis.timings.event_detect_ms,
-              analysis.timings.segment_ms, analysis.timings.feature_ms);
+  std::printf("\nstage timings:");
+  for (std::size_t s = 0; s < earsonar::pipeline::kStageCount; ++s)
+    std::printf("%s %s %.2f ms", s ? "," : "", earsonar::pipeline::stage_names()[s],
+                analysis.timings.ms[s]);
+  std::printf("\n");
   return 0;
 }
 
@@ -534,17 +535,18 @@ int cmd_analyze(const Args& args) {
   }
 
   core::EarSonar pipeline;
-  AsciiTable table({"recording", "events", "echoes", "bandpass ms", "detect ms",
-                    "segment ms", "features ms", "infer ms", "diagnosis"});
+  std::vector<std::string> header = {"recording", "events", "echoes"};
+  for (const char* stage : earsonar::pipeline::stage_names())
+    header.push_back(std::string(stage) + " ms");
+  header.push_back("diagnosis");
+  AsciiTable table(std::move(header));
   for (const auto& [name, wav] : inputs) {
-    const core::EchoAnalysis analysis = pipeline.analyze(wav);
+    core::EchoAnalysis analysis = pipeline.analyze(wav);
     std::string diagnosis = "(no echo)";
-    double inference_ms = 0.0;
     if (model && analysis.usable()) {
-      obs::Span inference_span("inference", "pipeline");
+      core::StageClock clock(earsonar::pipeline::StageId::kInference, analysis.timings);
       const core::Diagnosis d = model->predict(analysis.features);
-      inference_span.end();
-      inference_ms = inference_span.elapsed_ms();
+      clock.end();
       std::ostringstream label;
       label << core::kMeeStateNames[d.state] << " (" << AsciiTable::format(d.confidence, 2)
             << ")";
@@ -552,13 +554,12 @@ int cmd_analyze(const Args& args) {
     } else if (analysis.usable()) {
       diagnosis = "-";
     }
-    table.add_row({name, std::to_string(analysis.events.size()),
-                   std::to_string(analysis.echoes.size()),
-                   AsciiTable::format(analysis.timings.bandpass_ms, 2),
-                   AsciiTable::format(analysis.timings.event_detect_ms, 2),
-                   AsciiTable::format(analysis.timings.segment_ms, 2),
-                   AsciiTable::format(analysis.timings.feature_ms, 2),
-                   AsciiTable::format(inference_ms, 2), diagnosis});
+    std::vector<std::string> row = {name, std::to_string(analysis.events.size()),
+                                    std::to_string(analysis.echoes.size())};
+    for (const double stage_ms : analysis.timings.ms)
+      row.push_back(AsciiTable::format(stage_ms, 2));
+    row.push_back(diagnosis);
+    table.add_row(std::move(row));
   }
   table.print(std::cout);
   return 0;

@@ -23,11 +23,11 @@ int main() {
       factory.make(0), sim::EffusionState::kSerous, sim::reference_earphone(), {}, rng);
   core::EarSonar pipeline;
   const core::EchoAnalysis analysis = pipeline.analyze(rec);
-  std::printf("measured stage latency on this machine (1 s recording): "
-              "band-pass %.2f ms, events %.2f ms, segmentation %.2f ms, "
-              "features %.2f ms\n\n",
-              analysis.timings.bandpass_ms, analysis.timings.event_detect_ms,
-              analysis.timings.segment_ms, analysis.timings.feature_ms);
+  std::printf("measured stage latency on this machine (1 s recording):");
+  for (std::size_t s = 0; s < earsonar::pipeline::kStageCount; ++s)
+    std::printf("%s %s %.2f ms", s ? "," : "", earsonar::pipeline::stage_names()[s],
+                analysis.timings.ms[s]);
+  std::printf("\n\n");
 
   AsciiTable table({"smartphone", "active power (mW, paper)",
                     "energy/detection (mJ)", "net energy (mJ)",

@@ -18,8 +18,11 @@
 #      run_bench.sh emits, every roofline counter bench/roofline.hpp
 #      defines, and every benchmark context key the bench binaries set.
 #   7. docs/architecture.md must name every pipeline stage the stage graph
-#      exports (the EARSONAR_STAGE sites in src/pipeline/stage_graph.cpp),
-#      and docs/cli.md must mention every --batch-* flag the CLI parses.
+#      exports (the EARSONAR_STAGE sites in src/pipeline/stage_graph.cpp);
+#      the STAGE table of docs/observability.md's "Latency histograms"
+#      section must list every such stage, and each of its rows must be one
+#      of them, `queue_wait` or `total`; and docs/cli.md must mention every
+#      --batch-* flag the CLI parses.
 #   8. docs/workloads.md (the workload + longitudinal reference) must exist,
 #      be linked from README.md and docs/architecture.md, and name every
 #      serve::WorkloadType label the code defines.
@@ -181,6 +184,22 @@ if [ -f "$ARCH_DOC" ]; then
     grep -qF "\`$s\`" "$ARCH_DOC" \
       || err "docs/architecture.md does not name pipeline stage '$s'"
   done
+  # One vocabulary: the latency histogram table names exactly the stages,
+  # plus the two latencies no stage owns.
+  if [ -f "$OBS_DOC" ]; then
+    latency_rows=$(sed -n '/^### Latency histograms/,/^## /p' "$OBS_DOC" \
+                     | grep -oE '^\| `[a-z_]+` \|' \
+                     | sed 's/^| `//; s/` |$//' | sort -u) || true
+    [ -n "$latency_rows" ] || err "docs/observability.md has no latency histogram STAGE table"
+    for r in $latency_rows; do
+      printf '%s\nqueue_wait\ntotal\n' "$stages" | grep -qxF "$r" \
+        || err "docs/observability.md latency table row '$r' is not a pipeline stage, queue_wait or total"
+    done
+    for s in $stages; do
+      printf '%s\n' "$latency_rows" | grep -qxF "$s" \
+        || err "docs/observability.md latency table lacks pipeline stage '$s'"
+    done
+  fi
 fi
 
 if [ -f "$CLI_DOC" ]; then

@@ -26,13 +26,29 @@ EarSonar::EarSonar(PipelineConfig config)
   extractor_.set_reference(config_.chirp);
 }
 
+StageClock::StageClock(pipeline::StageId id, StageTimings& timings,
+                       pipeline::StageGraph* graph, std::string_view category)
+    : span_(pipeline::stage_name(id), category),
+      id_(id),
+      timings_(timings),
+      graph_(graph) {}
+
+void StageClock::end() {
+  if (!open_) return;
+  open_ = false;
+  span_.end();
+  timings_[id_] = span_.elapsed_ms();
+  if (graph_) graph_->record(id_, timings_[id_], 1, false);
+}
+
 EchoAnalysis EarSonar::analyze(const audio::Waveform& recording,
                                const CancelToken& cancel) const {
   require_nonempty("EarSonar::analyze recording", recording.size());
   cancel.check("analyze");
 
   obs::Span analyze_span("analyze", "pipeline");
-  obs::Span bandpass_span("bandpass", "pipeline");
+  StageTimings filter_timing;
+  StageClock filter_clock(pipeline::StageId::kFilter, filter_timing);
   // Every downstream constant (band edges, chirp grid, echo-distance math)
   // assumes the probe design's sample rate; transparently resample captures
   // that arrive at another rate (e.g., 44.1 kHz WAVs from a phone).
@@ -47,12 +63,13 @@ EchoAnalysis EarSonar::analyze(const audio::Waveform& recording,
     input = &resampled;
   }
   const audio::Waveform filtered = preprocessor_.process(*input);
-  bandpass_span.end();
+  filter_clock.end();
 
   const AnalysisItem item{&filtered, cancel};
   AnalysisOutcome outcome = std::move(analyze_filtered({&item, 1}).front());
   if (!outcome.ok()) std::rethrow_exception(outcome.error);
-  outcome.analysis.timings.bandpass_ms = bandpass_span.elapsed_ms();
+  outcome.analysis.timings[pipeline::StageId::kFilter] =
+      filter_timing[pipeline::StageId::kFilter];
   return std::move(outcome.analysis);
 }
 
@@ -82,11 +99,6 @@ std::vector<AnalysisOutcome> EarSonar::analyze_filtered(
       out[i] = std::move(analyze_filtered(items.subspan(i, 1), graph).front());
     return out;
   }
-  const bool batched = items.size() > 1;
-  const auto record = [&](pipeline::StageId stage, double busy_ms, std::size_t count) {
-    if (graph && count > 0) graph->record(stage, busy_ms, count, batched);
-  };
-
   // live[i]: request i has not failed yet. A request that throws in one
   // stage is finished (its error captured); lane-mates continue.
   std::vector<char> live(items.size(), 1);
@@ -103,26 +115,18 @@ std::vector<AnalysisOutcome> EarSonar::analyze_filtered(
   // --- event_detect and segment: per request, in submission order, so
   // fault-point counters and drop bookkeeping fire in the same sequence a
   // sequential run over these requests would produce.
-  double busy_ms = 0.0;
   for (std::size_t i = 0; i < items.size(); ++i) {
     run(i, [&] {
       require_nonempty("EarSonar::analyze_filtered signal", items[i].filtered->size());
       out[i].analysis.quality.min_usable = config_.min_usable_chirps;
-      stage_event_detect(*items[i].filtered, out[i].analysis);
+      stage_event_detect(*items[i].filtered, out[i].analysis, graph);
     });
-    busy_ms += out[i].analysis.timings.event_detect_ms;
   }
-  record(pipeline::StageId::kEventDetect, busy_ms, items.size());
-
-  busy_ms = 0.0;
-  std::size_t count = 0;
   for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!live[i]) continue;
-    run(i, [&] { stage_segment(*items[i].filtered, out[i].analysis, items[i].cancel); });
-    busy_ms += out[i].analysis.timings.segment_ms;
-    ++count;
+    run(i, [&] {
+      stage_segment(*items[i].filtered, out[i].analysis, items[i].cancel, graph);
+    });
   }
-  record(pipeline::StageId::kSegment, busy_ms, count);
 
   // --- echo_psd: ONE pass over every surviving request's chirp windows,
   // packed into four-lane groups that cross request boundaries.
@@ -151,30 +155,30 @@ std::vector<AnalysisOutcome> EarSonar::analyze_filtered(
     psds.clear();
   }
   psd_span.end();
+  // The one multi-request stage record: the pass carried every request in
+  // psd_idx, and each request's timing is its share by echo count.
   const double psd_ms = psd_span.elapsed_ms();
-  record(pipeline::StageId::kEchoPsd, psd_ms, psd_items.size());
+  if (graph)
+    graph->record(pipeline::StageId::kEchoPsd, psd_ms, psd_items.size(),
+                  psd_items.size() > 1);
 
   // --- features: per-request assembly from its slice of the shared pass.
-  busy_ms = 0.0;
   for (std::size_t j = 0; j < psd_idx.size(); ++j) {
     EchoAnalysis& analysis = out[psd_idx[j]].analysis;
-    const double share = psd_ms * static_cast<double>(analysis.echoes.size()) /
-                         static_cast<double>(lanes);
+    analysis.timings[pipeline::StageId::kEchoPsd] =
+        psd_ms * static_cast<double>(analysis.echoes.size()) / static_cast<double>(lanes);
     run(psd_idx[j], [&] {
       stage_features(*items[psd_idx[j]].filtered, analysis,
-                     psds.empty() ? nullptr : &psds[j]);
+                     psds.empty() ? nullptr : &psds[j], graph);
     });
-    busy_ms += analysis.timings.feature_ms;
-    analysis.timings.feature_ms += share;
   }
-  record(pipeline::StageId::kFeatures, busy_ms, psd_idx.size());
   return out;
 }
 
-void EarSonar::stage_event_detect(const audio::Waveform& filtered,
-                                  EchoAnalysis& analysis) const {
+void EarSonar::stage_event_detect(const audio::Waveform& filtered, EchoAnalysis& analysis,
+                                  pipeline::StageGraph* graph) const {
   AnalysisQuality& quality = analysis.quality;
-  obs::Span events_span("event_detect", "pipeline");
+  StageClock clock(pipeline::StageId::kEventDetect, analysis.timings, graph);
   try {
     if (fault::point("pipeline.event_detect"))
       fail("injected fault: pipeline.event_detect");
@@ -188,16 +192,15 @@ void EarSonar::stage_event_detect(const audio::Waveform& filtered,
     quality.drops.push_back({ChirpDrop::kWholeStage, "event_detect", e.what()});
     analysis.events.clear();
   }
-  events_span.end();
-  analysis.timings.event_detect_ms = events_span.elapsed_ms();
+  clock.end();
   quality.chirps_total = analysis.events.size();
 }
 
 void EarSonar::stage_segment(const audio::Waveform& filtered, EchoAnalysis& analysis,
-                             const CancelToken& cancel) const {
+                             const CancelToken& cancel, pipeline::StageGraph* graph) const {
   cancel.check("segment");
   AnalysisQuality& quality = analysis.quality;
-  obs::Span segment_span("segment", "pipeline");
+  StageClock clock(pipeline::StageId::kSegment, analysis.timings, graph);
   for (std::size_t i = 0; i < analysis.events.size(); ++i) {
     cancel.check("segment_chirp");
     obs::Span chirp_span("segment_chirp", "pipeline");
@@ -216,8 +219,7 @@ void EarSonar::stage_segment(const audio::Waveform& filtered, EchoAnalysis& anal
     }
   }
   reanchor_echoes(analysis.echoes, filtered.sample_rate());
-  segment_span.end();
-  analysis.timings.segment_ms = segment_span.elapsed_ms();
+  clock.end();
   quality.chirps_used = analysis.echoes.size();
   quality.chirps_dropped = quality.drops.size();
   quality.degraded = !quality.drops.empty();
@@ -226,9 +228,10 @@ void EarSonar::stage_segment(const audio::Waveform& filtered, EchoAnalysis& anal
 }
 
 void EarSonar::stage_features(const audio::Waveform& filtered, EchoAnalysis& analysis,
-                              const std::vector<dsp::Spectrum>* per_echo) const {
+                              const std::vector<dsp::Spectrum>* per_echo,
+                              pipeline::StageGraph* graph) const {
   AnalysisQuality& quality = analysis.quality;
-  obs::Span feature_span("features", "pipeline");
+  StageClock clock(pipeline::StageId::kFeatures, analysis.timings, graph);
   // One extraction pass yields both the feature vector and the mean echo
   // spectrum from the per-echo PSDs of the echo_psd pass. The recovery path
   // below always re-extracts per request, probing each echo alone.
@@ -275,8 +278,6 @@ void EarSonar::stage_features(const audio::Waveform& filtered, EchoAnalysis& ana
     quality.degraded = true;
     if (quality.chirps_used < quality.min_usable) throw_degraded(quality);
   }
-  feature_span.end();
-  analysis.timings.feature_ms = feature_span.elapsed_ms();
 }
 
 void EarSonar::fit(const std::vector<audio::Waveform>& recordings,
@@ -314,7 +315,7 @@ std::optional<Diagnosis> EarSonar::diagnose(const audio::Waveform& recording) co
   require(fitted(), "EarSonar::diagnose before fit");
   EchoAnalysis analysis = analyze(recording);
   if (!analysis.usable()) return std::nullopt;
-  obs::Span inference_span("inference", "pipeline");
+  StageClock clock(pipeline::StageId::kInference, analysis.timings);
   return detector_.predict(analysis.features);
 }
 

@@ -7,11 +7,13 @@
 // (Table II reports per-stage latency).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <exception>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "audio/waveform.hpp"
@@ -22,6 +24,7 @@
 #include "core/features.hpp"
 #include "core/preprocess.hpp"
 #include "core/segment.hpp"
+#include "obs/trace.hpp"
 #include "pipeline/stage_graph.hpp"
 
 namespace earsonar::core {
@@ -46,22 +49,53 @@ struct PipelineConfig {
   std::size_t min_usable_chirps = 1;
 };
 
-/// Wall-clock milliseconds spent in each stage of analyze()/diagnose().
-/// The flat aggregate view of the `obs::Span` instrumentation: each field is
-/// the elapsed time of the matching trace span ("bandpass", "event_detect",
-/// "segment", "features", "inference" — see docs/observability.md), measured
-/// whether or not a trace is being captured. `feature_ms` also carries the
-/// request's share of the "echo_psd" pass, in proportion to its echoes.
+/// Wall-clock milliseconds one request spent in each stage of the pipeline,
+/// one slot per pipeline::StageId. Each slot is written by the StageClock
+/// that timed the stage (its span carries the stage's name, see
+/// docs/observability.md), measured whether or not a trace is being
+/// captured. `echo_psd` holds the request's share, by echo count, of the one
+/// pass its batch ran; `filter` stays zero for a pre-fed streaming session
+/// and `inference` for an analysis no model scored.
 struct StageTimings {
-  double bandpass_ms = 0.0;
-  double event_detect_ms = 0.0;
-  double segment_ms = 0.0;
-  double feature_ms = 0.0;
-  double inference_ms = 0.0;
+  std::array<double, pipeline::kStageCount> ms{};
 
-  [[nodiscard]] double total_ms() const {
-    return bandpass_ms + event_detect_ms + segment_ms + feature_ms + inference_ms;
+  [[nodiscard]] double& operator[](pipeline::StageId id) {
+    return ms[static_cast<std::size_t>(id)];
   }
+  [[nodiscard]] double operator[](pipeline::StageId id) const {
+    return ms[static_cast<std::size_t>(id)];
+  }
+  [[nodiscard]] double total_ms() const {
+    double total = 0.0;
+    for (const double stage_ms : ms) total += stage_ms;
+    return total;
+  }
+};
+
+/// Times one execution of stage `id` for one request: the one point its
+/// span, its StageTimings slot and (given a graph) its occupancy and latency
+/// histogram are fed from. Opens `obs::Span(stage_name(id), category)`;
+/// end() — or the destructor, so a stage that throws is still counted —
+/// writes the elapsed time into `timings[id]` and records one unbatched pass
+/// of one item into `graph`.
+class StageClock {
+ public:
+  StageClock(pipeline::StageId id, StageTimings& timings,
+             pipeline::StageGraph* graph = nullptr,
+             std::string_view category = "pipeline");
+  ~StageClock() { end(); }
+
+  StageClock(const StageClock&) = delete;
+  StageClock& operator=(const StageClock&) = delete;
+
+  void end();
+
+ private:
+  obs::Span span_;
+  pipeline::StageId id_;
+  StageTimings& timings_;
+  pipeline::StageGraph* graph_;
+  bool open_ = true;
 };
 
 /// One chirp lost to an error (not to a mere no-echo miss) during analyze().
@@ -153,7 +187,9 @@ class EarSonar {
   /// lane-mates proceed; a failed shared PSD pass makes each request
   /// recompute its own PSDs, and the `pipeline.batch` fault point runs every
   /// item as its own batch of one. `graph` (optional) receives per-stage
-  /// occupancy. `timings.bandpass_ms` stays zero.
+  /// occupancy: one pass per request for event_detect, segment and
+  /// features, one pass for the whole batch's echo_psd. The `filter` and
+  /// `inference` timings stay zero.
   [[nodiscard]] std::vector<AnalysisOutcome> analyze_filtered(
       std::span<const AnalysisItem> items,
       pipeline::StageGraph* graph = nullptr) const;
@@ -180,16 +216,19 @@ class EarSonar {
   [[nodiscard]] std::size_t feature_dimension() const { return extractor_.dimension(); }
 
  private:
-  // The per-request stage bodies analyze_filtered() runs for each item.
-  void stage_event_detect(const audio::Waveform& filtered, EchoAnalysis& analysis) const;
+  // The per-request stage bodies analyze_filtered() runs for each item;
+  // each times itself with a StageClock into `analysis.timings` and `graph`.
+  void stage_event_detect(const audio::Waveform& filtered, EchoAnalysis& analysis,
+                          pipeline::StageGraph* graph) const;
   /// Includes the min_usable_chirps floor check (may throw "degraded").
   void stage_segment(const audio::Waveform& filtered, EchoAnalysis& analysis,
-                     const CancelToken& cancel) const;
+                     const CancelToken& cancel, pipeline::StageGraph* graph) const;
   /// `per_echo` non-null supplies the echo_psd pass's PSDs for the happy
   /// path; null computes them here. The error-recovery path always
   /// re-extracts per request.
   void stage_features(const audio::Waveform& filtered, EchoAnalysis& analysis,
-                      const std::vector<dsp::Spectrum>* per_echo) const;
+                      const std::vector<dsp::Spectrum>* per_echo,
+                      pipeline::StageGraph* graph) const;
 
   PipelineConfig config_;
   Preprocessor preprocessor_;

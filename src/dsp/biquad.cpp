@@ -137,16 +137,20 @@ double BiquadCascade::process_sample(double x) {
 }
 
 std::vector<double> BiquadCascade::process(std::span<const double> input) {
+  std::vector<double> out(input.begin(), input.end());
+  process_in_place(out);
+  return out;
+}
+
+void BiquadCascade::process_in_place(std::span<double> data) {
   // Never section-major: one section over the whole block is a single long
   // z1->y->z1 dependency chain with no ILP (~2x slower). The kernels overlap
   // the sections instead — section s of sample i runs while section s+1
   // runs sample i-1. The sample-major run_fixed<N> leaves that overlap to
   // the out-of-order core; the four-section wavefront makes it explicit,
   // one section per vector lane.
-  std::vector<double> out(input.begin(), input.end());
-  if (!run_cascade<false>(sections_, state_, out.data(), out.size()))
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = process_sample(out[i]);
-  return out;
+  if (!run_cascade<false>(sections_, state_, data.data(), data.size()))
+    for (double& x : data) x = process_sample(x);
 }
 
 std::vector<double> BiquadCascade::filtfilt(std::span<const double> input) const {

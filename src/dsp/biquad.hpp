@@ -40,6 +40,10 @@ class BiquadCascade {
   /// Filters a block; returns the filtered signal. Stateful across calls.
   std::vector<double> process(std::span<const double> input);
 
+  /// Filters a block in place; the same samples as process(). Stateful
+  /// across calls.
+  void process_in_place(std::span<double> data);
+
   /// Zero-phase filtering: forward pass, reverse, forward again, reverse.
   /// Uses fresh state; does not disturb this cascade's streaming state.
   [[nodiscard]] std::vector<double> filtfilt(std::span<const double> input) const;

@@ -116,10 +116,6 @@ void ShardConfig::validate() const {
 ShardPool::ShardPool(ShardConfig config)
     : config_(std::move(config)), ring_(config_.shards, config_.replicas) {
   config_.validate();
-  // N engines leasing the shared pool would serialize behind its batch
-  // mutex; shard engines always own their threads. Stored back into config_
-  // so engine_config() and restart-built engines agree.
-  config_.engine.dedicated_threads = true;
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     auto shard = std::make_unique<Shard>();

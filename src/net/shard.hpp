@@ -128,9 +128,8 @@ struct ShardConfig {
   /// the recording's wall-clock duration; the queue only sees the (cheap)
   /// finalization, so slots saturate first under real-time load.
   std::size_t max_sessions_per_shard = 64;
-  /// Per-shard engine template. `dedicated_threads` is forced on by the
-  /// pool: N engines leasing the shared parallel pool would serialize on
-  /// its batch mutex (see EngineConfig::dedicated_threads).
+  /// Per-shard engine template; every shard engine owns its worker threads,
+  /// so the shards drain their queues concurrently.
   serve::EngineConfig engine;
   /// Supervisor heartbeat period: how often shard health is probed and
   /// down/draining shards are advanced through the state machine.

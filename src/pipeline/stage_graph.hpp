@@ -21,8 +21,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 
 namespace earsonar::pipeline {
 
@@ -46,10 +48,39 @@ inline constexpr std::size_t kStageCount = 6;
 /// All stage names, in dataflow order.
 [[nodiscard]] std::span<const char* const> stage_names();
 
+/// Log2-bucketed latency histogram. Bucket b covers [2^(b-10), 2^(b-9)) ms,
+/// i.e. ~1 us resolution at the bottom and ~16 s at the top; out-of-range
+/// samples clamp to the edge buckets. Relaxed atomics: recording never takes
+/// a lock, so the type is safe to share across worker threads.
+class LatencyHistogram {
+ public:
+  static constexpr std::size_t kBuckets = 36;
+
+  void record(double ms);
+
+  [[nodiscard]] std::uint64_t count() const;
+  [[nodiscard]] double mean_ms() const;
+  /// Latency below which `quantile` (clamped to [0, 1]) of samples fall; 0
+  /// when empty. The rank's position among its bucket's samples maps
+  /// linearly onto the bucket's [2^(b-10), 2^(b-9)) range, so tail quantiles
+  /// (p99 vs p999) separate instead of snapping to one value per bucket.
+  [[nodiscard]] double percentile_ms(double quantile) const;
+
+  /// Appends the `earsonar_serve_latency_count` / `earsonar_serve_latency_ms`
+  /// lines (mean, p50, p95, p99, p999) labelled `stage`.
+  void write_text(std::ostream& out, std::string_view stage) const;
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> sum_ns_{0};
+};
+
 /// Occupancy counters of one stage node. `items` counts units of work
 /// entering the stage (requests, or chirps for the per-chirp stages);
 /// `passes` counts executions; a pass covering more than one request is a
 /// batched pass and its requests are also counted in `batched_items`.
+/// `latency` holds one sample per pass: its count equals `passes`.
 /// Updated with relaxed atomics from worker threads; a snapshot is a
 /// consistent-enough monotonic read, same as serve::ServeMetrics.
 struct StageStats {
@@ -57,6 +88,7 @@ struct StageStats {
   std::atomic<std::uint64_t> passes{0};
   std::atomic<std::uint64_t> batched_items{0};
   std::atomic<std::uint64_t> busy_us{0};  ///< wall time inside the stage
+  LatencyHistogram latency;               ///< wall time of each pass
 };
 
 /// The stage nodes plus their occupancy counters; one instance per serving
@@ -72,7 +104,7 @@ class StageGraph {
 
   /// Records one pass through `id`: `item_count` units of work took
   /// `busy_ms` wall milliseconds; `batched` marks a pass that carried more
-  /// than one request.
+  /// than one request. Feeds every counter and the latency histogram.
   void record(StageId id, double busy_ms, std::size_t item_count, bool batched);
 
   /// Counts one multi-request pass that fell back to running each request
@@ -82,9 +114,9 @@ class StageGraph {
     return fallbacks_.load(std::memory_order_relaxed);
   }
 
-  /// Prometheus-style text lines (earsonar_serve_stage_* gauges with a
-  /// stage label, plus the fallback counter), appended to the serving
-  /// metrics snapshot.
+  /// Prometheus-style text lines (earsonar_serve_stage_* gauges and the
+  /// earsonar_serve_latency_* histogram lines with a stage label, plus the
+  /// fallback counter), appended to the serving metrics snapshot.
   [[nodiscard]] std::string text_snapshot() const;
 
  private:

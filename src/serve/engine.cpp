@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "dsp/interpolate.hpp"
 #include "obs/trace.hpp"
 
@@ -58,24 +57,9 @@ ServingEngine::~ServingEngine() { stop(); }
 void ServingEngine::start() {
   if (running_.exchange(true)) return;
   queue_.reopen();
-  if (config_.dedicated_threads) {
-    // Sharded mode: the engine owns its worker threads outright so N shard
-    // engines drain their queues concurrently (the pool lease below would
-    // serialize them behind one batch mutex).
-    dedicated_.reserve(config_.workers);
-    for (std::size_t i = 0; i < config_.workers; ++i)
-      dedicated_.emplace_back([this] { worker_loop(); });
-    return;
-  }
-  // One coordinator thread leases `workers` pool threads through a single
-  // long-running parallel_for batch; each index runs one worker loop until
-  // the queue closes. The pool's batch mutex is held for the lease's
-  // lifetime, so other parallel_for callers wait — a serving process is not
-  // also training (see file comment in engine.hpp).
-  coordinator_ = std::thread([this] {
-    parallel_for(
-        config_.workers, [this](std::size_t) { worker_loop(); }, config_.workers);
-  });
+  workers_.reserve(config_.workers);
+  for (std::size_t i = 0; i < config_.workers; ++i)
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 void ServingEngine::stop() {
@@ -83,10 +67,8 @@ void ServingEngine::stop() {
   // close() wakes every worker; they drain the remaining accepted jobs before
   // pop() returns false, so no accepted request is dropped.
   queue_.close();
-  if (coordinator_.joinable()) coordinator_.join();
-  for (std::thread& worker : dedicated_)
-    if (worker.joinable()) worker.join();
-  dedicated_.clear();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
 }
 
 Submission ServingEngine::submit(ServeRequest request) {
@@ -139,7 +121,7 @@ std::shared_ptr<const core::WidebandScreener> ServingEngine::wideband_model() co
 }
 
 void ServingEngine::worker_loop() {
-  // One span per worker lease: its row in the trace viewer shows the
+  // One span per worker thread: its row in the trace viewer shows the
   // worker's occupancy between start() and stop().
   obs::Span worker_span("worker", "serve");
   Job job;
@@ -235,22 +217,16 @@ ServeResult ServingEngine::process_absorbance(const ServeRequest& request) {
   result.usable = true;
   result.features = request.absorbance;  // what a remote caller verifies against
   if (std::shared_ptr<const core::WidebandScreener> model = wideband_model()) {
-    obs::Span inference_span("inference", "serve");
+    core::StageClock clock(pipeline::StageId::kInference, result.timings,
+                           &stage_graph_, "serve");
     result.diagnosis = model->classify(request.absorbance);
-    inference_span.end();
-    result.timings.inference_ms = inference_span.elapsed_ms();
-    metrics_.latency.inference.record(result.timings.inference_ms);
-    metrics_.inferences.fetch_add(1, std::memory_order_relaxed);
     result.model_version = wideband_version();
-    stage_graph_.record(pipeline::StageId::kInference,
-                        result.timings.inference_ms, 1, false);
   }
   return result;
 }
 
 ServeResult ServingEngine::finalize_analysis(const std::string& id,
-                                             core::EchoAnalysis analysis,
-                                             double bandpass_ms) {
+                                             core::EchoAnalysis analysis) {
   ServeResult result;
   result.id = id;
   result.usable = analysis.usable();
@@ -258,26 +234,15 @@ ServeResult ServingEngine::finalize_analysis(const std::string& id,
   result.echoes = analysis.echoes.size();
   result.quality = analysis.quality;
   result.timings = analysis.timings;
-  result.timings.bandpass_ms = bandpass_ms;
-
-  metrics_.latency.bandpass.record(result.timings.bandpass_ms);
-  metrics_.latency.event_detect.record(result.timings.event_detect_ms);
-  metrics_.latency.segment.record(result.timings.segment_ms);
-  metrics_.latency.feature.record(result.timings.feature_ms);
   metrics_.events_detected.fetch_add(result.events, std::memory_order_relaxed);
   metrics_.echoes_segmented.fetch_add(result.echoes, std::memory_order_relaxed);
 
   if (result.usable) {
     if (std::shared_ptr<const core::DetectorModel> model = registry_.current()) {
-      obs::Span inference_span("inference", "serve");
+      core::StageClock clock(pipeline::StageId::kInference, result.timings,
+                             &stage_graph_, "serve");
       result.diagnosis = model->predict(analysis.features);
-      inference_span.end();
-      result.timings.inference_ms = inference_span.elapsed_ms();
-      metrics_.latency.inference.record(result.timings.inference_ms);
-      metrics_.inferences.fetch_add(1, std::memory_order_relaxed);
       result.model_version = registry_.version();
-      stage_graph_.record(pipeline::StageId::kInference,
-                          result.timings.inference_ms, 1, false);
     }
     result.features = std::move(analysis.features);
   }
@@ -346,14 +311,13 @@ void ServingEngine::run_pipeline(std::vector<Job>& batch,
 
   // --- Ingest, one job at a time: a job that arrived as a whole recording
   // streams into a fresh session in `chunk_samples` slices, its deadline
-  // checked before every chunk; an error lands on that job alone. The
-  // `bandpass` span (resample + every feed) is the job's bandpass_ms and its
-  // `filter` stage occupancy, as in EarSonar::analyze. Pre-fed sessions (the
-  // networked path) skip this.
+  // checked before every chunk; an error lands on that job alone. Resample
+  // plus every feed is the job's one `filter` stage execution, as in
+  // EarSonar::analyze. Pre-fed sessions (the networked path) skip this.
   struct Lane {
     StreamingSession* session = nullptr;
     std::unique_ptr<StreamingSession> own;  ///< engine-built session
-    double bandpass_ms = 0.0;
+    core::StageTimings timings;             ///< the `filter` slot
     std::exception_ptr error;
   };
   std::vector<Lane> lanes(group.size());
@@ -366,7 +330,8 @@ void ServingEngine::run_pipeline(std::vector<Job>& batch,
       continue;
     }
     try {
-      obs::Span bandpass_span("bandpass", "serve");
+      core::StageClock clock(pipeline::StageId::kFilter, lane.timings, &stage_graph_,
+                             "serve");
       lane.own = std::make_unique<StreamingSession>(config_.session);
       lane.session = lane.own.get();
       std::span<const double> samples = request.recording.view();
@@ -385,9 +350,6 @@ void ServingEngine::run_pipeline(std::vector<Job>& batch,
             samples.subspan(pos, std::min(chunk, samples.size() - pos)));
         metrics_.chunks_fed.fetch_add(1, std::memory_order_relaxed);
       }
-      bandpass_span.end();
-      lane.bandpass_ms = bandpass_span.elapsed_ms();
-      stage_graph_.record(pipeline::StageId::kFilter, lane.bandpass_ms, 1, false);
     } catch (...) {
       lane.error = std::current_exception();
     }
@@ -408,18 +370,21 @@ void ServingEngine::run_pipeline(std::vector<Job>& batch,
       pipeline_, finish_sessions, finish_cancels, &stage_graph_);
   std::vector<core::AnalysisOutcome*> outcome_of(group.size(), nullptr);
   for (std::size_t r = 0; r < finish_lanes.size(); ++r) {
-    if (outcomes[r].ok())
-      outcome_of[finish_lanes[r]] = &outcomes[r];
-    else
-      lanes[finish_lanes[r]].error = outcomes[r].error;
+    Lane& lane = lanes[finish_lanes[r]];
+    if (!outcomes[r].ok()) {
+      lane.error = outcomes[r].error;
+      continue;
+    }
+    outcome_of[finish_lanes[r]] = &outcomes[r];
+    outcomes[r].analysis.timings[pipeline::StageId::kFilter] =
+        lane.timings[pipeline::StageId::kFilter];
   }
 
   for (std::size_t j = 0; j < group.size(); ++j) {
     Job& job = batch[group[j].job];
     ServeResult result =
         outcome_of[j]
-            ? finalize_analysis(job.request.id, std::move(outcome_of[j]->analysis),
-                                lanes[j].bandpass_ms)
+            ? finalize_analysis(job.request.id, std::move(outcome_of[j]->analysis))
             : error_result(job.request.id, lanes[j].error);
     finish_job(job, std::move(result), group[j].queue_ms);
   }

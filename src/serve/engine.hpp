@@ -11,12 +11,11 @@
 //
 // Backpressure is explicit: a full queue rejects the submission immediately
 // with a reason (never blocks the caller, never drops accepted work), so an
-// upstream load balancer can retry elsewhere. Workers run on the repo-wide
-// `common/parallel` pool — start() leases `workers` pool threads through one
-// long-running parallel_for batch until stop(); the engine therefore owns
-// the pool while serving (batch stages like EarSonar::fit queue behind it),
-// which matches the deployment shape: a process is either serving or
-// training, never both at once.
+// upstream load balancer can retry elsewhere. The engine owns its workers:
+// start() spawns `workers` threads and stop() joins them, so engines never
+// contend for the repo-wide `common/parallel` pool (N shard engines drain
+// their queues concurrently, and EarSonar::fit can run beside a serving
+// engine).
 //
 // Every EarSonar job runs through process_batch(): a worker pops a job,
 // collects up to `batch_max - 1` more, feeds each job's recording through
@@ -53,17 +52,10 @@
 namespace earsonar::serve {
 
 struct EngineConfig {
-  std::size_t workers = 2;          ///< request workers leased from the pool
+  std::size_t workers = 2;          ///< worker threads the engine owns
   std::size_t queue_capacity = 64;  ///< pending requests before rejection
   std::size_t chunk_samples = 480;  ///< default ingestion slice (10 ms @ 48 kHz)
   StreamingConfig session;          ///< per-request streaming configuration
-  /// Run workers on dedicated std::threads instead of leasing the shared
-  /// parallel pool. The pool lease serializes concurrent engines (run() calls
-  /// queue behind one batch mutex), so a sharded deployment — N engines alive
-  /// at once under net::ShardPool — must use dedicated threads; a single
-  /// in-process engine keeps the pool lease and its serving-or-training
-  /// exclusivity (see the file comment).
-  bool dedicated_threads = false;
   /// Cross-request batching: a worker that pops a request keeps collecting
   /// up to this many requests (lingering at most batch_wait_us for
   /// stragglers), ingests each on its own, then finishes them through the
@@ -143,12 +135,12 @@ class ServingEngine {
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
-  /// Leases worker threads from the shared pool and begins draining the
-  /// queue. Idempotent while running.
+  /// Starts `workers` worker threads draining the queue. Idempotent while
+  /// running.
   void start();
 
-  /// Closes the queue, drains every accepted request, and releases the pool.
-  /// Safe to call repeatedly; the destructor calls it.
+  /// Closes the queue, drains every accepted request, and joins the
+  /// workers. Safe to call repeatedly; the destructor calls it.
   void stop();
 
   [[nodiscard]] bool running() const { return running_.load(); }
@@ -224,11 +216,10 @@ class ServingEngine {
   /// The EarSonar pipeline over `group` (jobs of `batch`): each job's
   /// chunked ingest, one StreamingSession::finish, inference.
   void run_pipeline(std::vector<Job>& batch, std::span<const Admitted> group);
-  /// Result assembly from one analysis, stage-latency metrics, and
+  /// Result assembly from one analysis, per-stage throughput counters, and
   /// inference.
   [[nodiscard]] ServeResult finalize_analysis(const std::string& id,
-                                              core::EchoAnalysis analysis,
-                                              double resample_ms);
+                                              core::EchoAnalysis analysis);
   /// Total/outcome metrics + promise completion for one job.
   void finish_job(Job& job, ServeResult result, double queue_ms);
 
@@ -243,8 +234,7 @@ class ServingEngine {
   ServeMetrics metrics_;
   pipeline::StageGraph stage_graph_;
   BoundedQueue<Job> queue_;
-  std::thread coordinator_;                ///< pool-lease mode
-  std::vector<std::thread> dedicated_;     ///< dedicated_threads mode
+  std::vector<std::thread> workers_;
   std::atomic<bool> running_{false};
 };
 

@@ -40,9 +40,12 @@ FeedStatus StreamingSession::feed(std::span<const double> chunk) {
     ++rejected_chunks_;
     return FeedStatus::kRejected;
   }
-  const std::vector<double> out = filter_.process(chunk);
+  // Append the raw chunk and filter it where it lies: no per-chunk
+  // temporary vector.
+  const std::size_t tail = filtered_.size();
+  filtered_.insert(filtered_.end(), chunk.begin(), chunk.end());
+  filter_.process_in_place(std::span<double>(filtered_).subspan(tail));
   samples_fed_ += chunk.size();
-  filtered_.insert(filtered_.end(), out.begin(), out.end());
   if (filtered_.size() > config_.max_buffered_samples) {
     // kEvictOldest: the stored prefix is lost, taking finish()'s exactness
     // with it.

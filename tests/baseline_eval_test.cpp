@@ -144,9 +144,9 @@ TEST(EnergyTest, PaperProfilesPresent) {
 TEST(EnergyTest, EnergyIsPowerTimesTime) {
   eval::PhonePowerProfile phone{"Test", 2000.0, 500.0};
   core::StageTimings t;
-  t.bandpass_ms = 1.0;
-  t.feature_ms = 36.0;
-  t.inference_ms = 1.2;
+  t[pipeline::StageId::kFilter] = 1.0;
+  t[pipeline::StageId::kFeatures] = 36.0;
+  t[pipeline::StageId::kInference] = 1.2;
   // 2000 mW for 38.2 ms = 76.4 mJ.
   EXPECT_NEAR(eval::detection_energy_mj(phone, t), 76.4, 1e-9);
   EXPECT_NEAR(eval::detection_net_energy_mj(phone, t), 57.3, 1e-9);
@@ -155,7 +155,7 @@ TEST(EnergyTest, EnergyIsPowerTimesTime) {
 TEST(EnergyTest, DetectionsPerCharge) {
   eval::PhonePowerProfile phone{"Test", 2000.0, 0.0};
   core::StageTimings t;
-  t.feature_ms = 50.0;  // 100 mJ per detection
+  t[pipeline::StageId::kFeatures] = 50.0;  // 100 mJ per detection
   // 1000 mWh battery = 3.6e6 mJ -> 36000 detections.
   EXPECT_NEAR(eval::detections_per_charge(phone, t, 1000.0), 36000.0, 1.0);
 }
@@ -163,7 +163,7 @@ TEST(EnergyTest, DetectionsPerCharge) {
 TEST(EnergyTest, IdleAboveActiveRejected) {
   eval::PhonePowerProfile phone{"Bad", 1000.0, 2000.0};
   core::StageTimings t;
-  t.feature_ms = 1.0;
+  t[pipeline::StageId::kFeatures] = 1.0;
   EXPECT_THROW(eval::detection_net_energy_mj(phone, t), std::invalid_argument);
 }
 

@@ -531,8 +531,8 @@ TEST(PipelineTest, AnalyzeSimulatedRecording) {
   EXPECT_EQ(analysis.features.size(), pipeline.feature_dimension());
   EXPECT_EQ(analysis.mean_spectrum.size(),
             pipeline.config().features.spectrum.band_bins);
-  EXPECT_GT(analysis.timings.bandpass_ms, 0.0);
-  EXPECT_GT(analysis.timings.feature_ms, 0.0);
+  EXPECT_GT(analysis.timings[pipeline::StageId::kFilter], 0.0);
+  EXPECT_GT(analysis.timings[pipeline::StageId::kFeatures], 0.0);
 }
 
 TEST(PipelineTest, ConsensusReanchoringAlignsEchoes) {
@@ -644,11 +644,11 @@ TEST(PipelineTest, FitSkipsRecordingsWithNonFiniteFeatures) {
 
 TEST(PipelineTest, StageTimingsSumToTotal) {
   StageTimings t;
-  t.bandpass_ms = 1.0;
-  t.event_detect_ms = 2.0;
-  t.segment_ms = 3.0;
-  t.feature_ms = 4.0;
-  t.inference_ms = 5.0;
+  t[pipeline::StageId::kFilter] = 1.0;
+  t[pipeline::StageId::kEventDetect] = 2.0;
+  t[pipeline::StageId::kSegment] = 3.0;
+  t[pipeline::StageId::kFeatures] = 4.0;
+  t[pipeline::StageId::kInference] = 5.0;
   EXPECT_DOUBLE_EQ(t.total_ms(), 15.0);
 }
 

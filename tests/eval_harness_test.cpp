@@ -121,8 +121,8 @@ TEST(EvalHarnessTest, DatasetSizeHelper) {
 TEST(EvalEnergyTest, EnergyScalesLinearlyWithLatency) {
   const auto phones = eval::paper_phone_profiles();
   core::StageTimings fast, slow;
-  fast.feature_ms = 10.0;
-  slow.feature_ms = 20.0;
+  fast[pipeline::StageId::kFeatures] = 10.0;
+  slow[pipeline::StageId::kFeatures] = 20.0;
   for (const auto& phone : phones) {
     EXPECT_NEAR(eval::detection_energy_mj(phone, slow),
                 2.0 * eval::detection_energy_mj(phone, fast), 1e-9);
@@ -132,7 +132,7 @@ TEST(EvalEnergyTest, EnergyScalesLinearlyWithLatency) {
 TEST(EvalEnergyTest, HigherPowerPhoneCostsMore) {
   const auto phones = eval::paper_phone_profiles();
   core::StageTimings t;
-  t.feature_ms = 30.0;
+  t[pipeline::StageId::kFeatures] = 30.0;
   // MI 10 (2243 mW) > Huawei (2100 mW).
   EXPECT_GT(eval::detection_energy_mj(phones[2], t),
             eval::detection_energy_mj(phones[0], t));

@@ -177,7 +177,7 @@ TEST(TraceJsonTest, GoldenExportMatchesExactly) {
   TraceRecorder recorder;
   recorder.enable();
   TraceEvent a;
-  a.name = "bandpass";
+  a.name = "filter";
   a.category = "pipeline";
   a.ts_us = 100;
   a.dur_us = 40;
@@ -197,7 +197,7 @@ TEST(TraceJsonTest, GoldenExportMatchesExactly) {
       "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
       "\"args\":{\"name\":\"earsonar\"}},\n"
-      "{\"name\":\"bandpass\",\"cat\":\"pipeline\",\"ph\":\"X\",\"ts\":100,"
+      "{\"name\":\"filter\",\"cat\":\"pipeline\",\"ph\":\"X\",\"ts\":100,"
       "\"dur\":40,\"pid\":1,\"tid\":1},\n"
       "{\"name\":\"segment_chirp\",\"cat\":\"pipeline\",\"ph\":\"X\",\"ts\":150,"
       "\"dur\":8,\"pid\":1,\"tid\":2,\"args\":{\"chirp\":4}}\n"
@@ -265,7 +265,7 @@ TEST(TracePipelineTest, AnalyzeEmitsOneSpanPerStageAndPerChirp) {
     return n;
   };
   EXPECT_EQ(count("analyze"), 1u);
-  EXPECT_EQ(count("bandpass"), 1u);
+  EXPECT_EQ(count("filter"), 1u);
   EXPECT_EQ(count("event_detect"), 1u);
   EXPECT_EQ(count("segment"), 1u);
   EXPECT_EQ(count("features"), 1u);
@@ -273,8 +273,8 @@ TEST(TracePipelineTest, AnalyzeEmitsOneSpanPerStageAndPerChirp) {
   EXPECT_GT(analysis.events.size(), 0u);
 
   // The aggregate StageTimings view is derived from the same spans.
-  EXPECT_GT(analysis.timings.bandpass_ms, 0.0);
-  EXPECT_GT(analysis.timings.event_detect_ms, 0.0);
+  EXPECT_GT(analysis.timings[pipeline::StageId::kFilter], 0.0);
+  EXPECT_GT(analysis.timings[pipeline::StageId::kEventDetect], 0.0);
 }
 
 }  // namespace

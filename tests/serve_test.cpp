@@ -213,52 +213,50 @@ TEST(BoundedQueueTest, TryPopUntilRacingCloseWakesAndDrains) {
 // ----------------------------------------------------------------- metrics
 
 TEST(LatencyHistogramTest, CountMeanPercentile) {
-  serve::LatencyHistogram h;
+  pipeline::LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.percentile_ms(0.5), 0.0);
   for (int i = 0; i < 100; ++i) h.record(1.0);
   h.record(1000.0);
   EXPECT_EQ(h.count(), 101u);
   EXPECT_NEAR(h.mean_ms(), (100.0 + 1000.0) / 101.0, 0.5);
-  // Bucketed percentiles are exact to a factor of sqrt(2).
+  // Bucketed percentiles are exact to the bucket (a factor of 2): p50
+  // interpolates to ~1.51 inside [1, 2), p999 reaches the top edge 1024.
   EXPECT_NEAR(h.percentile_ms(0.5), 1.0, 1.0);
   EXPECT_GT(h.percentile_ms(0.999), 500.0);
 }
 
 TEST(LatencyHistogramTest, InterpolatedPercentilesAreExactWithinBuckets) {
-  serve::LatencyHistogram h;
-  EXPECT_EQ(h.percentile_interpolated_ms(0.5), 0.0);  // empty: defined, 0
+  pipeline::LatencyHistogram h;
+  EXPECT_EQ(h.percentile_ms(0.5), 0.0);  // empty: defined, 0
   for (int i = 0; i < 99; ++i) h.record(1.5);
   h.record(700.0);
   // 1.5 ms lives in bucket [1, 2): any quantile that resolves inside the
   // bucket interpolates within those bounds instead of snapping to sqrt(2).
-  const double p50 = h.percentile_interpolated_ms(0.50);
+  const double p50 = h.percentile_ms(0.50);
   EXPECT_GE(p50, 1.0);
   EXPECT_LE(p50, 2.0);
   // The 700 ms outlier owns the top 1%: p999 must land in its bucket
-  // [512, 1024), which the midpoint estimator also reports — but the
-  // interpolated value is additionally monotone in the quantile.
-  const double p99 = h.percentile_interpolated_ms(0.99);
-  const double p999 = h.percentile_interpolated_ms(0.999);
+  // [512, 1024), and the read is monotone in the quantile.
+  const double p99 = h.percentile_ms(0.99);
+  const double p999 = h.percentile_ms(0.999);
   EXPECT_GE(p999, 512.0);
   EXPECT_LE(p999, 1024.0);  // hi edge inclusive: rank == last sample in bucket
   EXPECT_LE(p50, p99);
   EXPECT_LE(p99, p999);
   // Out-of-range quantiles clamp instead of reading past the buckets.
-  EXPECT_EQ(h.percentile_interpolated_ms(-1.0),
-            h.percentile_interpolated_ms(0.0));
-  EXPECT_EQ(h.percentile_interpolated_ms(2.0),
-            h.percentile_interpolated_ms(1.0));
+  EXPECT_EQ(h.percentile_ms(-1.0), h.percentile_ms(0.0));
+  EXPECT_EQ(h.percentile_ms(2.0), h.percentile_ms(1.0));
 }
 
 TEST(ServeMetricsTest, LatencyPercentileHelperReadsTotalStage) {
   serve::ServeMetrics metrics;
-  EXPECT_EQ(metrics.latency_percentile(0.99), 0.0);
+  EXPECT_EQ(metrics.latency.total.percentile_ms(0.99), 0.0);
   for (int i = 0; i < 100; ++i) metrics.latency.total.record(4.0);
-  const double p50 = metrics.latency_percentile(0.5);
+  const double p50 = metrics.latency.total.percentile_ms(0.5);
   EXPECT_GE(p50, 2.0);  // 4 ms bucket is [4, 8)
   EXPECT_LE(p50, 8.0);
-  EXPECT_LE(p50, metrics.latency_percentile(0.999));
+  EXPECT_LE(p50, metrics.latency.total.percentile_ms(0.999));
   // The tail stat is exported alongside the existing ones.
   const std::string text = metrics.text_snapshot();
   EXPECT_NE(text.find("earsonar_serve_latency_ms{stage=\"total\",stat=\"p999\"}"),

@@ -8,6 +8,9 @@
 
 #include <chrono>
 #include <cstddef>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
+#include "obs/trace.hpp"
 #include "pipeline/stage_graph.hpp"
 #include "serve/engine.hpp"
 #include "serve/queue.hpp"
@@ -41,6 +45,18 @@ core::PipelineConfig causal_config() {
   core::PipelineConfig cfg;
   cfg.preprocess.zero_phase = false;
   return cfg;
+}
+
+// Any valid detector: these tests pin bookkeeping, not diagnoses.
+core::DetectorModel tiny_model() {
+  core::DetectorModel model;
+  const std::size_t dim = core::EarSonar(causal_config()).feature_dimension();
+  model.scaler_mean.assign(dim, 0.0);
+  model.scaler_std.assign(dim, 1.0);
+  model.selected_features = {0, 1};
+  model.centroids = {{-1.0, -1.0}, {1.0, 1.0}};
+  model.cluster_to_state = {0, 2};
+  return model;
 }
 
 serve::StreamingConfig causal_stream_config() {
@@ -350,7 +366,7 @@ serve::EngineConfig one_batch_engine(std::size_t batch_max) {
 }
 
 // Ingest is per job even inside a batch: each job's chunked feed is its own
-// `filter` pass (never batched) and its bandpass_ms, as in EarSonar::analyze.
+// `filter` pass (never batched) and its `filter` timing, as in EarSonar::analyze.
 TEST(StageGraphEngineTest, IngestIsPerJobAndTimedAsBandpass) {
   constexpr std::size_t kRequests = 4;
   serve::ServingEngine engine(one_batch_engine(kRequests));
@@ -367,7 +383,7 @@ TEST(StageGraphEngineTest, IngestIsPerJobAndTimedAsBandpass) {
   for (auto& future : futures) {
     const serve::ServeResult result = future.get();
     EXPECT_TRUE(result.error.empty()) << result.error;
-    EXPECT_GT(result.timings.bandpass_ms, 0.0) << result.id;
+    EXPECT_GT(result.timings[pipeline::StageId::kFilter], 0.0) << result.id;
   }
   engine.stop();
   const pipeline::StageStats& filter =
@@ -375,6 +391,96 @@ TEST(StageGraphEngineTest, IngestIsPerJobAndTimedAsBandpass) {
   EXPECT_EQ(filter.items.load(), kRequests);
   EXPECT_EQ(filter.passes.load(), kRequests);
   EXPECT_EQ(filter.batched_items.load(), 0u);
+}
+
+// One vocabulary across every sink: each stage execution feeds its span, the
+// request's StageTimings slot, the stage's occupancy counters and its
+// latency histogram from one record, all under the six stage names.
+TEST(StageGraphEngineTest, EverySinkSpeaksTheStageNames) {
+  constexpr std::size_t kRequests = 4;
+  serve::ServingEngine engine(one_batch_engine(kRequests));
+  engine.registry().install(tiny_model(), "test");
+  obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  recorder.enable();
+  engine.start();
+  std::vector<std::future<serve::ServeResult>> futures;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    serve::ServeRequest request;
+    request.id = "r" + std::to_string(i);
+    request.recording = test_recording(900 + i);
+    serve::Submission sub = engine.submit(std::move(request));
+    ASSERT_TRUE(sub.accepted) << sub.reason;
+    futures.push_back(std::move(sub.result));
+  }
+  for (auto& future : futures) {
+    const serve::ServeResult result = future.get();
+    EXPECT_TRUE(result.error.empty()) << result.error;
+    EXPECT_GT(result.timings[pipeline::StageId::kEchoPsd], 0.0) << result.id;
+    EXPECT_GT(result.timings[pipeline::StageId::kInference], 0.0) << result.id;
+  }
+
+  // A session fed outside the engine (the networked path) adds no filter
+  // sample: the engine never ran its filter.
+  const pipeline::StageStats& filter =
+      engine.stage_graph().stats(pipeline::StageId::kFilter);
+  EXPECT_EQ(filter.latency.count(), kRequests);
+  serve::ServeRequest prefed;
+  prefed.id = "prefed";
+  prefed.session = fed_session(test_recording(950));
+  serve::Submission sub = engine.submit(std::move(prefed));
+  ASSERT_TRUE(sub.accepted) << sub.reason;
+  const serve::ServeResult prefed_result = sub.result.get();
+  EXPECT_TRUE(prefed_result.error.empty()) << prefed_result.error;
+  EXPECT_EQ(prefed_result.timings[pipeline::StageId::kFilter], 0.0);
+  EXPECT_GT(prefed_result.timings[pipeline::StageId::kEchoPsd], 0.0);
+  engine.stop();
+  recorder.disable();
+  const std::vector<obs::TraceEvent> spans = recorder.snapshot();
+  recorder.clear();
+  EXPECT_EQ(filter.latency.count(), kRequests);
+  EXPECT_EQ(filter.passes.load(), kRequests);
+
+  // Every stage's histogram holds one sample per pass, and its span count
+  // matches too.
+  for (std::size_t s = 0; s < pipeline::kStageCount; ++s) {
+    const auto id = static_cast<pipeline::StageId>(s);
+    const pipeline::StageStats& stats = engine.stage_graph().stats(id);
+    SCOPED_TRACE(pipeline::stage_name(id));
+    EXPECT_GT(stats.passes.load(), 0u);
+    EXPECT_EQ(stats.latency.count(), stats.passes.load());
+    std::size_t named = 0;
+    for (const obs::TraceEvent& span : spans)
+      if (span.name == pipeline::stage_name(id)) ++named;
+    EXPECT_EQ(named, stats.passes.load());
+  }
+  // Only echo_psd runs across requests.
+  EXPECT_EQ(engine.stage_graph().stats(pipeline::StageId::kEchoPsd).batched_items.load(),
+            engine.metrics().batched_requests.load());
+  EXPECT_EQ(engine.stage_graph().stats(pipeline::StageId::kFeatures).batched_items.load(),
+            0u);
+
+  // The snapshot's stage labels are exactly the stage names (plus the two
+  // engine-level latencies), and no other spelling survives.
+  const std::string snapshot = engine.metrics_snapshot();
+  std::set<std::string> stage_labels;
+  std::set<std::string> latency_labels;
+  const std::regex label("^(earsonar_serve_[a-z_]+)\\{stage=\"([a-z_]+)\"");
+  std::istringstream lines(snapshot);
+  for (std::string line; std::getline(lines, line);) {
+    std::smatch m;
+    if (!std::regex_search(line, m, label)) continue;
+    (m[1].str().starts_with("earsonar_serve_latency_") ? latency_labels : stage_labels)
+        .insert(m[2].str());
+  }
+  const std::set<std::string> names(pipeline::stage_names().begin(),
+                                    pipeline::stage_names().end());
+  EXPECT_EQ(stage_labels, names);
+  std::set<std::string> with_engine = names;
+  with_engine.insert({"queue_wait", "total"});
+  EXPECT_EQ(latency_labels, with_engine);
+  EXPECT_EQ(snapshot.find("stage=\"bandpass\""), std::string::npos);
+  EXPECT_EQ(snapshot.find("stage=\"feature\""), std::string::npos);
 }
 
 // A fired serve.stream.feed fault fails the job whose feed it hit and no
