@@ -18,7 +18,9 @@
 #      EARSONAR_SIMD=scalar — so both kernel sets (intrinsics and the Pack
 #      emulation) execute under the sanitizers. The same two passes cover
 #      both frame CRC-32 paths in the `net` label: the PCLMULQDQ fold at
-#      native and the slicing-by-8 tables at scalar.
+#      native and the slicing-by-8 tables at scalar. The script stops before
+#      building when an add_oracle_test(...) target of
+#      tests/oracle/CMakeLists.txt is missing from this leg's target list.
 #   2. EARSONAR_SANITIZE=thread           — data races in the worker pool,
 #      metrics, registry hot-swap, the fault registry's armed fast path,
 #      the `stagegraph` label (batch collection, the StageGraph's relaxed
@@ -66,13 +68,31 @@ run_flavor() {
   done
 }
 
+ASAN_TARGETS="serve_test stagegraph_test fault_test wav_fuzz_replay simd_test
+              net_test chaos_test frame_fuzz_replay longitudinal_test
+              oracle_fft_test oracle_dsp_test oracle_stats_test oracle_core_test
+              oracle_ml_test oracle_stream_test oracle_golden_test"
+
+# The ASan leg runs the whole `oracle` label, but a binary it does not build
+# registers only an unlabelled <name>_NOT_BUILT placeholder, which
+# `ctest -L oracle` skips without a word. Refuse to run with any
+# add_oracle_test(...) target of tests/oracle/CMakeLists.txt missing above.
+missing=$(sed -n 's/^add_oracle_test(\([A-Za-z0-9_]*\).*/\1/p' \
+              "$ROOT/tests/oracle/CMakeLists.txt" |
+          while read -r target; do
+            case " $(echo $ASAN_TARGETS) " in
+              *" $target "*) ;;
+              *) printf '%s ' "$target" ;;
+            esac
+          done)
+if [ -n "$missing" ]; then
+  echo "check_sanitize: oracle targets missing from the ASan leg: $missing" >&2
+  exit 1
+fi
+
 run_flavor asan address,undefined \
            'serve|stagegraph|fault|oracle|simd|net|chaos|longitudinal' \
-           'native scalar' \
-           serve_test stagegraph_test fault_test wav_fuzz_replay simd_test \
-           net_test chaos_test frame_fuzz_replay longitudinal_test \
-           oracle_fft_test oracle_dsp_test oracle_stats_test \
-           oracle_ml_test oracle_stream_test oracle_golden_test
+           'native scalar' $ASAN_TARGETS
 run_flavor tsan thread \
            'serve|stagegraph|fault|oracle_stream|net|chaos|longitudinal' native \
            serve_test stagegraph_test fault_test wav_fuzz_replay net_test \

@@ -26,12 +26,6 @@ std::uint64_t order_key(double x) {
   return (bits & 0x8000000000000000ULL) ? ~bits : bits | 0x8000000000000000ULL;
 }
 
-// The double whose order key is `key` (order_key's inverse).
-double from_order_key(std::uint64_t key) {
-  return std::bit_cast<double>((key & 0x8000000000000000ULL) ? key & ~0x8000000000000000ULL
-                                                             : ~key);
-}
-
 // Values at ranks r0 and r1 (0-based order statistics, r1 in {r0, r0+1}) via
 // MSB radix selection: each round histograms an 11-bit digit of the order
 // key, keeps only the bucket range containing both ranks, and recurses on
@@ -265,43 +259,43 @@ double percentile(std::span<const double> xs, double p) {
   return v_lo * (1.0 - frac) + v_hi * frac;
 }
 
-MedianBracket median_bracket(std::span<const double> xs) {
-  require_nonempty("median_bracket input", xs.size());
-  // Bucket b holds every double whose order key has top 12 bits b: one sign
-  // and exponent. Four interleaved histograms, as in the radix pass above:
-  // a smooth input puts neighbours in one bucket, and a single counter array
-  // would serialize on its own increments.
-  constexpr int kShift = 52;
-  constexpr std::size_t kBuckets = std::size_t{1} << 12;
-  thread_local std::vector<std::uint32_t> stripes;
-  stripes.assign(4 * kBuckets, 0);
-  std::uint32_t* h = stripes.data();
-  const std::size_t n = xs.size();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    ++h[0 * kBuckets + (order_key(xs[i]) >> kShift)];
-    ++h[1 * kBuckets + (order_key(xs[i + 1]) >> kShift)];
-    ++h[2 * kBuckets + (order_key(xs[i + 2]) >> kShift)];
-    ++h[3 * kBuckets + (order_key(xs[i + 3]) >> kShift)];
+MedianBracket MedianBracketCounter::bracket() const {
+  // In value order the buckets run from 0xfff down to 0x800 (the negatives,
+  // -inf/-NaN first, -0 and the negative subnormals last), then from 0x000
+  // up to 0x7ff (+0 first, +inf/+NaN last). The total is summed here rather
+  // than counted per add: a second counter in the producer's loop costs more
+  // than one pass over the buckets.
+  constexpr std::size_t kSign = 0x800;
+  std::size_t positive = 0, negative = 0;
+  for (std::size_t b = 0; b < kSign; ++b) {
+    positive += counts_[b];
+    negative += counts_[kSign + b];
   }
-  for (; i < n; ++i) ++h[order_key(xs[i]) >> kShift];
-  const auto count = [&](std::size_t b) -> std::size_t {
-    return h[b] + h[kBuckets + b] + h[2 * kBuckets + b] + h[3 * kBuckets + b];
-  };
+  const std::size_t n = positive + negative;
+  require_nonempty("MedianBracketCounter", n);
+  const auto bucket = [](std::size_t v) { return v < kSign ? 2 * kSign - 1 - v : v - kSign; };
 
-  // median() = percentile(xs, 50): ranks (n-1)/2 and the next one up.
+  // median() = percentile(xs, 50): ranks (n-1)/2 and the next one up. The
+  // walk skips the negative half when the lower rank lies above it.
   const std::size_t r0 = (n - 1) / 2;
   const std::size_t r1 = std::min(r0 + 1, n - 1);
-  std::size_t b0 = 0, upto = count(0);
-  while (upto <= r0) upto += count(++b0);
-  std::size_t b1 = b0;
-  while (upto <= r1) upto += count(++b1);
+  std::size_t v0 = negative <= r0 ? kSign : 0;
+  std::size_t upto = (negative <= r0 ? negative : 0) + counts_[bucket(v0)];
+  while (upto <= r0) upto += counts_[bucket(++v0)];
+  std::size_t v1 = v0;
+  while (upto <= r1) upto += counts_[bucket(++v1)];
 
-  // Buckets 0 and 4095 hold -inf/-NaN and +inf/+NaN.
+  // The smallest double of the lower rank's bucket and the largest of the
+  // upper one's: mantissa all zeros or all ones, by sign.
+  constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+  const auto edge = [](std::size_t b, bool largest) {
+    const std::uint64_t bits = std::uint64_t{b} << 52;
+    return std::bit_cast<double>(largest == (b < kSign) ? bits | kMantissa : bits);
+  };
   MedianBracket bracket;
-  bracket.finite = count(0) == 0 && count(kBuckets - 1) == 0;
-  bracket.lo = from_order_key(std::uint64_t{b0} << kShift);
-  bracket.hi = from_order_key((std::uint64_t{b1} << kShift) | ((std::uint64_t{1} << kShift) - 1));
+  bracket.finite = counts_[kSign - 1] == 0 && counts_[2 * kSign - 1] == 0;
+  bracket.lo = edge(bucket(v0), false);
+  bracket.hi = edge(bucket(v1), true);
   return bracket;
 }
 

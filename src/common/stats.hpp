@@ -5,7 +5,10 @@
 // correlation and percentile helpers the evaluation figures need.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -44,20 +47,37 @@ double median(std::span<const double> xs);
 /// Linear-interpolated percentile, p in [0, 100]. Requires non-empty input.
 double percentile(std::span<const double> xs, double p);
 
-/// Bounds on median(xs) from one counting pass over sign and exponent: `lo`
-/// is the smallest double with the sign and exponent of the lower of the two
-/// order statistics median() interpolates, `hi` the largest with those of the
-/// upper one (one octave apart for positive normal values). Interpolating
-/// two values in [lo, hi] stays in [lo, hi] under monotone rounding, except
-/// that halving a value below 2^-1021 in magnitude may round past a bound.
-/// `finite` is false, and the bounds meaningless, when xs holds an infinity
-/// or NaN. Requires non-empty input.
+/// Bounds on a median from a sign+exponent histogram: `lo` is the smallest
+/// double with the sign and exponent of the lower of the two order statistics
+/// median() interpolates, `hi` the largest with those of the upper one (one
+/// octave apart for positive normal values). Interpolating two values in
+/// [lo, hi] stays in [lo, hi] under monotone rounding, except that halving a
+/// value below 2^-1021 in magnitude may round past a bound. `finite` is
+/// false, and the bounds meaningless, when the values hold an infinity or
+/// NaN.
 struct MedianBracket {
   double lo = 0.0;
   double hi = 0.0;
   bool finite = false;
 };
-MedianBracket median_bracket(std::span<const double> xs);
+
+/// Incremental MedianBracket: counts each added value into one of 4096
+/// buckets by its top 12 bits, sign and exponent (16 KB), so a producer can
+/// bracket the median of a sequence while it computes it, with no second
+/// pass over the values. Adding the same value `count` times at once counts
+/// the same as adding it `count` times one by one.
+class MedianBracketCounter {
+ public:
+  void add(double x) { ++counts_[std::bit_cast<std::uint64_t>(x) >> 52]; }
+  void add(double x, std::uint32_t count) {
+    counts_[std::bit_cast<std::uint64_t>(x) >> 52] += count;
+  }
+  /// The bracket of median() over every value added. Requires at least one.
+  [[nodiscard]] MedianBracket bracket() const;
+
+ private:
+  std::array<std::uint32_t, 4096> counts_{};
+};
 
 /// Pearson correlation coefficient; inputs must have equal, non-zero length.
 /// Returns 0 when either input is constant (correlation undefined).

@@ -277,8 +277,9 @@ std::vector<std::vector<dsp::Spectrum>> EchoSpectrumExtractor::extract_all_multi
   // slice the flat sequence, crossing recording boundaries where they fall.
   // The raw window IS the FFT input, so four windows pack side by side into
   // one four-lane band PSD (FftPlan::power_spectrum_band_x4); the ragged
-  // tail runs through extract(). finalize() is the shared per-echo tail, so
-  // every spectrum matches extract() bit for bit.
+  // tail fills the unused lanes with zeros and drops their output. Each lane
+  // equals a single transform bitwise and finalize() is the shared per-echo
+  // tail, so every spectrum matches extract() bit for bit.
   struct Slot {
     std::size_t item, echo;
   };
@@ -288,51 +289,50 @@ std::vector<std::vector<dsp::Spectrum>> EchoSpectrumExtractor::extract_all_multi
     out[i].reserve(items[i].echoes->size());
     for (std::size_t e = 0; e < items[i].echoes->size(); ++e) slots.push_back({i, e});
   }
+  if (slots.empty()) return out;
 
-  std::size_t k = 0;
-  if (slots.size() >= 4) {
-    require(config_.band_high_hz <= fs0 / 2.0, "extract: band exceeds Nyquist");
-    WindowPsdScratch& s = window_psd_scratch();
-    ensure_psd_cache(s, config_, fs0);
-    const dsp::FftPlan& plan = *s.plan;
-    const std::size_t bins = plan.real_bins();
-    const double scale = 1.0 / static_cast<double>(config_.fft_size);
-    s.dense4.assign(4 * config_.fft_size, 0.0);
-    s.psd4.resize(4 * bins);
-    for (; k + 4 <= slots.size(); k += 4) {
-      const double* in[4];
-      double* psd[4];
-      for (std::size_t l = 0; l < 4; ++l) {
-        const Slot& slot = slots[k + l];
-        const audio::Waveform& signal = *items[slot.item].signal;
-        const EchoSegment& echo = (*items[slot.item].echoes)[slot.echo];
-        require(echo.peak_index < signal.size(), "extract: echo peak outside signal");
-        const WindowGeometry g = window_geometry(config_, echo);
-        const std::size_t window_len = g.pre + g.post + 1;
-        double* dense = s.dense4.data() + l * config_.fft_size;
-        // Only the window head is dirty from the previous group; the
-        // zero-padded tail beyond window_len is never written.
-        std::fill_n(dense, window_len, 0.0);
-        const std::vector<double>& x = signal.samples();
-        for (std::size_t j = 0; j < window_len; ++j) {
-          const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(g.center) -
-                                     static_cast<std::ptrdiff_t>(g.pre) +
-                                     static_cast<std::ptrdiff_t>(j);
-          if (idx >= 0 && idx < static_cast<std::ptrdiff_t>(signal.size()))
-            dense[j] = x[static_cast<std::size_t>(idx)];
-        }
-        in[l] = dense;
-        psd[l] = s.psd4.data() + l * bins;
+  require(config_.band_high_hz <= fs0 / 2.0, "extract: band exceeds Nyquist");
+  WindowPsdScratch& s = window_psd_scratch();
+  ensure_psd_cache(s, config_, fs0);
+  const dsp::FftPlan& plan = *s.plan;
+  const std::size_t bins = plan.real_bins();
+  const double scale = 1.0 / static_cast<double>(config_.fft_size);
+  s.dense4.assign(4 * config_.fft_size, 0.0);
+  s.psd4.resize(4 * bins);
+  for (std::size_t k = 0; k < slots.size(); k += 4) {
+    const std::size_t lanes = std::min<std::size_t>(4, slots.size() - k);
+    const double* in[4];
+    double* psd[4];
+    for (std::size_t l = 0; l < 4; ++l) {
+      double* dense = s.dense4.data() + l * config_.fft_size;
+      in[l] = dense;
+      psd[l] = s.psd4.data() + l * bins;
+      if (l >= lanes) {
+        std::fill_n(dense, config_.fft_size, 0.0);
+        continue;
       }
-      plan.power_spectrum_band_x4(in, psd, scale, s.fft, s.band_klo, s.band_khi);
-      for (std::size_t l = 0; l < 4; ++l) {
-        out[slots[k + l].item].push_back(finalize(resample_with_cache(s, psd[l])));
+      const Slot& slot = slots[k + l];
+      const audio::Waveform& signal = *items[slot.item].signal;
+      const EchoSegment& echo = (*items[slot.item].echoes)[slot.echo];
+      require(echo.peak_index < signal.size(), "extract: echo peak outside signal");
+      const WindowGeometry g = window_geometry(config_, echo);
+      const std::size_t window_len = g.pre + g.post + 1;
+      // Only the window head is dirty from the previous group; the
+      // zero-padded tail beyond window_len is never written.
+      std::fill_n(dense, window_len, 0.0);
+      const std::vector<double>& x = signal.samples();
+      for (std::size_t j = 0; j < window_len; ++j) {
+        const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(g.center) -
+                                   static_cast<std::ptrdiff_t>(g.pre) +
+                                   static_cast<std::ptrdiff_t>(j);
+        if (idx >= 0 && idx < static_cast<std::ptrdiff_t>(signal.size()))
+          dense[j] = x[static_cast<std::size_t>(idx)];
       }
     }
+    plan.power_spectrum_band_x4(in, psd, scale, s.fft, s.band_klo, s.band_khi);
+    for (std::size_t l = 0; l < lanes; ++l)
+      out[slots[k + l].item].push_back(finalize(resample_with_cache(s, psd[l])));
   }
-  for (; k < slots.size(); ++k)
-    out[slots[k].item].push_back(extract(*items[slots[k].item].signal,
-                                         (*items[slots[k].item].echoes)[slots[k].echo]));
   return out;
 }
 

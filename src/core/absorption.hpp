@@ -97,8 +97,8 @@ class EchoSpectrumExtractor {
   /// independent of its lane-mates (the x4 kernel equals four single calls
   /// bitwise), so result [i][e] is bit-identical to
   /// extract(*items[i].signal, (*items[i].echoes)[e]). The ragged tail runs
-  /// through extract(); recordings at different sample rates are extracted
-  /// one at a time.
+  /// as one x4 group with zero lanes; recordings at different sample rates
+  /// are extracted one at a time.
   [[nodiscard]] std::vector<std::vector<dsp::Spectrum>> extract_all_multi(
       std::span<const EchoBatch> items) const;
 

@@ -2,11 +2,44 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
 
 namespace earsonar::core {
+
+namespace {
+
+// From env[i] on, tracks Eq. 6's noise-floor estimates mu and sigma until a
+// sample opens an event (above mu + k * sigma and above the global mean
+// power); returns that sample's index, or env.size(). Out of line and
+// call-free, so the two serial EMA chains stay in registers: inlined into
+// the detector's loop, which gates and stores events through calls, they
+// were kept in memory and every sample paid a store-load round trip. mu and
+// sigma are separate references, not one struct: a store pair to adjacent
+// fields lets the compiler pack both chains into one vector register, and
+// the packed chain waits on sigma's longer input path every sample.
+[[gnu::noinline]] std::size_t track_until_open(std::span<const double> env, std::size_t i,
+                                               double alpha, double k, double global_mean,
+                                               double& mu_io, double& sigma_io) {
+  double mu = mu_io;
+  double sigma = sigma_io;
+  for (; i < env.size(); ++i) {
+    const double e = env[i];
+    if (e > mu + k * sigma && e > global_mean) break;
+    // Track the noise floor only outside events, so the event's own energy
+    // cannot inflate the threshold (Eq. 6's sliding update).
+    const double dev = std::abs(e - mu);
+    mu = alpha * e + (1.0 - alpha) * mu;
+    sigma = alpha * dev + (1.0 - alpha) * sigma;
+  }
+  mu_io = mu;
+  sigma_io = sigma;
+  return i;
+}
+
+}  // namespace
 
 void EventDetectorConfig::validate() const {
   require(window >= 4, "EventDetectorConfig: window must be >= 4");
@@ -32,43 +65,62 @@ std::vector<Event> AdaptiveEventDetector::detect(const audio::Waveform& signal) 
 
   // Instantaneous power and its centered moving average A(i) over `smooth`
   // samples: the oscillating carrier makes raw |X(i)|^2 cross zero every half
-  // cycle, so thresholds act on the smoothed envelope. One fused pass — the
+  // cycle, so thresholds act on the smoothed envelope. One fold over x: the
   // power term leaving the moving window is recomputed from x (bit-identical
   // to re-reading it) so no per-sample power array is materialized, and the
   // global-mean accumulation rides along in its own accumulator, in the same
-  // element order as a separate loop.
+  // element order as a separate loop. Every center before `half` lands on 0
+  // and is rewritten; from i = half on, center i - half is written once, so
+  // the fold also counts it into the median bracket's histogram. The last
+  // `half` centers never receive a completed moving average: they are zero,
+  // counted at once.
   const std::size_t s = std::min(config_.smooth, n);
   const std::size_t half = s / 2;
   // Reused per-thread buffer: a whole-recording envelope is ~400 KB, and a
-  // fresh allocation pays mmap + page-fault cost every call. The fused pass
-  // below writes every center in [0, n - half); only the last `half` centers
-  // never receive a completed moving average and must be zeroed explicitly.
+  // fresh allocation pays mmap + page-fault cost every call.
   thread_local std::vector<double> envelope;
   envelope.resize(n);
   std::fill(envelope.end() - static_cast<std::ptrdiff_t>(half), envelope.end(), 0.0);
+  MedianBracketCounter histogram;
+  histogram.add(0.0, static_cast<std::uint32_t>(half));
   double run = 0.0;
   double global_mean = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
+  const auto add_power = [&](std::size_t i) {
     const double p = x[i] * x[i];
     global_mean += p;
     run += p;
-    if (i >= s) run -= x[i - s] * x[i - s];
-    const std::size_t count = std::min(i + 1, s);
-    const std::size_t center = i >= half ? i - half : 0;
-    envelope[center] = run / static_cast<double>(count);
+  };
+  double* env = envelope.data();
+  std::size_t i = 0;
+  for (; i < half; ++i) {
+    add_power(i);
+    env[0] = run / static_cast<double>(i + 1);
+  }
+  for (; i < s; ++i) {
+    add_power(i);
+    env[i - half] = run / static_cast<double>(i + 1);
+    histogram.add(env[i - half]);
+  }
+  // Full windows: the oldest power term leaves the moving sum.
+  const double window = static_cast<double>(s);
+  for (; i < n; ++i) {
+    add_power(i);
+    run -= x[i - s] * x[i - s];
+    env[i - half] = run / window;
+    histogram.add(env[i - half]);
   }
 
   // Global mean power: the closing threshold mu-bar of Eq. 6-7.
   global_mean /= static_cast<double>(n);
 
   // Robust noise-floor gate: peak >= floor_prominence * max(median, 1e-30).
-  // Only a peak near that threshold needs the exact median. One counting
-  // pass brackets the median within an octave, and rounding is monotone, so
-  // the threshold lies in [at_lo, at_hi] (the bracket's subnormal caveat
-  // sits far below the 1e-30 floor): a peak outside that range is decided
-  // by the bracket, and the exact median is computed (once) only for a peak
-  // inside it.
-  const MedianBracket bracket = median_bracket(envelope);
+  // Only a peak near that threshold needs the exact median. The histogram
+  // brackets the median within an octave, and rounding is monotone, so the
+  // threshold lies in [at_lo, at_hi] (the bracket's subnormal caveat sits far
+  // below the 1e-30 floor): a peak outside that range is decided by the
+  // bracket, and the exact median is computed (once) only for a peak inside
+  // it.
+  const MedianBracket bracket = histogram.bracket();
   const double fp = config_.floor_prominence;
   const double at_lo = fp * std::max(bracket.lo, 1e-30);
   const double at_hi = fp * std::max(bracket.hi, 1e-30);
@@ -86,44 +138,31 @@ std::vector<Event> AdaptiveEventDetector::detect(const audio::Waveform& signal) 
 
   // Running exponential estimates mu(i), sigma(i) with 1/W weighting (Eq. 6).
   // They adapt to the noise floor between events, so an arriving chirp pops
-  // far above mu + k*sigma.
+  // far above mu + k*sigma. Inside an event the scan keeps its running peak
+  // envelope (from 0.0, as a scan of [start, end) would) until the event is
+  // too long, quiet again, or reaches the last sample.
   const double alpha = 1.0 / static_cast<double>(config_.window);
-  double mu = envelope[0];
+  double mu = env[0];
   double sigma = 0.0;
-
   std::vector<Event> events;
-  bool in_event = false;
-  Event current;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double e = envelope[i];
-    if (!in_event) {
-      if (e > mu + config_.start_threshold_k * sigma && e > global_mean) {
-        in_event = true;
-        current.start = i;
-      } else {
-        // Track the noise floor only outside events, so the event's own
-        // energy cannot inflate the threshold (Eq. 6's sliding update).
-        const double dev = std::abs(e - mu);
-        mu = alpha * e + (1.0 - alpha) * mu;
-        sigma = alpha * dev + (1.0 - alpha) * sigma;
-      }
-    } else {
-      const bool too_long = i - current.start >= config_.max_length;
-      const bool quiet = e < global_mean;  // |X(i)|^2 < mu-bar closes the event
-      if (too_long || quiet || i + 1 == n) {
-        current.end = i + 1;
-        in_event = false;
-        // Length and prominence gates: real chirp events tower over the
-        // recording's mean power; noise wiggles do not.
-        double peak_env = 0.0;
-        for (std::size_t j = current.start; j < current.end; ++j)
-          peak_env = std::max(peak_env, envelope[j]);
-        if (current.length() >= config_.min_length &&
-            peak_env >= config_.prominence * global_mean &&
-            above_floor(peak_env))
-          events.push_back(current);
-      }
+  i = 0;
+  while (true) {
+    const std::size_t start =
+        track_until_open({env, n}, i, alpha, config_.start_threshold_k, global_mean, mu, sigma);
+    if (start + 1 >= n) break;  // none opened, or one on the last sample: never closes
+    double peak_env = std::max(0.0, env[start]);
+    for (i = start + 1;; ++i) {
+      peak_env = std::max(peak_env, env[i]);
+      // |X(i)|^2 < mu-bar closes the event.
+      if (i - start >= config_.max_length || env[i] < global_mean || i + 1 == n) break;
     }
+    const Event current{start, i + 1};
+    i = current.end;
+    // Length and prominence gates: real chirp events tower over the
+    // recording's mean power; noise wiggles do not.
+    if (current.length() >= config_.min_length &&
+        peak_env >= config_.prominence * global_mean && above_floor(peak_env))
+      events.push_back(current);
   }
 
   // Expand by the smoothing half-width (the envelope blurs edges by ~half),

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -383,26 +385,66 @@ TEST(StatsTest, PercentileLargeInputMatchesSort) {
   }
 }
 
-// median_bracket's bounds hold the exact median, span one octave around a
-// single positive value, and flag non-finite input.
+// MedianBracketCounter's bounds hold the exact median, span one octave
+// around a single nonzero value, and flag non-finite input.
 TEST(StatsTest, MedianBracketHoldsMedian) {
+  const auto bracket_of = [](const std::vector<double>& xs) {
+    MedianBracketCounter counter;
+    for (double x : xs) counter.add(x);
+    return counter.bracket();
+  };
   Rng rng(23);
   for (std::size_t n : {1UL, 2UL, 3UL, 10UL, 1001UL, 7712UL}) {
-    for (double scale : {1e-12, 1.0, 3e5}) {
+    for (double scale : {1e-12, 1.0, 3e5, -1.0}) {
       std::vector<double> xs(n);
       for (double& x : xs) x = scale * rng.uniform(-0.2, 1.0);
       const double m = median(xs);
-      const MedianBracket b = median_bracket(xs);
+      const MedianBracket b = bracket_of(xs);
       EXPECT_TRUE(b.finite);
       EXPECT_LE(b.lo, m) << "n=" << n << " scale=" << scale;
       EXPECT_GE(b.hi, m) << "n=" << n << " scale=" << scale;
-      if (n == 1 && b.lo > 0.0) EXPECT_LT(b.hi, 2.0 * b.lo);  // one value, one octave
+      // One value, one octave.
+      if (n == 1 && b.lo > 0.0) {
+        EXPECT_LT(b.hi, 2.0 * b.lo);
+      } else if (n == 1 && b.hi < 0.0) {
+        EXPECT_GT(b.lo, 2.0 * b.hi);
+      }
     }
   }
   const std::vector<double> with_inf = {1.0, std::numeric_limits<double>::infinity(), 2.0};
-  EXPECT_FALSE(median_bracket(with_inf).finite);
+  EXPECT_FALSE(bracket_of(with_inf).finite);
   const std::vector<double> with_nan = {1.0, std::numeric_limits<double>::quiet_NaN(), 2.0};
-  EXPECT_FALSE(median_bracket(with_nan).finite);
+  EXPECT_FALSE(bracket_of(with_nan).finite);
+}
+
+// A weighted add (the event detector's trailing zero centers, counted at
+// once) brackets exactly as adding the value that many times one by one,
+// wherever the repeated value falls in the order.
+TEST(StatsTest, MedianBracketWeightedAddEqualsSingleAdds) {
+  Rng rng(29);
+  for (std::size_t n : {0UL, 1UL, 5UL, 100UL}) {
+    for (std::uint32_t repeat : {1U, 2U, 8U, 300U}) {
+      for (double value : {0.0, -3.0, 0.5, 1e9}) {
+        MedianBracketCounter weighted, single;
+        for (std::size_t i = 0; i < n; ++i) {
+          const double x = rng.uniform(-1.0, 2.0);
+          weighted.add(x);
+          single.add(x);
+        }
+        weighted.add(value, repeat);
+        for (std::uint32_t r = 0; r < repeat; ++r) single.add(value);
+        const MedianBracket a = weighted.bracket();
+        const MedianBracket b = single.bracket();
+        const std::string where = "n=" + std::to_string(n) + " repeat=" +
+                                  std::to_string(repeat) + " value=" + std::to_string(value);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.lo), std::bit_cast<std::uint64_t>(b.lo))
+            << where;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.hi), std::bit_cast<std::uint64_t>(b.hi))
+            << where;
+        EXPECT_EQ(a.finite, b.finite) << where;
+      }
+    }
+  }
 }
 
 TEST(StatsTest, PercentileRanksStraddlingRadixBuckets) {

@@ -1,18 +1,25 @@
 // Differential oracle for the two per-event core stages, both bit-exact:
 //
-//   core.event_detect — AdaptiveEventDetector::detect, which brackets the
-//     envelope median within an octave and computes it exactly only when a
-//     peak falls inside the bracket, vs check::event_detect_naive (full-sort
-//     median up front): equal event lists.
+//   core.event_detect — AdaptiveEventDetector::detect, whose envelope fold
+//     also counts every final envelope value into a sign+exponent histogram
+//     (the trailing zero centers as one weighted count) that brackets the
+//     median within an octave, and which computes the exact median only when
+//     a peak falls inside the bracket, vs check::event_detect_naive (envelope
+//     array first, full-sort median up front): equal event lists.
 //   core.segment — ParityEchoSegmenter::segment, which auto-convolves only
 //     the lags behind the direct pulse that can hold the echo, vs
 //     check::segment_naive (every lag, every local maximum, then the distance
 //     window): every EchoSegment field equal bit for bit.
 //
 // Inputs: the served cohort of `perfbench --seed 3`, a noise-only recording,
-// a synthetic burst pair built to land inside the median bracket, and event
-// windows longer than 64 samples (the FFT auto-convolution) or clipped at
-// either edge of the recording.
+// a synthetic burst pair built to land inside the median bracket, the
+// fold's edges (recordings shorter than the smoothing window, around its
+// half-width and its length; all-zero and constant recordings; a moving sum
+// that rounds below zero, so negative envelope values reach the histogram; a
+// recording whose median is zero only through the trailing zero centers, and
+// one where counting each rewrite of center 0 would move the median),
+// and event windows longer than 64 samples (the FFT auto-convolution) or
+// clipped at either edge of the recording.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -140,6 +147,120 @@ TEST(OracleEventDetectTest, PeakInsideMedianBracketRunsExactMedian) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_LE(got[0].start, 1000u);
   EXPECT_GE(got[0].end, 1064u);
+}
+
+// Recordings around the fold's edges: n below `smooth` (the window shrinks
+// to n), at and around its half-width (where center 0 stops being
+// rewritten), and around `smooth` itself (the trailing zero centers), each
+// as plain noise and as noise with a 20x burst in its middle third.
+TEST(OracleEventDetectTest, ShortRecordingsMatchNaive) {
+  const core::AdaptiveEventDetector detector;
+  ASSERT_EQ(detector.config().smooth, 16u);
+  Rng rng(0x5407ULL);
+  for (std::size_t n : {1UL, 2UL, 7UL, 8UL, 9UL, 15UL, 16UL, 17UL, 33UL}) {
+    std::vector<double> x(n);
+    for (double& v : x) v = rng.normal(0.0, 0.05);
+    for (bool burst : {false, true}) {
+      if (burst)
+        for (std::size_t i = n / 3; i < 2 * n / 3; ++i) x[i] *= 20.0;
+      const audio::Waveform rec(x, 48000.0);
+      expect_same_events(detector.detect(rec),
+                         check::event_detect_naive(rec.view(), detector.config()),
+                         "n=" + std::to_string(n) + (burst ? " burst" : " noise"));
+    }
+  }
+}
+
+TEST(OracleEventDetectTest, ZeroAndConstantRecordingsMatchNaive) {
+  const core::AdaptiveEventDetector detector;
+  for (std::size_t n : {1UL, 16UL, 4096UL}) {
+    for (double level : {0.0, 0.3, -1e-160}) {
+      const audio::Waveform rec(std::vector<double>(n, level), 48000.0);
+      expect_same_events(detector.detect(rec),
+                         check::event_detect_naive(rec.view(), detector.config()),
+                         "n=" + std::to_string(n) + " level=" + std::to_string(level));
+    }
+  }
+}
+
+// A tiny power term absorbed into a sum of 1 and then removed from it leaves
+// 1 - ulp; removing the 1 leaves the moving sum at -2^-53 over the zeros that
+// follow, so negative envelope values fill the histogram's sign buckets (and
+// hold the median). Bursts later in the recording open real events on top
+// of that offset.
+TEST(OracleEventDetectTest, NegativeEnvelopeMatchesNaive) {
+  const core::AdaptiveEventDetector detector;
+  const std::size_t s = detector.config().smooth;
+  std::vector<double> x(2048, 0.0);
+  x[0] = std::sqrt(6e-17);
+  x[1] = 1.0;
+  for (std::size_t start : {1500UL, 1800UL})
+    for (std::size_t i = start; i < start + 64; ++i) x[i] = i % 2 == 0 ? 0.5 : -0.5;
+
+  // The construction's precondition, from the same moving sum: envelope
+  // values below zero, and more than half of them.
+  double run = 0.0;
+  std::size_t negative = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    run += x[i] * x[i];
+    if (i >= s) run -= x[i - s] * x[i - s];
+    negative += run < 0.0;
+  }
+  ASSERT_GT(negative, x.size() / 2);
+
+  const audio::Waveform rec(x, 48000.0);
+  const std::vector<core::Event> got = detector.detect(rec);
+  expect_same_events(got, check::event_detect_naive(rec.view(), detector.config()),
+                     "negative envelope");
+  EXPECT_EQ(got.size(), 2u);
+}
+
+// The trailing zero centers decide the median here. The first 2049 samples
+// are silent, so 2041 computed centers are zero and the 8 trailing ones make
+// 2049 of 4096: the median is 0 and the floor gate passes every peak.
+// Without those 8 the middle ranks would fall on the floor F = 2^-8 (a burst
+// of 32F leads out of the silence, so its rising edge sorts above F), whose
+// bracket starts at F exactly: a second burst peaking at 5F < 6F would be
+// dropped. Both bursts clear 3x the global mean (~1.1F).
+TEST(OracleEventDetectTest, TrailingZeroCentersDecideTheMedian) {
+  const double floor_amp = 1.0 / 16.0;
+  std::vector<double> x(4096, 0.0);
+  for (std::size_t i = 2049; i < x.size(); ++i) x[i] = i % 2 == 0 ? floor_amp : -floor_amp;
+  for (std::size_t i = 2049; i < 2049 + 64; ++i) x[i] *= std::sqrt(32.0);
+  for (std::size_t i = 3000; i < 3064; ++i) x[i] *= std::sqrt(5.0);
+  const audio::Waveform rec(x, 48000.0);
+  const core::AdaptiveEventDetector detector;
+  const std::vector<core::Event> got = detector.detect(rec);
+  expect_same_events(got, check::event_detect_naive(rec.view(), detector.config()),
+                     "trailing zeros");
+  EXPECT_EQ(got.size(), 2u);
+}
+
+// Center 0 is rewritten `half` times before it is final; only its final
+// value counts. A 32F burst opens the recording, so a count of each rewrite
+// would add 8 values above the median. Silence after it leaves 2041 zero
+// centers, and with the 8 trailing ones 2049 of 4096: the median is 0. Eight
+// more values would move the middle ranks onto the floor F = 2^-8 (a second
+// 32F burst leads out of the silence, so no rising edge sorts below F), and
+// a burst peaking at 5F < 6F would be dropped. It clears 3x the global mean
+// (~1.5F).
+TEST(OracleEventDetectTest, RewrittenHeadCenterCountsOnce) {
+  const double floor_amp = 1.0 / 16.0;
+  std::vector<double> x(4096, 0.0);
+  const auto fill = [&](std::size_t from, std::size_t to, double power_ratio) {
+    for (std::size_t i = from; i < to; ++i)
+      x[i] = (i % 2 == 0 ? floor_amp : -floor_amp) * std::sqrt(power_ratio);
+  };
+  fill(0, 64, 32.0);
+  fill(64 + 2057, 64 + 2057 + 64, 32.0);
+  fill(64 + 2057 + 64, x.size(), 1.0);
+  fill(3500, 3564, 5.0);
+  const audio::Waveform rec(x, 48000.0);
+  const core::AdaptiveEventDetector detector;
+  const std::vector<core::Event> got = detector.detect(rec);
+  expect_same_events(got, check::event_detect_naive(rec.view(), detector.config()),
+                     "rewritten head");
+  EXPECT_EQ(got.size(), 2u);
 }
 
 // ------------------------------------------------------- echo segmentation
