@@ -122,8 +122,8 @@ void BM_FeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction)->Unit(benchmark::kMillisecond);
 
-// extract_all_multi over one served recording's echoes: groups of four
-// plus the ragged tail.
+// extract_all_multi over one served recording's echoes: groups of four,
+// the last one padded with zero lanes.
 void BM_EchoPsdServed(benchmark::State& state) {
   core::FeatureExtractor extractor;
   extractor.set_reference(audio::FmcwConfig{});
@@ -133,6 +133,21 @@ void BM_EchoPsdServed(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(psd.extract_all_multi({&item, 1}));
 }
 BENCHMARK(BM_EchoPsdServed)->Unit(benchmark::kMicrosecond);
+
+// Feature assembly from the served recording's PSD rows (the features stage
+// after the echo_psd pass): time-group means, their MFCCs, the mean
+// spectrum and the 105-element vector.
+void BM_FeaturesServed(benchmark::State& state) {
+  core::FeatureExtractor extractor;
+  extractor.set_reference(audio::FmcwConfig{});
+  const std::vector<double> rows =
+      extractor.spectrum_extractor().extract_all(served().filtered, served().echoes);
+  const std::size_t echoes = served().echoes.size();
+  state.counters["echoes"] = static_cast<double>(echoes);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(extractor.extract_full_from_rows(echoes, rows));
+}
+BENCHMARK(BM_FeaturesServed)->Unit(benchmark::kMicrosecond);
 
 void BM_Inference(benchmark::State& state) {
   for (auto _ : state)

@@ -70,7 +70,8 @@ run_flavor() {
 
 ASAN_TARGETS="serve_test stagegraph_test fault_test wav_fuzz_replay simd_test
               net_test chaos_test frame_fuzz_replay longitudinal_test
-              oracle_fft_test oracle_dsp_test oracle_stats_test oracle_core_test
+              oracle_fft_test oracle_psd_test oracle_dsp_test oracle_stats_test
+              oracle_core_test
               oracle_ml_test oracle_stream_test oracle_golden_test"
 
 # The ASan leg runs the whole `oracle` label, but a binary it does not build

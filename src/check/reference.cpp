@@ -8,6 +8,8 @@
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "dsp/fft.hpp"
+#include "dsp/fft_plan.hpp"
 
 namespace earsonar::check {
 
@@ -193,6 +195,38 @@ std::vector<double> band_mfcc_naive(const dsp::Spectrum& spectrum,
   std::vector<double> mfcc = dct2_naive(log_energies);
   mfcc.resize(coefficient_count);
   return mfcc;
+}
+
+std::vector<double> echo_psd_row_unpruned(std::span<const double> signal,
+                                          std::ptrdiff_t start, std::size_t length,
+                                          double sample_rate,
+                                          const core::SpectrumConfig& config,
+                                          std::span<const double> reference) {
+  const std::size_t n = config.fft_size;
+  require(length <= n, "echo_psd_row_unpruned: window longer than the transform");
+  std::vector<double> padded(n, 0.0);
+  for (std::size_t j = 0; j < length; ++j) {
+    const std::ptrdiff_t idx = start + static_cast<std::ptrdiff_t>(j);
+    if (idx >= 0 && idx < static_cast<std::ptrdiff_t>(signal.size()))
+      padded[j] = signal[static_cast<std::size_t>(idx)];
+  }
+  const auto plan = dsp::FftPlan::get(n, dsp::FftPlan::Kind::kReal);
+  dsp::Spectrum full;
+  full.psd.resize(plan->real_bins());
+  dsp::FftScratch scratch;
+  plan->power_spectrum(padded, full.psd, 1.0 / static_cast<double>(n), scratch);
+  full.frequency_hz.resize(full.psd.size());
+  for (std::size_t k = 0; k < full.psd.size(); ++k)
+    full.frequency_hz[k] = dsp::bin_frequency(k, n, sample_rate);
+  std::vector<double> row =
+      dsp::resample_spectrum(full, config.band_low_hz, config.band_high_hz,
+                             config.band_bins)
+          .psd;
+  if (!reference.empty()) {
+    require(reference.size() == row.size(), "echo_psd_row_unpruned: reference size");
+    for (std::size_t i = 0; i < row.size(); ++i) row[i] /= reference[i];
+  }
+  return row;
 }
 
 std::vector<double> welch_psd_naive(std::span<const double> signal, double sample_rate,

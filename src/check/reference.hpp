@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "core/absorption.hpp"
 #include "core/event_detect.hpp"
 #include "core/segment.hpp"
 #include "dsp/biquad.hpp"
@@ -72,6 +73,18 @@ std::vector<double> biquad_cascade_df1_naive(const std::vector<dsp::Biquad>& sec
 std::vector<double> band_mfcc_naive(const dsp::Spectrum& spectrum,
                                     std::size_t filter_count,
                                     std::size_t coefficient_count);
+
+/// One band-PSD row of core::EchoSpectrumExtractor without the pruned
+/// transform: samples [start, start + length) of `signal` (zero outside it)
+/// zero-padded to config.fft_size, dsp::FftPlan::power_spectrum over every
+/// bin scaled by 1/fft_size, dsp::resample_spectrum onto the band grid, then
+/// divided element-wise by `reference` unless it is empty. The reference of
+/// the `dsp.psd.band` pair at the extractor level.
+std::vector<double> echo_psd_row_unpruned(std::span<const double> signal,
+                                          std::ptrdiff_t start, std::size_t length,
+                                          double sample_rate,
+                                          const core::SpectrumConfig& config,
+                                          std::span<const double> reference = {});
 
 /// core::AdaptiveEventDetector::detect written out plainly: a materialized
 /// power array, the same trailing running sum stored at each window's center,

@@ -51,6 +51,15 @@ std::vector<PairPolicy> build_table() {
            "dsp::simd::kernel_set(kScalar) (Pack emulation, same lane count)", {0.0, 0.0},
            "bit-exact: both levels instantiate the identical templated op sequence "
            "(src/dsp/kernel_impl.hpp) at the same lane width with -ffp-contract=off");
+  add_pair(t, "dsp.psd.band",
+           "dsp::BandPsdPlan::execute_x4 (pruned four-lane band transform) and the "
+           "core::EchoSpectrumExtractor rows built on it",
+           "dsp::FftPlan::power_spectrum of the zero-padded window over every bin "
+           "(check::echo_psd_row_unpruned for whole rows)",
+           {0.0, 0.0},
+           "bit-exact: each computed butterfly runs the full transform's expressions; a "
+           "skipped one feeds no requested bin or adds w * 0, which keeps its operand's "
+           "bits, and |X|^2 erases the sign of an exact zero");
   add_pair(t, "core.band_mfcc", "core::FeatureExtractor::band_mfcc",
            "check::band_mfcc_naive (literal mel/log/DCT chain on the band grid)",
            {1e-10, 1e-12},

@@ -5,6 +5,12 @@
 // (the clean chirp pushed through the same chain); per-chirp PSDs are
 // averaged into one echo spectrum per recording.
 //
+// The transform computes only the bins the band resample reads, four
+// windows at a time (dsp::BandPsdPlan: broadcast blocks plus the butterfly
+// runs the band needs), and each band bin equals the full transform's bit
+// for bit. Per-echo results are rows of one flat buffer per recording, not
+// dsp::Spectrum objects: the band grid is the same for every row.
+//
 // Three implementation choices matter at a 48 kHz sample rate, where the drum
 // echo overlaps the tail of the direct speaker-to-mic pulse (paper Fig. 7b):
 //   * the echo-peak window (WindowAnchor::kEchoPeak) is asymmetric — a short
@@ -77,10 +83,14 @@ class EchoSpectrumExtractor {
   /// own spectrum. The pipeline installs this automatically from its chirp
   /// design.
   void set_reference(const audio::FmcwConfig& chirp);
-  [[nodiscard]] bool has_reference() const { return !reference_.psd.empty(); }
+  [[nodiscard]] bool has_reference() const { return !reference_.empty(); }
+
+  /// The uniform band grid every PSD row lives on: band_bins frequencies
+  /// from band_low_hz to band_high_hz. Independent of the sample rate.
+  [[nodiscard]] const std::vector<double>& band_frequencies() const { return grid_; }
 
   /// Band PSD (on the uniform band grid) of one echo window, divided by the
-  /// transmit reference when one is installed.
+  /// transmit reference when one is installed. A one-echo extract_all().
   [[nodiscard]] dsp::Spectrum extract(const audio::Waveform& signal,
                                       const EchoSegment& echo) const;
 
@@ -90,28 +100,31 @@ class EchoSpectrumExtractor {
     const std::vector<EchoSegment>* echoes = nullptr;
   };
 
-  /// extract() for every echo of many recordings in one pass: the flattened
-  /// (recording, echo) windows pack into four-lane power_spectrum_band_x4
-  /// groups that may cross recording boundaries, so a batch of short
-  /// recordings still fills the kernel. Each lane's arithmetic is
-  /// independent of its lane-mates (the x4 kernel equals four single calls
-  /// bitwise), so result [i][e] is bit-identical to
-  /// extract(*items[i].signal, (*items[i].echoes)[e]). The ragged tail runs
-  /// as one x4 group with zero lanes; recordings at different sample rates
-  /// are extracted one at a time.
-  [[nodiscard]] std::vector<std::vector<dsp::Spectrum>> extract_all_multi(
+  /// Band PSD rows of every echo of many recordings in one pass. Result [i]
+  /// holds recording i's rows back to back: echo e's band_bins values (on
+  /// band_frequencies(), divided by the reference when one is installed)
+  /// start at [i][e * band_bins]. Windows are read in place from each
+  /// recording; only a window that crosses its recording's first or last
+  /// sample goes through a zero-filled copy. The flattened (recording, echo)
+  /// windows run four at a time through one dsp::BandPsdPlan, so groups may
+  /// cross recording boundaries; the last group's unused lanes are zero.
+  /// Each lane's arithmetic is independent of its lane-mates and every
+  /// computed bin equals the full FftPlan::power_spectrum of the zero-padded
+  /// window bit for bit, so row [i][e] is the same whatever the grouping.
+  /// Recordings at different sample rates are extracted one at a time.
+  [[nodiscard]] std::vector<std::vector<double>> extract_all_multi(
       std::span<const EchoBatch> items) const;
 
-  /// extract_all_multi() over one recording. The per-echo PSDs feed several
+  /// extract_all_multi() over one recording. The per-echo rows feed several
   /// downstream consumers (time-group averages, the whole-recording mean);
-  /// extracting them once and averaging subranges with average_of() avoids
+  /// extracting them once and averaging row ranges with mean_rows() avoids
   /// re-running the window/FFT chain per consumer.
-  [[nodiscard]] std::vector<dsp::Spectrum> extract_all(
+  [[nodiscard]] std::vector<double> extract_all(
       const audio::Waveform& signal, const std::vector<EchoSegment>& echoes) const;
 
-  /// Element-wise mean of already-extracted per-echo spectra, accumulated in
-  /// order — bit-identical to average() over the matching echoes.
-  [[nodiscard]] dsp::Spectrum average_of(std::span<const dsp::Spectrum> spectra) const;
+  /// Element-wise mean of `count` consecutive rows starting at `rows`,
+  /// accumulated in row order into `out` (band_bins values).
+  void mean_rows(const double* rows, std::size_t count, double* out) const;
 
   /// Average spectrum over many echoes of the same recording (element-wise
   /// mean of the per-echo PSDs).
@@ -121,15 +134,20 @@ class EchoSpectrumExtractor {
   [[nodiscard]] const SpectrumConfig& config() const { return config_; }
 
  private:
-  /// Band PSD of signal[center-pre, center+post], zero-padded to fft_size.
-  [[nodiscard]] dsp::Spectrum window_psd(const audio::Waveform& signal,
-                                         std::size_t center, std::size_t pre,
-                                         std::size_t post) const;
-  /// Reference division applied to one echo's band PSD — the tail of
-  /// extract(), shared with the packed extract_all_multi path.
-  [[nodiscard]] dsp::Spectrum finalize(dsp::Spectrum spectrum) const;
+  /// One analysis window: `window_len` samples of `signal` from `start`
+  /// (which may lie outside the recording; those samples read as zero).
+  struct Window {
+    const audio::Waveform* signal;
+    std::ptrdiff_t start;
+    double* row;  ///< band_bins outputs
+  };
+  /// Band PSD rows of windows that share one sample rate and length, four
+  /// at a time, each divided element-wise by `reference` unless it is null.
+  void run_windows(std::span<const Window> windows, std::size_t window_len,
+                   double fs, const double* reference) const;
   SpectrumConfig config_;
-  dsp::Spectrum reference_;  ///< transmit-reference band PSD (may be empty)
+  std::vector<double> grid_;       ///< band_frequencies()
+  std::vector<double> reference_;  ///< transmit-reference band PSD (may be empty)
 };
 
 }  // namespace earsonar::core

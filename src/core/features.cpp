@@ -13,48 +13,58 @@
 
 namespace earsonar::core {
 
-namespace {
-
-// Triangular mel-spaced filters across [low, high] applied to a uniform-grid
-// band spectrum (ascending frequencies); returns log filter energies.
-std::vector<double> mel_band_energies(const dsp::Spectrum& spectrum,
-                                      std::size_t filter_count) {
-  const double low = spectrum.frequency_hz.front();
-  const double high = spectrum.frequency_hz.back();
-  const double mel_lo = dsp::hz_to_mel(low);
-  const double mel_hi = dsp::hz_to_mel(high);
-
+// Triangular mel-spaced filters across [low, high] of an ascending band grid.
+// Each triangle is zero outside [left, right], and on the ascending grid the
+// bins in that span form one run, so each filter sums only its run, in bin
+// order. The skipped terms are 0 * psd[b] = +0.0 for finite psd and leave the
+// sum's bits unchanged. Every bin must still reach a filter, so that a NaN or
+// infinite bin makes the coefficients non-finite: the runs keep their
+// zero-weight end bins, and the first filter's run starts at bin 0 and the
+// last one's ends at the last bin, because the mel round trip of the outer
+// edges can land just inside the grid's end frequencies.
+FeatureExtractor::MelWeights FeatureExtractor::MelWeights::build(
+    const std::vector<double>& freq, std::size_t filter_count) {
+  const double mel_lo = dsp::hz_to_mel(freq.front());
+  const double mel_hi = dsp::hz_to_mel(freq.back());
   std::vector<double> edges(filter_count + 2);
   for (std::size_t i = 0; i < edges.size(); ++i)
     edges[i] = dsp::mel_to_hz(mel_lo + (mel_hi - mel_lo) * static_cast<double>(i) /
                                            static_cast<double>(edges.size() - 1));
-
-  // Each triangle is zero outside [left, right], and on the ascending grid
-  // the bins in that span form one run, so each filter sums only its run, in
-  // bin order. The skipped terms are 0 * psd[b] = +0.0 for finite psd and
-  // leave the sum's bits unchanged. Every bin must still reach a filter, so
-  // that a NaN or infinite bin makes the coefficients non-finite: the runs
-  // keep their zero-weight end bins, and the first filter's run starts at
-  // bin 0 and the last one's ends at the last bin, because the mel round trip
-  // of the outer edges can land just inside the grid's end frequencies.
-  std::vector<double> energies(filter_count, 0.0);
+  MelWeights m;
+  m.first.resize(filter_count);
+  m.offset.resize(filter_count + 1);
   std::size_t first = 0;
   for (std::size_t f = 0; f < filter_count; ++f) {
     const double left = edges[f], center = edges[f + 1], right = edges[f + 2];
     const bool last_filter = f + 1 == filter_count;
-    while (f > 0 && first < spectrum.size() && spectrum.frequency_hz[first] < left) ++first;
-    for (std::size_t b = first;
-         b < spectrum.size() && (last_filter || spectrum.frequency_hz[b] <= right); ++b) {
-      const double freq = spectrum.frequency_hz[b];
+    while (f > 0 && first < freq.size() && freq[first] < left) ++first;
+    m.first[f] = first;
+    m.offset[f] = m.weight.size();
+    for (std::size_t b = first; b < freq.size() && (last_filter || freq[b] <= right);
+         ++b) {
       double w = 0.0;
-      if (freq > left && freq < center) w = (freq - left) / (center - left);
-      else if (freq >= center && freq < right) w = (right - freq) / (right - center);
-      energies[f] += w * spectrum.psd[b];
+      if (freq[b] > left && freq[b] < center) w = (freq[b] - left) / (center - left);
+      else if (freq[b] >= center && freq[b] < right) w = (right - freq[b]) / (right - center);
+      m.weight.push_back(w);
     }
+  }
+  m.offset[filter_count] = m.weight.size();
+  return m;
+}
+
+std::vector<double> FeatureExtractor::MelWeights::mfcc(const double* psd,
+                                                       std::size_t coefficients) const {
+  std::vector<double> energies(first.size(), 0.0);
+  for (std::size_t f = 0; f < first.size(); ++f) {
+    const double* row = psd + first[f];
+    for (std::size_t j = 0; j < offset[f + 1] - offset[f]; ++j)
+      energies[f] += weight[offset[f] + j] * row[j];
     energies[f] = std::log(std::max(energies[f], 1e-12));
   }
-  return energies;
+  return dsp::dct2_truncated(energies, coefficients);
 }
+
+namespace {
 
 // Least-squares slope of psd vs normalized frequency position.
 double spectral_slope(const dsp::Spectrum& spectrum) {
@@ -99,14 +109,15 @@ void FeatureConfig::validate() const {
 FeatureExtractor::FeatureExtractor(FeatureConfig config)
     : config_(config), extractor_(config.spectrum) {
   config_.validate();
+  if (config_.spectrum.band_bins >= config_.mfcc_filters)
+    mel_ = MelWeights::build(extractor_.band_frequencies(), config_.mfcc_filters);
 }
 
 std::vector<double> FeatureExtractor::band_mfcc(const dsp::Spectrum& spectrum) const {
   require(spectrum.size() >= config_.mfcc_filters,
           "band_mfcc: spectrum grid coarser than the filterbank");
-  const std::vector<double> log_energies =
-      mel_band_energies(spectrum, config_.mfcc_filters);
-  return dsp::dct2_truncated(log_energies, config_.mfcc_coefficients);
+  return MelWeights::build(spectrum.frequency_hz, config_.mfcc_filters)
+      .mfcc(spectrum.psd.data(), config_.mfcc_coefficients);
 }
 
 std::vector<double> FeatureExtractor::extract(
@@ -119,18 +130,18 @@ FeatureExtractor::Result FeatureExtractor::extract_full(
   require_nonempty("FeatureExtractor echoes", echoes.size());
 
   // One window/FFT pass per echo; the group averages and the mean spectrum
-  // below all reduce over these shared PSDs.
-  const std::vector<dsp::Spectrum> per_echo = extractor_.extract_all(signal, echoes);
-  return extract_full_from_psds(echoes, per_echo);
+  // below all reduce over these shared rows.
+  const std::vector<double> rows = extractor_.extract_all(signal, echoes);
+  return extract_full_from_rows(echoes.size(), rows);
 }
 
-FeatureExtractor::Result FeatureExtractor::extract_full_from_psds(
-    const std::vector<EchoSegment>& echoes,
-    std::span<const dsp::Spectrum> per_echo) const {
-  require_nonempty("FeatureExtractor echoes", echoes.size());
-  require(per_echo.size() == echoes.size(),
-          "extract_full_from_psds: one spectrum per echo");
-  const std::span<const dsp::Spectrum> all = per_echo;
+FeatureExtractor::Result FeatureExtractor::extract_full_from_rows(
+    std::size_t echoes, std::span<const double> rows) const {
+  require_nonempty("FeatureExtractor echoes", echoes);
+  const std::vector<double>& grid = extractor_.band_frequencies();
+  const std::size_t bins = grid.size();
+  require(rows.size() == echoes * bins, "extract_full_from_rows: one row per echo");
+  require(!mel_.first.empty(), "band_mfcc: spectrum grid coarser than the filterbank");
 
   std::vector<double> features;
   features.reserve(dimension());
@@ -138,19 +149,23 @@ FeatureExtractor::Result FeatureExtractor::extract_full_from_psds(
   // --- 1. MFCCs of early / middle / late chirp-group average spectra. The
   // groups capture slow within-recording drift (movement, contact changes).
   const std::size_t groups = config_.time_groups;
+  std::vector<double> group_mean(bins);
   for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t lo = g * echoes.size() / groups;
-    std::size_t hi = (g + 1) * echoes.size() / groups;
-    if (hi <= lo) hi = std::min(lo + 1, echoes.size());
-    const dsp::Spectrum spec = extractor_.average_of(all.subspan(lo, hi - lo));
-    const std::vector<double> mfcc = band_mfcc(spec);
+    const std::size_t lo = g * echoes / groups;
+    std::size_t hi = (g + 1) * echoes / groups;
+    if (hi <= lo) hi = std::min(lo + 1, echoes);
+    extractor_.mean_rows(rows.data() + lo * bins, hi - lo, group_mean.data());
+    const std::vector<double> mfcc = mel_.mfcc(group_mean.data(), config_.mfcc_coefficients);
     features.insert(features.end(), mfcc.begin(), mfcc.end());
   }
 
   // Whole-recording mean spectrum drives the remaining features. The
   // absolute level carries the absorbed-energy measurement; a peak-normalized
   // copy carries the band shape.
-  dsp::Spectrum mean_spec = extractor_.average_of(all);
+  dsp::Spectrum mean_spec;
+  mean_spec.frequency_hz = grid;
+  mean_spec.psd.resize(bins);
+  extractor_.mean_rows(rows.data(), echoes, mean_spec.psd.data());
   const dsp::Spectrum shape = dsp::normalize_peak(mean_spec);
 
   // --- 2. Log sub-band powers (absolute: the absorption level).

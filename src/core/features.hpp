@@ -57,27 +57,27 @@ class FeatureExtractor {
   [[nodiscard]] std::vector<double> extract(const audio::Waveform& signal,
                                             const std::vector<EchoSegment>& echoes) const;
 
-  /// extract(), also returning the mean echo spectrum. Every per-echo PSD is
-  /// computed exactly once and shared between the time-group averages, the
+  /// extract(), also returning the mean echo spectrum. Every per-echo PSD row
+  /// is computed exactly once and shared between the time-group averages, the
   /// mean spectrum, and the derived features, so this costs one extraction
   /// pass where calling extract() + EchoSpectrumExtractor::average()
   /// separately costs three. Outputs are bit-identical to those calls.
   [[nodiscard]] Result extract_full(const audio::Waveform& signal,
                                     const std::vector<EchoSegment>& echoes) const;
 
-  /// extract_full() when the per-echo PSDs are already in hand — the
-  /// pipeline's echo_psd pass extracts many recordings' PSDs in one
+  /// extract_full() when the per-echo band PSD rows are already in hand —
+  /// the pipeline's echo_psd pass extracts many recordings' rows in one
   /// four-lane pass (EchoSpectrumExtractor::extract_all_multi), then
-  /// assembles each recording's features through this entry point.
-  /// `per_echo` must be extract_all(signal, echoes)'s output for the same
-  /// echoes; the result is bit-identical to extract_full().
-  [[nodiscard]] Result extract_full_from_psds(
-      const std::vector<EchoSegment>& echoes,
-      std::span<const dsp::Spectrum> per_echo) const;
+  /// assembles each recording's features through this entry point. `rows`
+  /// must be extract_all(signal, echoes)'s output for `echoes` echoes; the
+  /// result is bit-identical to extract_full().
+  [[nodiscard]] Result extract_full_from_rows(std::size_t echoes,
+                                              std::span<const double> rows) const;
 
   /// MFCC-style coefficients of one band spectrum on an ascending frequency
   /// grid (mel triangles across the analysis band, log, DCT-II). Exposed for
-  /// tests.
+  /// tests; the feature path runs the same weights, built once for the
+  /// extractor's band grid.
   [[nodiscard]] std::vector<double> band_mfcc(const dsp::Spectrum& spectrum) const;
 
   [[nodiscard]] std::size_t dimension() const { return config_.dimension(); }
@@ -85,14 +85,26 @@ class FeatureExtractor {
 
   /// The inner per-echo PSD extractor, for callers that batch the PSD stage
   /// themselves (EarSonar::analyze_filtered) before assembling features
-  /// through extract_full_from_psds().
+  /// through extract_full_from_rows().
   [[nodiscard]] const EchoSpectrumExtractor& spectrum_extractor() const {
     return extractor_;
   }
 
  private:
+  /// Mel triangle weights on one ascending grid: filter f sums
+  /// weight[offset[f] + j] * psd[first[f] + j] over its run of bins.
+  struct MelWeights {
+    std::vector<std::size_t> first, offset;
+    std::vector<double> weight;
+    static MelWeights build(const std::vector<double>& freq, std::size_t filter_count);
+    /// Log filter energies of `psd` on the grid, then the truncated DCT-II.
+    [[nodiscard]] std::vector<double> mfcc(const double* psd,
+                                           std::size_t coefficients) const;
+  };
+
   FeatureConfig config_;
   EchoSpectrumExtractor extractor_;
+  MelWeights mel_;  ///< on extractor_.band_frequencies(); empty if too coarse
 };
 
 /// Human-readable name of feature slot `index` under `config`'s layout.

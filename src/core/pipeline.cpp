@@ -142,7 +142,7 @@ std::vector<AnalysisOutcome> EarSonar::analyze_filtered(
     lanes += out[i].analysis.echoes.size();
   }
   if (psd_items.empty()) return out;
-  std::vector<std::vector<dsp::Spectrum>> psds;
+  std::vector<std::vector<double>> psds;
   obs::Span psd_span("echo_psd", "pipeline");
   psd_span.set_arg("lanes", static_cast<std::int64_t>(lanes));
   try {
@@ -228,18 +228,18 @@ void EarSonar::stage_segment(const audio::Waveform& filtered, EchoAnalysis& anal
 }
 
 void EarSonar::stage_features(const audio::Waveform& filtered, EchoAnalysis& analysis,
-                              const std::vector<dsp::Spectrum>* per_echo,
+                              const std::vector<double>* rows,
                               pipeline::StageGraph* graph) const {
   AnalysisQuality& quality = analysis.quality;
   StageClock clock(pipeline::StageId::kFeatures, analysis.timings, graph);
   // One extraction pass yields both the feature vector and the mean echo
-  // spectrum from the per-echo PSDs of the echo_psd pass. The recovery path
+  // spectrum from the per-echo PSD rows of the echo_psd pass. The recovery path
   // below always re-extracts per request, probing each echo alone.
   try {
     if (fault::point("pipeline.features")) fail("injected fault: pipeline.features");
     FeatureExtractor::Result extracted =
-        per_echo ? extractor_.extract_full_from_psds(analysis.echoes, *per_echo)
-                 : extractor_.extract_full(filtered, analysis.echoes);
+        rows ? extractor_.extract_full_from_rows(analysis.echoes.size(), *rows)
+             : extractor_.extract_full(filtered, analysis.echoes);
     analysis.mean_spectrum = std::move(extracted.mean_spectrum);
     analysis.features = std::move(extracted.features);
   } catch (const CancelledError&) {

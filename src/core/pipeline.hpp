@@ -179,10 +179,12 @@ class EarSonar {
   /// the streaming sessions of the serving engine) analyzes a recording.
   /// Stages run as passes over all items: event_detect and segment per
   /// request in submission order, then ONE echo_psd pass packing every
-  /// request's chirp windows into four-lane groups that cross request
-  /// boundaries, then per-request feature assembly. Each lane's arithmetic
-  /// is independent of its lane-mates (the x4 kernel equals four single
-  /// calls bitwise), so outcome [i] does not depend on what else rode the
+  /// request's chirp windows into four-lane groups of the pruned band
+  /// transform (dsp::BandPsdPlan) that cross request boundaries and write
+  /// one flat buffer of PSD rows per request, then per-request feature
+  /// assembly from those rows. Each lane's arithmetic is independent of its
+  /// lane-mates (every band bin equals the full power spectrum of its own
+  /// window bitwise), so outcome [i] does not depend on what else rode the
   /// batch. One request's exception is captured in its outcome and its
   /// lane-mates proceed; a failed shared PSD pass makes each request
   /// recompute its own PSDs, and the `pipeline.batch` fault point runs every
@@ -223,11 +225,11 @@ class EarSonar {
   /// Includes the min_usable_chirps floor check (may throw "degraded").
   void stage_segment(const audio::Waveform& filtered, EchoAnalysis& analysis,
                      const CancelToken& cancel, pipeline::StageGraph* graph) const;
-  /// `per_echo` non-null supplies the echo_psd pass's PSDs for the happy
+  /// `rows` non-null supplies the echo_psd pass's PSD rows for the happy
   /// path; null computes them here. The error-recovery path always
   /// re-extracts per request.
   void stage_features(const audio::Waveform& filtered, EchoAnalysis& analysis,
-                      const std::vector<dsp::Spectrum>* per_echo,
+                      const std::vector<double>* rows,
                       pipeline::StageGraph* graph) const;
 
   PipelineConfig config_;

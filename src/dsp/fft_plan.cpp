@@ -15,128 +15,30 @@ namespace earsonar::dsp {
 namespace {
 constexpr double kPi = std::numbers::pi;
 
-// Pair ranges the band [bin_lo, bin_hi] needs from the in-place untangle.
-// Each pair k covers bins k and h-k, so the pairs form at most two contiguous
-// k ranges — the band itself and its mirror, clamped to the pair domain
-// [1, h/2]. A full-range request degenerates to the single original [1, h/2]
-// loop. Overlapping ranges are merged so no pair executes twice (the untangle
-// is in place — re-running a pair would read already-untangled values).
-int untangle_pair_ranges(std::size_t h, std::size_t bin_lo, std::size_t bin_hi,
-                         std::size_t ra[2], std::size_t rb[2]) {
-  const std::size_t kmax = h / 2;
-  int nr = 0;
-  if (const std::size_t a = bin_lo < 1 ? 1 : bin_lo,
-      b = bin_hi < kmax ? bin_hi : kmax;
-      a <= b) {
-    ra[nr] = a;
-    rb[nr] = b;
-    ++nr;
-  }
-  if (const std::size_t a = h - bin_hi < 1 ? 1 : h - bin_hi,
-      b = h - bin_lo < kmax ? h - bin_lo : kmax;
-      a <= b) {
-    ra[nr] = a;
-    rb[nr] = b;
-    ++nr;
-  }
-  if (nr == 2) {
-    if (ra[0] > ra[1]) {
-      std::swap(ra[0], ra[1]);
-      std::swap(rb[0], rb[1]);
-    }
-    if (ra[1] <= rb[0] + 1) {
-      rb[0] = rb[0] > rb[1] ? rb[0] : rb[1];
-      nr = 1;
-    }
-  }
-  return nr;
-}
-
 // Even/odd untangling of the half-length real transform (see forward_real for
 // the derivation). o holds the h half-transform bins on entry and the h+1
 // real-spectrum bins on exit, w is the interleaved twiddle table
-// exp(-2*pi*i*k/n) for k = 0..h.
-// The optional [bin_lo, bin_hi] range skips (k, h-k) pairs that produce no
-// bin inside it — the executed pairs run the identical arithmetic, so the
-// written bins match the full untangle bit for bit (power_spectrum_band
-// relies on this; everyone else passes the full range).
-void untangle_real(double* o, const double* w, std::size_t h, std::size_t bin_lo = 0,
-                   std::size_t bin_hi = static_cast<std::size_t>(-1)) {
-  if (bin_hi > h) bin_hi = h;
-  if (bin_lo == 0 || bin_hi == h) {
-    const double z0r = o[0], z0i = o[1];
-    o[0] = z0r + z0i;
-    o[1] = 0.0;
-    o[2 * h] = z0r - z0i;
-    o[2 * h + 1] = 0.0;
-  }
-  // Iterating the pair ranges directly keeps the loop body branch-free (and
-  // vectorizable).
-  std::size_t ra[2], rb[2];
-  const int nr = untangle_pair_ranges(h, bin_lo, bin_hi, ra, rb);
-  for (int r = 0; r < nr; ++r) {
-    for (std::size_t k = ra[r]; k <= rb[r]; ++k) {
-      const double zkr = o[2 * k], zki = o[2 * k + 1];
-      const double zmr = o[2 * (h - k)], zmi = o[2 * (h - k) + 1];
-      // sum = (Z[k] + conj(Z[h-k]))/2, diff = -i/2 * W * (Z[k] - conj(Z[h-k]));
-      // -i/2 * W folds into the twiddle as {W.imag, -W.real}/2.
-      const double dr = zkr - zmr, di = zki + zmi;
-      const double tkr = 0.5 * w[2 * k + 1], tki = -0.5 * w[2 * k];
-      const double tmr = 0.5 * w[2 * (h - k) + 1], tmi = -0.5 * w[2 * (h - k)];
-      // For the mirror bin, Z[m] - conj(Z[h-m]) with m = h-k is (-dr, di).
-      o[2 * k] = 0.5 * (zkr + zmr) + tkr * dr - tki * di;
-      o[2 * k + 1] = 0.5 * (zki - zmi) + tkr * di + tki * dr;
-      o[2 * (h - k)] = 0.5 * (zmr + zkr) - tmr * dr - tmi * di;
-      o[2 * (h - k) + 1] = 0.5 * (zmi - zki) + tmr * di - tmi * dr;
-    }
-  }
-}
-
-// ------------------------------------------------- four-lane batched kernels
-//
-// Layout: complex index k of lane l lives at z[8k + l] (real part) and
-// z[8k + 4 + l] (imaginary part). A row of four same-index reals (or imags)
-// is one contiguous 4-double group, so every loop below is elementwise over
-// lanes and vectorizes without shuffles. The butterfly stages live in the
-// kernel dispatch (simd::KernelSet::butterflies_x4_d) so the AVX2 build
-// reaches this layout with full-width vectors; each lane runs the identical
-// per-element arithmetic sequence as the single-transform kernels, so the
-// batched bins equal four single transforms bit for bit at every level.
-
-// untangle_real over the lane-major buffer, same pair ranges and per-pair
-// arithmetic; w is the complex twiddle table exp(-2*pi*i*k/n) for k = 0..h.
-void untangle_x4(double* z, const Complex* w, std::size_t h, std::size_t bin_lo,
-                 std::size_t bin_hi) {
-  if (bin_hi > h) bin_hi = h;
-  if (bin_lo == 0 || bin_hi == h) {
-    double* s0 = z;
-    double* sh = z + 8 * h;
-    for (std::size_t l = 0; l < 4; ++l) {
-      const double z0r = s0[l], z0i = s0[4 + l];
-      s0[l] = z0r + z0i;
-      s0[4 + l] = 0.0;
-      sh[l] = z0r - z0i;
-      sh[4 + l] = 0.0;
-    }
-  }
-  std::size_t ra[2], rb[2];
-  const int nr = untangle_pair_ranges(h, bin_lo, bin_hi, ra, rb);
-  for (int r = 0; r < nr; ++r) {
-    for (std::size_t k = ra[r]; k <= rb[r]; ++k) {
-      const double tkr = 0.5 * w[k].imag(), tki = -0.5 * w[k].real();
-      const double tmr = 0.5 * w[h - k].imag(), tmi = -0.5 * w[h - k].real();
-      double* a = z + 8 * k;
-      double* b = z + 8 * (h - k);
-      for (std::size_t l = 0; l < 4; ++l) {
-        const double zkr = a[l], zki = a[4 + l];
-        const double zmr = b[l], zmi = b[4 + l];
-        const double dr = zkr - zmr, di = zki + zmi;
-        a[l] = 0.5 * (zkr + zmr) + tkr * dr - tki * di;
-        a[4 + l] = 0.5 * (zki - zmi) + tkr * di + tki * dr;
-        b[l] = 0.5 * (zmr + zkr) - tmr * dr - tmi * di;
-        b[4 + l] = 0.5 * (zmi - zki) + tmr * di - tmi * dr;
-      }
-    }
+// exp(-2*pi*i*k/n) for k = 0..h. dsp::BandPsdPlan runs the same per-pair
+// arithmetic on the pairs its band needs.
+void untangle_real(double* o, const double* w, std::size_t h) {
+  const double z0r = o[0], z0i = o[1];
+  o[0] = z0r + z0i;
+  o[1] = 0.0;
+  o[2 * h] = z0r - z0i;
+  o[2 * h + 1] = 0.0;
+  for (std::size_t k = 1; k <= h / 2; ++k) {
+    const double zkr = o[2 * k], zki = o[2 * k + 1];
+    const double zmr = o[2 * (h - k)], zmi = o[2 * (h - k) + 1];
+    // sum = (Z[k] + conj(Z[h-k]))/2, diff = -i/2 * W * (Z[k] - conj(Z[h-k]));
+    // -i/2 * W folds into the twiddle as {W.imag, -W.real}/2.
+    const double dr = zkr - zmr, di = zki + zmi;
+    const double tkr = 0.5 * w[2 * k + 1], tki = -0.5 * w[2 * k];
+    const double tmr = 0.5 * w[2 * (h - k) + 1], tmi = -0.5 * w[2 * (h - k)];
+    // For the mirror bin, Z[m] - conj(Z[h-m]) with m = h-k is (-dr, di).
+    o[2 * k] = 0.5 * (zkr + zmr) + tkr * dr - tki * di;
+    o[2 * k + 1] = 0.5 * (zki - zmi) + tkr * di + tki * dr;
+    o[2 * (h - k)] = 0.5 * (zmr + zkr) - tmr * dr - tmi * di;
+    o[2 * (h - k) + 1] = 0.5 * (zmi - zki) + tmr * di - tmi * dr;
   }
 }
 }  // namespace
@@ -484,76 +386,6 @@ void FftPlan::power_spectrum(std::span<const double> in, std::span<double> out,
   std::vector<Complex> local(real_bins());
   forward_real(in, local, scratch);
   for (std::size_t k = 0; k < local.size(); ++k) out[k] = std::norm(local[k]) * scale;
-}
-
-void FftPlan::power_spectrum_band(std::span<const double> in, std::span<double> out,
-                                  double scale, FftScratch& scratch,
-                                  std::size_t bin_lo, std::size_t bin_hi) const {
-  require(kind_ == Kind::kReal, "FftPlan::power_spectrum_band: real plan required");
-  require(out.size() == real_bins(),
-          "FftPlan::power_spectrum_band: output size mismatch");
-  require(bin_lo <= bin_hi && bin_hi < real_bins(),
-          "FftPlan::power_spectrum_band: bin range out of order");
-  if (n_ == 1 || n_ % 2 != 0 || !half_plan_->radix2_) {
-    power_spectrum(in, out, scale, scratch);
-    return;
-  }
-  require(in.size() == n_, "FftPlan::power_spectrum_band: input size mismatch");
-  if (fault::point("fft.execute")) fail("injected fault: fft.execute");
-
-  // Full half-length transform (every untangle pair reads both Z[k] and
-  // Z[h-k], so no stage can be pruned), then only the pairs and |X|^2
-  // reductions the requested bins need.
-  const std::size_t h = n_ / 2;
-  scratch.c.resize(real_bins());
-  std::span<Complex> bins(scratch.c.data(), real_bins());
-  half_transform(in, bins, scratch);
-  untangle_real(reinterpret_cast<double*>(bins.data()),
-                reinterpret_cast<const double*>(real_twiddles_.data()), h, bin_lo,
-                bin_hi);
-  simd::active().power_bins_d(
-      reinterpret_cast<const double*>(bins.data()) + 2 * bin_lo,
-      out.data() + bin_lo, bin_hi - bin_lo + 1, scale);
-}
-
-void FftPlan::power_spectrum_band_x4(const double* const in[4],
-                                     double* const out[4], double scale,
-                                     FftScratch& scratch, std::size_t bin_lo,
-                                     std::size_t bin_hi) const {
-  require(kind_ == Kind::kReal, "FftPlan::power_spectrum_band_x4: real plan required");
-  require(bin_lo <= bin_hi && bin_hi < real_bins(),
-          "FftPlan::power_spectrum_band_x4: bin range out of order");
-  if (n_ == 1 || n_ % 2 != 0 || !half_plan_->radix2_) {
-    for (std::size_t l = 0; l < 4; ++l)
-      power_spectrum_band(std::span<const double>(in[l], n_),
-                          std::span<double>(out[l], real_bins()), scale, scratch,
-                          bin_lo, bin_hi);
-    return;
-  }
-  if (fault::point("fft.execute")) fail("injected fault: fft.execute");
-
-  const std::size_t h = n_ / 2;
-  scratch.d.resize(8 * (h + 1));
-  double* z = scratch.d.data();
-
-  // Pack + bit-reverse all four inputs into the lane-major buffer in one pass.
-  const std::size_t* rev = half_plan_->bitrev_.data();
-  for (std::size_t i = 0; i < h; ++i) {
-    const std::size_t j = 2 * rev[i];
-    double* s = z + 8 * i;
-    for (std::size_t l = 0; l < 4; ++l) {
-      s[l] = in[l][j];
-      s[4 + l] = in[l][j + 1];
-    }
-  }
-  simd::active().butterflies_x4_d(
-      z, reinterpret_cast<const double*>(half_plan_->twiddles_.data()), h);
-  untangle_x4(z, real_twiddles_.data(), h, bin_lo, bin_hi);
-  for (std::size_t k = bin_lo; k <= bin_hi; ++k) {
-    const double* s = z + 8 * k;
-    for (std::size_t l = 0; l < 4; ++l)
-      out[l][k] = (s[l] * s[l] + s[4 + l] * s[4 + l]) * scale;
-  }
 }
 
 void FftPlan::magnitude_spectrum(std::span<const double> in, std::span<double> out,

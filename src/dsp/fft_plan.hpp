@@ -6,9 +6,9 @@
 // and the pack/unpack twiddles of the real-input half-length algorithm — so
 // the per-call work is reduced to butterflies over caller-provided buffers.
 // Together with the scratch-buffer execute() overloads this makes
-// steady-state transforms allocation-free, which is what the per-echo PSD
-// loop in the absorption stage (hundreds of 512-point transforms per
-// recording) needs.
+// steady-state transforms allocation-free. The absorption stage's per-echo
+// band PSDs run a pruned four-lane form of the real transform
+// (dsp::BandPsdPlan, src/dsp/band_psd.hpp) over these tables.
 //
 // Plans are immutable after construction and safe to share across threads;
 // FftPlan::get() returns them from a process-wide, mutex-guarded cache keyed
@@ -31,7 +31,6 @@ struct FftScratch {
   std::vector<Complex> a;
   std::vector<Complex> b;
   std::vector<Complex> c;
-  std::vector<double> d;  ///< batched pipeline: four lane-major transforms
 };
 
 class FftPlan {
@@ -81,36 +80,13 @@ class FftPlan {
   void power_spectrum(std::span<const double> in, std::span<double> out,
                       double scale, FftScratch& scratch) const;
 
-  /// power_spectrum restricted to bins [bin_lo, bin_hi]: runs the identical
-  /// half-length transform, but untangles only the (k, n/2-k) pairs that
-  /// produce bins in range and reduces only those bins to |X[k]|^2 * scale.
-  /// Written bins are bit-identical to the full power_spectrum; out entries
-  /// outside [bin_lo, bin_hi] are left untouched. out must still span all
-  /// real_bins(). The absorption stage uses this — its 16-20 kHz analysis
-  /// band reads ~45 of a 512-point transform's 257 bins, once per chirp.
-  /// Sizes without the even-n radix-2 fast path fall back to the full
-  /// computation (every bin written).
-  void power_spectrum_band(std::span<const double> in, std::span<double> out,
-                           double scale, FftScratch& scratch, std::size_t bin_lo,
-                           std::size_t bin_hi) const;
-
-  /// Four independent power_spectrum_band calls batched into one pass: the
-  /// transforms run in a lane-major layout (one AVX register row holds the
-  /// same complex index of all four inputs), which keeps every vector lane
-  /// busy without any shuffles. Each lane executes the identical per-element
-  /// arithmetic sequence as the single-transform path, so out[l] matches
-  /// power_spectrum_band(in[l], ...) bit for bit. The absorption stage feeds
-  /// its per-chirp PSD loop through this four chirps at a time. Sizes without
-  /// the even-n radix-2 fast path fall back to four single calls.
-  void power_spectrum_band_x4(const double* const in[4], double* const out[4],
-                              double scale, FftScratch& scratch,
-                              std::size_t bin_lo, std::size_t bin_hi) const;
-
   /// out[k] = |X[k]| for the n/2+1 non-negative-frequency bins.
   void magnitude_spectrum(std::span<const double> in, std::span<double> out,
                           FftScratch& scratch) const;
 
  private:
+  friend class BandPsdPlan;  // reuses the stage and untangle twiddle tables
+
   void build_radix2_tables();
   void build_bluestein();
   void build_real();

@@ -79,58 +79,55 @@ struct Kern {
     }
   }
 
-  /// butterflies over four transforms batched in a lane-major layout: complex
-  /// index k of transform l lives at z[8k + l] (re) and z[8k + 4 + l] (im).
-  /// Rows of four same-index reals (or imags) are contiguous, so every
+  /// Butterfly runs over four transforms batched in a lane-major layout:
+  /// complex index k of transform l lives at z[8k + l] (re) and z[8k + 4 + l]
+  /// (im). Rows of four same-index reals (or imags) are contiguous, so every
   /// butterfly is elementwise over 4/W vectors with broadcast twiddles — no
-  /// shuffles, every lane busy. The per-transform arithmetic mirrors
-  /// butterflies stage for stage (the u + negate(v) there is V::sub here,
-  /// which simd_vec.hpp requires to be the identical IEEE operation), so each
-  /// transform's result equals the single-transform path bit for bit.
-  static void butterflies_x4(T* z, const T* twiddles, std::size_t n) {
+  /// shuffles, every lane busy. Each butterfly mirrors butterflies stage for
+  /// stage (the u + negate(v) there is V::sub here, which simd_vec.hpp
+  /// requires to be the identical IEEE operation): h = 1 and h = 2 keep
+  /// their multiply-free forms, whose twiddles are exactly 1 and {1, -i}, so
+  /// every computed output equals the single-transform path bit for bit.
+  static void butterfly_runs_x4(T* z, const T* twiddles, const ButterflyRun* runs,
+                                std::size_t run_count) {
     constexpr std::size_t R = 4;      // batched transforms per row
     constexpr std::size_t S = 2 * R;  // scalars per complex index
     static_assert(W <= R && R % W == 0, "lane width must tile the batch rows");
-    if (n >= 2) {  // stage h=1: twiddle is exactly 1
-      for (std::size_t i = 0; i < n; i += 2) {
-        T* u = z + S * i;
-        T* v = u + S;
-        for (std::size_t l = 0; l < S; l += W) {
-          const V a = V::load(u + l), b = V::load(v + l);
-          V::store(u + l, V::add(a, b));
-          V::store(v + l, V::sub(a, b));
-        }
+    // u +- v over whole rows: the twiddle-1 butterfly.
+    const auto add_sub = [](T* u, T* v) {
+      for (std::size_t l = 0; l < S; l += W) {
+        const V a = V::load(u + l), b = V::load(v + l);
+        V::store(u + l, V::add(a, b));
+        V::store(v + l, V::sub(a, b));
       }
-    }
-    if (n >= 4) {  // stage h=2: twiddles are exactly {1, -i}
-      for (std::size_t i = 0; i < n; i += 4) {
-        T* c0 = z + S * i;
-        T* c2 = c0 + 2 * S;
-        for (std::size_t l = 0; l < S; l += W) {
-          const V a = V::load(c0 + l), b = V::load(c2 + l);
-          V::store(c0 + l, V::add(a, b));
-          V::store(c2 + l, V::sub(a, b));
-        }
-        T* c1 = c0 + S;
-        T* c3 = c0 + 3 * S;
-        for (std::size_t l = 0; l < R; l += W) {
-          const V ur = V::load(c1 + l);
-          const V ui = V::load(c1 + R + l);
-          const V vr = V::load(c3 + R + l);           // x * -i: re' = im
-          const V vi = V::negate(V::load(c3 + l));    //         im' = -re
-          V::store(c1 + l, V::add(ur, vr));
-          V::store(c1 + R + l, V::add(ui, vi));
-          V::store(c3 + l, V::sub(ur, vr));
-          V::store(c3 + R + l, V::sub(ui, vi));
-        }
+    };
+    // Twiddle -i: re' = im, im' = -re.
+    const auto minus_i = [](T* u, T* x) {
+      for (std::size_t l = 0; l < R; l += W) {
+        const V ur = V::load(u + l);
+        const V ui = V::load(u + R + l);
+        const V vr = V::load(x + R + l);
+        const V vi = V::negate(V::load(x + l));
+        V::store(u + l, V::add(ur, vr));
+        V::store(u + R + l, V::add(ui, vi));
+        V::store(x + l, V::sub(ur, vr));
+        V::store(x + R + l, V::sub(ui, vi));
       }
-    }
-    for (std::size_t h = 4; h < n; h <<= 1) {
-      const T* w = twiddles + 2 * h;
-      for (std::size_t i = 0; i < n; i += 2 * h) {
-        T* lo = z + S * i;
+    };
+    for (const ButterflyRun* run = runs; run != runs + run_count; ++run) {
+      const std::size_t h = run->h;
+      for (std::size_t b = 0; b < run->blocks; ++b) {
+        T* lo = z + S * (run->lo + 2 * h * b);
         T* hi = lo + S * h;
-        for (std::size_t k = 0; k < h; ++k) {
+        if (h <= 2) {  // twiddles exactly 1 (k = 0) and -i (h = 2, k = 1)
+          for (std::size_t k = 0; k < run->count; ++k) {
+            if (run->k0 + k == 0) add_sub(lo + S * k, hi + S * k);
+            else minus_i(lo + S * k, hi + S * k);
+          }
+          continue;
+        }
+        const T* w = twiddles + 2 * (h + run->k0);
+        for (std::size_t k = 0; k < run->count; ++k) {
           const V wr = V::broadcast(w[2 * k]);
           const V wi = V::broadcast(w[2 * k + 1]);
           T* u = lo + S * k;
@@ -242,7 +239,7 @@ inline KernelSet make_kernel_set(const char* name) {
   set.name = name;
   set.lanes_d = V::kLanes;
   set.butterflies_d = &Kern<V>::butterflies;
-  set.butterflies_x4_d = &Kern<V>::butterflies_x4;
+  set.butterfly_runs_x4_d = &Kern<V>::butterfly_runs_x4;
   set.power_bins_d = &Kern<V>::power_bins;
   set.mul_d = &Kern<V>::mul;
   if constexpr (V::kLanes == 4) set.biquad_wavefront4_d = &Kern<V>::biquad_wavefront4;

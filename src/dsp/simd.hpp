@@ -26,12 +26,25 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace earsonar::dsp::simd {
 
 enum class Level {
   kScalar,  ///< pack emulation at the native lane count (no intrinsics)
   kNative,  ///< widest instruction set this build + CPU supports
+};
+
+/// A run of radix-2 butterflies of one stage (half-length h): `blocks`
+/// consecutive blocks of 2h complex values, the first starting `k0` before
+/// complex position `lo`; in each block the butterflies k0 .. k0+count-1
+/// pair position i + k with i + k + h and use the stage's twiddle k.
+struct ButterflyRun {
+  std::uint32_t h;
+  std::uint32_t lo;      ///< complex position of the first run's lo element
+  std::uint32_t k0;      ///< index of the first butterfly within its block
+  std::uint32_t count;   ///< butterflies per block
+  std::uint32_t blocks;  ///< consecutive blocks (stride 2h) sharing k0, count
 };
 
 /// One complete set of kernel entry points at a fixed lane geometry.
@@ -45,12 +58,15 @@ struct KernelSet {
   /// with half-length h keeps its h twiddles at complex offset [h, 2h).
   void (*butterflies_d)(double* data, const double* twiddles, std::size_t n);
 
-  /// butterflies_d over four transforms at once in a lane-major layout:
-  /// complex index k of transform l lives at data[8k + l] (real part) and
-  /// data[8k + 4 + l] (imaginary part). Each transform runs the identical
-  /// per-element arithmetic sequence as butterflies_d, so its bins match a
-  /// single transform bit for bit (same twiddle table and stage layout).
-  void (*butterflies_x4_d)(double* data, const double* twiddles, std::size_t n);
+  /// Selected butterflies of four transforms at once, in a lane-major
+  /// layout: complex index k of transform l lives at data[8k + l] (real part)
+  /// and data[8k + 4 + l] (imaginary part). Runs execute in order; each
+  /// butterfly is the per-element arithmetic of butterflies_d's stage
+  /// (same twiddle table and stage layout), so a run list covering every
+  /// butterfly equals four single transforms bit for bit. A pruned list
+  /// (dsp::BandPsdPlan) computes only the butterflies a band needs.
+  void (*butterfly_runs_x4_d)(double* data, const double* twiddles,
+                              const ButterflyRun* runs, std::size_t run_count);
 
   /// out[k] = (bins[2k]^2 + bins[2k+1]^2) * scale for k in [0, m).
   void (*power_bins_d)(const double* bins, double* out, std::size_t m, double scale);

@@ -279,11 +279,12 @@ TEST(AbsorptionTest, AverageOfIdenticalEchoesIsStable) {
 }
 
 TEST(AbsorptionTest, ExtractAllMatchesPerEchoExtractBitwise) {
-  // extract_all routes groups of four echoes through the batched four-lane
-  // band PSD with a per-echo tail; every spectrum must equal the per-echo
+  // extract_all packs echoes four to a group of the pruned band transform,
+  // the last group padded with zero lanes; every row must equal the per-echo
   // extract() bit for bit (the feature vector depends on exact values).
-  // Counts 1, 4 and 7 cover tail-only, x4-only and x4 + tail; every anchor
-  // places its window differently, each with the transmit reference on.
+  // Counts 1, 4 and 7 cover a padded group alone, full groups only, and
+  // both; every anchor places its window differently, each with the
+  // transmit reference on.
   audio::FmcwConfig chirp;
   const audio::Waveform rec = synthetic_recording(7, 8, 0.4, 10, 0.02);
   for (WindowAnchor anchor : {WindowAnchor::kEventStart, WindowAnchor::kEchoPeak,
@@ -303,14 +304,15 @@ TEST(AbsorptionTest, ExtractAllMatchesPerEchoExtractBitwise) {
         e.direct_peak_index = k * 240 + 12;
         echoes.push_back(e);
       }
-      const std::vector<dsp::Spectrum> batched = extractor.extract_all(rec, echoes);
-      ASSERT_EQ(batched.size(), echoes.size());
+      const std::vector<double> batched = extractor.extract_all(rec, echoes);
+      const std::size_t bins = cfg.band_bins;
+      ASSERT_EQ(batched.size(), echoes.size() * bins);
       for (std::size_t k = 0; k < echoes.size(); ++k) {
         const dsp::Spectrum single = extractor.extract(rec, echoes[k]);
-        ASSERT_EQ(batched[k].size(), single.size());
+        ASSERT_EQ(single.size(), bins);
         for (std::size_t i = 0; i < single.size(); ++i) {
-          ASSERT_EQ(batched[k].psd[i], single.psd[i]) << "echo=" << k << " bin=" << i;
-          ASSERT_EQ(batched[k].frequency_hz[i], single.frequency_hz[i]);
+          ASSERT_EQ(batched[k * bins + i], single.psd[i]) << "echo=" << k << " bin=" << i;
+          ASSERT_EQ(extractor.band_frequencies()[i], single.frequency_hz[i]);
         }
       }
     }

@@ -7,6 +7,7 @@
 #include <numbers>
 
 #include "common/rng.hpp"
+#include "dsp/band_psd.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fft_plan.hpp"
 
@@ -317,63 +318,42 @@ TEST(FftPlanCacheTest, ForwardInplaceMatchesOutOfPlace) {
 }
 
 
-// The four-lane batched band PSD must reproduce four single-transform calls
-// bit for bit: the absorption stage mixes batches of four with a scalar tail
-// and relies on the outputs being indistinguishable.
+// The pruned four-lane band PSD (BandPsdPlan) must reproduce four single
+// full-transform calls bit for bit (the `dsp.psd.band` pair; the oracle
+// suite sweeps window shapes and sizes): every lane is independent of its
+// lane-mates, and the absorption stage packs echoes of different requests
+// into one group.
 TEST(PowerSpectrumBandX4Test, MatchesFourSingleCallsBitwise) {
   for (const std::size_t n : {8u, 64u, 512u}) {
     const auto plan = FftPlan::get(n, FftPlan::Kind::kReal);
     const std::size_t bins = plan->real_bins();
     Rng rng(2024 + n);
-    std::vector<std::vector<double>> in(4, std::vector<double>(n));
-    for (auto& lane : in)
-      for (double& v : lane) v = rng.uniform(-1, 1);
-    for (const auto& [lo, hi] : {std::pair<std::size_t, std::size_t>{0, bins - 1},
-                                {0, 0},
-                                {bins - 1, bins - 1},
-                                {bins / 3, (2 * bins) / 3},
-                                {1, bins / 2}}) {
-      FftScratch scratch;
-      std::vector<std::vector<double>> single(4, std::vector<double>(bins, -1.0));
-      for (std::size_t l = 0; l < 4; ++l)
-        plan->power_spectrum_band(in[l], single[l], 1.0 / static_cast<double>(n),
-                                  scratch, lo, hi);
-      std::vector<std::vector<double>> batched(4, std::vector<double>(bins, -1.0));
-      const double* ins[4] = {in[0].data(), in[1].data(), in[2].data(),
-                              in[3].data()};
-      double* outs[4] = {batched[0].data(), batched[1].data(), batched[2].data(),
-                         batched[3].data()};
-      plan->power_spectrum_band_x4(ins, outs, 1.0 / static_cast<double>(n),
-                                   scratch, lo, hi);
-      for (std::size_t l = 0; l < 4; ++l)
-        for (std::size_t k = lo; k <= hi; ++k)
-          EXPECT_EQ(batched[l][k], single[l][k])
-              << "n=" << n << " lane=" << l << " bin=" << k << " band=[" << lo
-              << "," << hi << "]";
+    for (const std::size_t len : {n, n / 2 + 1, std::size_t{3}}) {
+      std::vector<std::vector<double>> in(4, std::vector<double>(n, 0.0));
+      for (auto& lane : in)
+        for (std::size_t i = 0; i < len; ++i) lane[i] = rng.uniform(-1, 1);
+      for (const auto& [lo, hi] : {std::pair<std::size_t, std::size_t>{0, bins - 1},
+                                  {0, 0},
+                                  {bins - 1, bins - 1},
+                                  {bins / 3, (2 * bins) / 3},
+                                  {1, bins / 2}}) {
+        FftScratch scratch;
+        std::vector<std::vector<double>> single(4, std::vector<double>(bins));
+        for (std::size_t l = 0; l < 4; ++l)
+          plan->power_spectrum(in[l], single[l], 1.0 / static_cast<double>(n), scratch);
+        const BandPsdPlan band(n, len, lo, hi);
+        std::vector<double> batched(4 * band.bins(), -1.0);
+        const double* ins[4] = {in[0].data(), in[1].data(), in[2].data(), in[3].data()};
+        std::vector<double> work;
+        band.execute_x4(ins, batched.data(), 1.0 / static_cast<double>(n), work);
+        for (std::size_t l = 0; l < 4; ++l)
+          for (std::size_t k = lo; k <= hi; ++k)
+            EXPECT_EQ(batched[4 * (k - lo) + l], single[l][k])
+                << "n=" << n << " len=" << len << " lane=" << l << " bin=" << k
+                << " band=[" << lo << "," << hi << "]";
+      }
     }
   }
-}
-
-// Odd sizes take the four-single-call fallback; it must still agree.
-TEST(PowerSpectrumBandX4Test, OddSizeFallbackMatches) {
-  const std::size_t n = 45;
-  const auto plan = FftPlan::get(n, FftPlan::Kind::kReal);
-  const std::size_t bins = plan->real_bins();
-  Rng rng(7);
-  std::vector<std::vector<double>> in(4, std::vector<double>(n));
-  for (auto& lane : in)
-    for (double& v : lane) v = rng.uniform(-1, 1);
-  FftScratch scratch;
-  std::vector<std::vector<double>> single(4, std::vector<double>(bins));
-  for (std::size_t l = 0; l < 4; ++l)
-    plan->power_spectrum_band(in[l], single[l], 1.0, scratch, 0, bins - 1);
-  std::vector<std::vector<double>> batched(4, std::vector<double>(bins));
-  const double* ins[4] = {in[0].data(), in[1].data(), in[2].data(), in[3].data()};
-  double* outs[4] = {batched[0].data(), batched[1].data(), batched[2].data(),
-                     batched[3].data()};
-  plan->power_spectrum_band_x4(ins, outs, 1.0, scratch, 0, bins - 1);
-  for (std::size_t l = 0; l < 4; ++l)
-    for (std::size_t k = 0; k < bins; ++k) EXPECT_EQ(batched[l][k], single[l][k]);
 }
 
 }  // namespace

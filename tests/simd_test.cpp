@@ -22,6 +22,7 @@
 
 #include "check/tolerance.hpp"
 #include "common/rng.hpp"
+#include "dsp/band_psd.hpp"
 #include "dsp/biquad.hpp"
 #include "dsp/butterworth.hpp"
 #include "dsp/fft_plan.hpp"
@@ -90,6 +91,47 @@ TEST(SimdDispatchTest, ButterfliesBitIdenticalAcrossLevels) {
     const CompareResult r = check::compare_vectors(a, b, tol);
     EXPECT_TRUE(r.ok) << "n=" << n << ": "
                       << check::describe_failure("dsp.simd.dispatch", r);
+  }
+}
+
+// The butterfly-runs kernel: a full run list (every butterfly of the
+// half-length transform) and pruned lists from dsp::BandPsdPlan, native
+// against scalar bitwise over random lane-major data. A full list must also
+// equal butterflies_d of each lane alone.
+TEST(SimdDispatchTest, ButterflyRunsBitIdenticalAcrossLevels) {
+  struct Shape {
+    std::size_t n, window, lo, hi;
+  };
+  for (const Shape& shape : {Shape{8, 8, 0, 4}, Shape{64, 64, 0, 32},
+                             Shape{512, 512, 0, 256}, Shape{512, 73, 170, 214},
+                             Shape{128, 41, 42, 54}, Shape{2048, 65, 0, 0},
+                             Shape{64, 41, 32, 32}}) {
+    const dsp::BandPsdPlan plan(shape.n, shape.window, shape.lo, shape.hi);
+    const std::vector<dsp::simd::ButterflyRun>& runs = plan.runs();
+    const std::size_t h = shape.n / 2;
+    const bool full = shape.window == shape.n;
+    const std::vector<double> input = random_vector(8 * h, kSeed + shape.n + shape.window);
+    const std::vector<double> wd = twiddle_table(h);
+    std::vector<double> a = input, b = input;
+    dsp::simd::kernel_set(Level::kNative)
+        .butterfly_runs_x4_d(a.data(), wd.data(), runs.data(), runs.size());
+    dsp::simd::kernel_set(Level::kScalar)
+        .butterfly_runs_x4_d(b.data(), wd.data(), runs.data(), runs.size());
+    SCOPED_TRACE("n=" + std::to_string(shape.n) + " window=" + std::to_string(shape.window));
+    expect_bitwise_equal(a, b, "butterfly_runs_x4_d");
+    EXPECT_EQ(plan.butterflies() == (h / 2) * static_cast<std::size_t>(std::log2(h)), full);
+    if (!full) continue;
+    for (std::size_t l = 0; l < 4; ++l) {
+      std::vector<double> single(2 * h), got(2 * h);
+      for (std::size_t k = 0; k < h; ++k) {
+        single[2 * k] = input[8 * k + l];
+        single[2 * k + 1] = input[8 * k + 4 + l];
+        got[2 * k] = a[8 * k + l];
+        got[2 * k + 1] = a[8 * k + 4 + l];
+      }
+      dsp::simd::active().butterflies_d(single.data(), wd.data(), h);
+      expect_bitwise_equal(got, single, "full runs vs butterflies_d");
+    }
   }
 }
 

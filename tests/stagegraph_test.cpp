@@ -275,6 +275,46 @@ TEST(StageGraphBatchTest, PipelineBatchFaultFallsBackPerRequest) {
   }
 }
 
+// A transform fault inside the shared echo_psd pass (here in a group that
+// holds echoes of the second request) fails the pass, not the batch: each
+// request recomputes its own PSD rows, and every result equals its
+// unbatched analysis bit for bit.
+TEST(StageGraphBatchTest, FftExecuteFaultInSharedPassRecomputesPerRequest) {
+  const core::EarSonar pipeline(causal_config());
+  const std::size_t kRequests = 3;
+  std::vector<audio::Waveform> recordings;
+  std::vector<core::EchoAnalysis> baselines;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    recordings.push_back(test_recording(350 + i));
+    baselines.push_back(pipeline.analyze(recordings.back()));
+  }
+  const std::size_t first_echoes = baselines[0].echoes.size();
+  ASSERT_GT(baselines[1].echoes.size(), 0u);
+  // The shared pass runs groups of four over the flattened echoes; the
+  // group after request 0's last full group holds request 1's echoes.
+  const std::size_t group = first_echoes / 4 + 1;
+
+  std::vector<std::unique_ptr<serve::StreamingSession>> sessions;
+  std::vector<serve::StreamingSession*> ptrs;
+  for (const audio::Waveform& recording : recordings) {
+    sessions.push_back(fed_session(recording));
+    ptrs.push_back(sessions.back().get());
+  }
+  std::vector<CancelToken> cancels(kRequests);
+  fault::ScopedFault guard("fft.execute=nth:" + std::to_string(group));
+  std::vector<core::AnalysisOutcome> outcomes =
+      serve::StreamingSession::finish(pipeline, ptrs, cancels);
+  std::uint64_t fires = 0;
+  for (const fault::PointStats& stats : fault::Registry::instance().stats())
+    if (stats.name == "fft.execute") fires = stats.fires;
+  EXPECT_EQ(fires, 1u);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    ASSERT_TRUE(outcomes[i].ok());
+    expect_bit_identical(outcomes[i].analysis, baselines[i]);
+  }
+}
+
 // One bad session (nothing fed) must fail alone; lane-mates still finish
 // with exact results.
 TEST(StageGraphBatchTest, EmptySessionFailsWithoutTakingDownLaneMates) {
