@@ -190,7 +190,8 @@ void print_serve_usage() {
       "  --threads N       request workers leased from the pool  [2]\n"
       "  --queue N         request queue capacity                [64]\n"
       "  --chunk N         ingestion chunk size in samples       [480]\n"
-      "  --batch-max N     requests batched per worker pass; 1 disables  [1]\n"
+      "  --batch-max N     requests a worker takes per wake-up, then runs\n"
+      "                    one at a time, each answered before the next [1]\n"
       "  --batch-wait-us U linger for batch stragglers, microseconds     [200]\n"
       "  --interval-ms M   directory scan period                 [500]\n"
       "  --deadline-ms M   per-request deadline; 0 disables      [0]\n"
@@ -216,7 +217,8 @@ void print_serve_net_usage() {
       "  --shards N          serving engine shards            [4]\n"
       "  --shard-workers N   worker threads per shard         [1]\n"
       "  --queue N           per-shard request queue          [64]\n"
-      "  --batch-max N       requests batched per worker pass [1]\n"
+      "  --batch-max N       requests a worker takes per wake-up,\n"
+      "                      run one at a time                [1]\n"
       "  --batch-wait-us U   batch straggler linger, usec     [200]\n"
       "  --max-sessions N    live sessions per shard          [64]\n"
       "  --max-connections N concurrent connections           [256]\n"

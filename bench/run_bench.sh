@@ -44,7 +44,7 @@ case "$BUILD_TYPE" in
 esac
 
 for bin in bench_table2_latency bench_fft_plan bench_kernels bench_serve \
-           bench_net bench_stagegraph bench_longitudinal; do
+           bench_net bench_longitudinal; do
   if [ ! -x "$BUILD_DIR/bench/$bin" ]; then
     echo "error: $BUILD_DIR/bench/$bin not built (cmake --build $BUILD_DIR --target $bin)" >&2
     exit 1
@@ -70,10 +70,6 @@ echo "running bench_serve ..." >&2
 "$BUILD_DIR/bench/bench_serve" --json >"$TMP_DIR/serve.json"
 echo "running bench_net ..." >&2
 "$BUILD_DIR/bench/bench_net" --json >"$TMP_DIR/net.json"
-# bench_stagegraph exits nonzero (failing this script via set -e) when
-# batched throughput at batch_max 64 falls below the unbatched baseline.
-echo "running bench_stagegraph ..." >&2
-"$BUILD_DIR/bench/bench_stagegraph" --json >"$TMP_DIR/stagegraph.json"
 # bench_longitudinal exits nonzero (failing this script via set -e) when the
 # deterministic detector-quality gate on the reference cohort fails.
 echo "running bench_longitudinal ..." >&2
@@ -85,16 +81,17 @@ for f in table2 fft_plan kernels; do
   sed -n '/^{/,$p' "$TMP_DIR/$f.json.raw" >"$TMP_DIR/$f.json"
 done
 
-# Schema v4: adds the `longitudinal` section (trajectory synthesis +
-# cohort-CUSUM analysis throughput and the deterministic detection-quality
-# numbers, see docs/performance.md). v3 added the `stagegraph` section
-# (cross-request batching sweep — req/s vs engine batch_max). v2 added the
+# Schema v5: drops the `stagegraph` section (the cross-request batching
+# sweep, req/s vs engine batch_max) with the cross-request pass it measured.
+# v4 added the `longitudinal` section (trajectory synthesis + cohort-CUSUM
+# analysis throughput and the deterministic detection-quality numbers, see
+# docs/performance.md). v3 added the `stagegraph` section. v2 added the
 # per-kernel roofline section (`kernels`, whose entries carry analytic
 # "GFLOP/s" and "GB/s" counters), the repo build type the numbers came from,
 # and the earsonar_simd_arch / earsonar_simd_level context fields inside
 # each google-benchmark report.
 {
-  printf '{\n"schema": "earsonar-bench-v4",\n'
+  printf '{\n"schema": "earsonar-bench-v5",\n'
   printf '"build_type": "%s",\n' "$BUILD_TYPE"
   printf '"table2_latency": '
   cat "$TMP_DIR/table2.json"
@@ -106,8 +103,6 @@ done
   cat "$TMP_DIR/serve.json"
   printf ',\n"net": '
   cat "$TMP_DIR/net.json"
-  printf ',\n"stagegraph": '
-  cat "$TMP_DIR/stagegraph.json"
   printf ',\n"longitudinal": '
   cat "$TMP_DIR/longitudinal.json"
   printf '}\n'

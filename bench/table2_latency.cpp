@@ -122,15 +122,15 @@ void BM_FeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction)->Unit(benchmark::kMillisecond);
 
-// extract_all_multi over one served recording's echoes: groups of four,
-// the last one padded with zero lanes.
+// extract_all over one served recording's echoes: groups of four, the last
+// one padded with zero lanes.
 void BM_EchoPsdServed(benchmark::State& state) {
   core::FeatureExtractor extractor;
   extractor.set_reference(audio::FmcwConfig{});
   const core::EchoSpectrumExtractor& psd = extractor.spectrum_extractor();
-  const core::EchoSpectrumExtractor::EchoBatch item{&served().filtered, &served().echoes};
   state.counters["echoes"] = static_cast<double>(served().echoes.size());
-  for (auto _ : state) benchmark::DoNotOptimize(psd.extract_all_multi({&item, 1}));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(psd.extract_all(served().filtered, served().echoes));
 }
 BENCHMARK(BM_EchoPsdServed)->Unit(benchmark::kMicrosecond);
 

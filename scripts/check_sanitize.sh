@@ -6,7 +6,8 @@
 #
 #   1. EARSONAR_SANITIZE=address,undefined — memory errors and UB over the
 #      `serve`, `stagegraph`, `fault`, `net`, `chaos`, and `longitudinal`
-#      labels (engine chaos tests, cross-request batch bit-identity, fault
+#      labels (engine chaos tests, the engine's per-job path and its
+#      bit-identity to EarSonar::analyze inside a dequeued batch, fault
 #      injection, fuzz replay, the socket front-end's loopback suite and
 #      frame-decoder replay, the shard lifecycle / failure-recovery drills,
 #      and the trajectory-synthesis + cohort-CUSUM suite) plus the
@@ -23,8 +24,10 @@
 #      tests/oracle/CMakeLists.txt is missing from this leg's target list.
 #   2. EARSONAR_SANITIZE=thread           — data races in the worker pool,
 #      metrics, registry hot-swap, the fault registry's armed fast path,
-#      the `stagegraph` label (batch collection, the StageGraph's relaxed
-#      occupancy counters shared across workers), and the `net` and `chaos`
+#      the `stagegraph` label (batch collection, each dequeued job run and
+#      resolved one at a time on the worker while the submitter waits on
+#      its future, the StageGraph's relaxed occupancy counters shared
+#      across workers), and the `net` and `chaos`
 #      labels (accept loop, per-connection threads, shard admission
 #      counters, and the supervisor thread's restart/drain/resize machinery
 #      racing live sessions — the lifecycle layer is exactly where TSan

@@ -318,13 +318,16 @@ double pearson_correlation(std::span<const double> xs, std::span<const double> y
 
 SummaryStats summarize(std::span<const double> xs) {
   require_nonempty("summarize input", xs.size());
+  // The mean and the second moment once each, shared by the four statistics
+  // that use them; each value is the expression its own function computes.
   SummaryStats s;
   s.mean = mean(xs);
-  s.stddev = stddev(xs);
+  const double m2 = central_moment(xs, s.mean, 2);
+  s.stddev = std::sqrt(m2);
   s.min = min_value(xs);
   s.max = max_value(xs);
-  s.skewness = skewness(xs);
-  s.kurtosis_excess = kurtosis_excess(xs);
+  s.skewness = m2 <= 0.0 ? 0.0 : central_moment(xs, s.mean, 3) / std::pow(m2, 1.5);
+  s.kurtosis_excess = m2 <= 0.0 ? 0.0 : central_moment(xs, s.mean, 4) / (m2 * m2) - 3.0;
   return s;
 }
 

@@ -245,50 +245,23 @@ dsp::Spectrum EchoSpectrumExtractor::extract(const audio::Waveform& signal,
 
 std::vector<double> EchoSpectrumExtractor::extract_all(
     const audio::Waveform& signal, const std::vector<EchoSegment>& echoes) const {
-  const EchoBatch item{&signal, &echoes};
-  return std::move(extract_all_multi({&item, 1}).front());
-}
-
-std::vector<std::vector<double>> EchoSpectrumExtractor::extract_all_multi(
-    std::span<const EchoBatch> items) const {
-  std::vector<std::vector<double>> out(items.size());
-  std::size_t total = 0;
-  double fs0 = 0.0;
-  bool uniform_fs = true;
-  for (const EchoBatch& item : items) {
-    require(item.signal != nullptr && item.echoes != nullptr,
-            "extract_all_multi: null item");
-    total += item.echoes->size();
-    if (fs0 == 0.0) fs0 = item.signal->sample_rate();
-    uniform_fs = uniform_fs && item.signal->sample_rate() == fs0;
-  }
-  if (!uniform_fs) {
-    for (std::size_t i = 0; i < items.size(); ++i)
-      out[i] = extract_all(*items[i].signal, *items[i].echoes);
-    return out;
-  }
-  if (total == 0) return out;
-  require(config_.band_high_hz <= fs0 / 2.0, "extract: band exceeds Nyquist");
-
-  // Flatten the (recording, echo) windows in submission order; groups of
-  // four then slice the flat sequence, crossing recording boundaries where
-  // they fall. Every anchor's window has one length under one config.
   const std::size_t bins = grid_.size();
+  std::vector<double> out(echoes.size() * bins);
+  if (echoes.empty()) return out;
+  require(config_.band_high_hz <= signal.sample_rate() / 2.0,
+          "extract: band exceeds Nyquist");
+  // Every anchor's window has one length under one config.
   std::vector<Window> windows;
-  windows.reserve(total);
+  windows.reserve(echoes.size());
   std::size_t window_len = 0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const audio::Waveform& signal = *items[i].signal;
-    const std::vector<EchoSegment>& echoes = *items[i].echoes;
-    out[i].resize(echoes.size() * bins);
-    for (std::size_t e = 0; e < echoes.size(); ++e) {
-      require(echoes[e].peak_index < signal.size(), "extract: echo peak outside signal");
-      const WindowGeometry g = window_geometry(config_, echoes[e]);
-      window_len = g.pre + g.post + 1;
-      windows.push_back({&signal, window_start(g), out[i].data() + e * bins});
-    }
+  for (std::size_t e = 0; e < echoes.size(); ++e) {
+    require(echoes[e].peak_index < signal.size(), "extract: echo peak outside signal");
+    const WindowGeometry g = window_geometry(config_, echoes[e]);
+    window_len = g.pre + g.post + 1;
+    windows.push_back({&signal, window_start(g), out.data() + e * bins});
   }
-  run_windows(windows, window_len, fs0, has_reference() ? reference_.data() : nullptr);
+  run_windows(windows, window_len, signal.sample_rate(),
+              has_reference() ? reference_.data() : nullptr);
   return out;
 }
 

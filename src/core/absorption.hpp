@@ -94,31 +94,18 @@ class EchoSpectrumExtractor {
   [[nodiscard]] dsp::Spectrum extract(const audio::Waveform& signal,
                                       const EchoSegment& echo) const;
 
-  /// One recording's window-extraction work order for extract_all_multi.
-  struct EchoBatch {
-    const audio::Waveform* signal = nullptr;
-    const std::vector<EchoSegment>* echoes = nullptr;
-  };
-
-  /// Band PSD rows of every echo of many recordings in one pass. Result [i]
-  /// holds recording i's rows back to back: echo e's band_bins values (on
-  /// band_frequencies(), divided by the reference when one is installed)
-  /// start at [i][e * band_bins]. Windows are read in place from each
-  /// recording; only a window that crosses its recording's first or last
-  /// sample goes through a zero-filled copy. The flattened (recording, echo)
-  /// windows run four at a time through one dsp::BandPsdPlan, so groups may
-  /// cross recording boundaries; the last group's unused lanes are zero.
-  /// Each lane's arithmetic is independent of its lane-mates and every
-  /// computed bin equals the full FftPlan::power_spectrum of the zero-padded
-  /// window bit for bit, so row [i][e] is the same whatever the grouping.
-  /// Recordings at different sample rates are extracted one at a time.
-  [[nodiscard]] std::vector<std::vector<double>> extract_all_multi(
-      std::span<const EchoBatch> items) const;
-
-  /// extract_all_multi() over one recording. The per-echo rows feed several
-  /// downstream consumers (time-group averages, the whole-recording mean);
-  /// extracting them once and averaging row ranges with mean_rows() avoids
-  /// re-running the window/FFT chain per consumer.
+  /// Band PSD rows of every echo of one recording: echo e's band_bins
+  /// values (on band_frequencies(), divided by the reference when one is
+  /// installed) start at [e * band_bins]. Windows are read in place; only a
+  /// window that crosses the recording's first or last sample goes through a
+  /// zero-filled copy. The windows run four at a time through one
+  /// dsp::BandPsdPlan; the last group's unused lanes are zero. Each lane's
+  /// arithmetic is independent of its lane-mates and every computed bin
+  /// equals the full FftPlan::power_spectrum of the zero-padded window bit
+  /// for bit. The rows feed several downstream consumers (time-group
+  /// averages, the whole-recording mean); extracting them once and averaging
+  /// row ranges with mean_rows() avoids re-running the window/FFT chain per
+  /// consumer.
   [[nodiscard]] std::vector<double> extract_all(
       const audio::Waveform& signal, const std::vector<EchoSegment>& echoes) const;
 

@@ -66,9 +66,9 @@ class FeatureExtractor {
                                     const std::vector<EchoSegment>& echoes) const;
 
   /// extract_full() when the per-echo band PSD rows are already in hand —
-  /// the pipeline's echo_psd pass extracts many recordings' rows in one
-  /// four-lane pass (EchoSpectrumExtractor::extract_all_multi), then
-  /// assembles each recording's features through this entry point. `rows`
+  /// the pipeline's echo_psd stage extracts them (EchoSpectrumExtractor::
+  /// extract_all), then the features stage assembles the recording's
+  /// features through this entry point. `rows`
   /// must be extract_all(signal, echoes)'s output for `echoes` echoes; the
   /// result is bit-identical to extract_full().
   [[nodiscard]] Result extract_full_from_rows(std::size_t echoes,
@@ -83,8 +83,8 @@ class FeatureExtractor {
   [[nodiscard]] std::size_t dimension() const { return config_.dimension(); }
   [[nodiscard]] const FeatureConfig& config() const { return config_; }
 
-  /// The inner per-echo PSD extractor, for callers that batch the PSD stage
-  /// themselves (EarSonar::analyze_filtered) before assembling features
+  /// The inner per-echo PSD extractor, for callers that run the PSD stage
+  /// on its own (EarSonar::analyze_filtered) before assembling features
   /// through extract_full_from_rows().
   [[nodiscard]] const EchoSpectrumExtractor& spectrum_extractor() const {
     return extractor_;

@@ -38,7 +38,7 @@ void StageClock::end() {
   open_ = false;
   span_.end();
   timings_[id_] = span_.elapsed_ms();
-  if (graph_) graph_->record(id_, timings_[id_], 1, false);
+  if (graph_) graph_->record(id_, timings_[id_]);
 }
 
 EchoAnalysis EarSonar::analyze(const audio::Waveform& recording,
@@ -65,12 +65,10 @@ EchoAnalysis EarSonar::analyze(const audio::Waveform& recording,
   const audio::Waveform filtered = preprocessor_.process(*input);
   filter_clock.end();
 
-  const AnalysisItem item{&filtered, cancel};
-  AnalysisOutcome outcome = std::move(analyze_filtered({&item, 1}).front());
-  if (!outcome.ok()) std::rethrow_exception(outcome.error);
-  outcome.analysis.timings[pipeline::StageId::kFilter] =
+  EchoAnalysis analysis = analyze_filtered(filtered, cancel);
+  analysis.timings[pipeline::StageId::kFilter] =
       filter_timing[pipeline::StageId::kFilter];
-  return std::move(outcome.analysis);
+  return analysis;
 }
 
 namespace {
@@ -88,91 +86,30 @@ namespace {
 
 }  // namespace
 
-std::vector<AnalysisOutcome> EarSonar::analyze_filtered(
-    std::span<const AnalysisItem> items, pipeline::StageGraph* graph) const {
-  std::vector<AnalysisOutcome> out(items.size());
-  // Chaos drill (docs/robustness.md, `pipeline.batch`): the cross-request
-  // pass is unavailable, so every item runs as its own batch of one.
-  if (items.size() > 1 && fault::point("pipeline.batch")) {
-    if (graph) graph->record_fallback();
-    for (std::size_t i = 0; i < items.size(); ++i)
-      out[i] = std::move(analyze_filtered(items.subspan(i, 1), graph).front());
-    return out;
-  }
-  // live[i]: request i has not failed yet. A request that throws in one
-  // stage is finished (its error captured); lane-mates continue.
-  std::vector<char> live(items.size(), 1);
-  const auto run = [&](std::size_t i, auto&& body) {
-    if (!live[i]) return;
+EchoAnalysis EarSonar::analyze_filtered(const audio::Waveform& filtered,
+                                        const CancelToken& cancel,
+                                        pipeline::StageGraph* graph) const {
+  require_nonempty("EarSonar::analyze_filtered signal", filtered.size());
+  EchoAnalysis analysis;
+  analysis.quality.min_usable = config_.min_usable_chirps;
+  stage_event_detect(filtered, analysis, graph);
+  stage_segment(filtered, analysis, cancel, graph);
+  if (analysis.echoes.empty()) return analysis;
+  cancel.check("features");
+
+  std::vector<double> rows;
+  {
+    StageClock clock(pipeline::StageId::kEchoPsd, analysis.timings, graph);
     try {
-      body();
+      rows = extractor_.spectrum_extractor().extract_all(filtered, analysis.echoes);
     } catch (...) {
-      out[i].error = std::current_exception();
-      live[i] = 0;
+      // The pass failed (e.g. an injected FFT fault) and left `rows` empty:
+      // stage_features recomputes the PSDs echo by echo, where the recovery
+      // machinery attributes the error to the chirp that owns it.
     }
-  };
-
-  // --- event_detect and segment: per request, in submission order, so
-  // fault-point counters and drop bookkeeping fire in the same sequence a
-  // sequential run over these requests would produce.
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    run(i, [&] {
-      require_nonempty("EarSonar::analyze_filtered signal", items[i].filtered->size());
-      out[i].analysis.quality.min_usable = config_.min_usable_chirps;
-      stage_event_detect(*items[i].filtered, out[i].analysis, graph);
-    });
   }
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    run(i, [&] {
-      stage_segment(*items[i].filtered, out[i].analysis, items[i].cancel, graph);
-    });
-  }
-
-  // --- echo_psd: ONE pass over every surviving request's chirp windows,
-  // packed into four-lane groups that cross request boundaries.
-  std::vector<std::size_t> psd_idx;  // psd_items[j] belongs to items[psd_idx[j]]
-  std::vector<EchoSpectrumExtractor::EchoBatch> psd_items;
-  std::size_t lanes = 0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!live[i] || out[i].analysis.echoes.empty()) continue;
-    run(i, [&] { items[i].cancel.check("features"); });
-    if (!live[i]) continue;
-    psd_idx.push_back(i);
-    psd_items.push_back({items[i].filtered, &out[i].analysis.echoes});
-    lanes += out[i].analysis.echoes.size();
-  }
-  if (psd_items.empty()) return out;
-  std::vector<std::vector<double>> psds;
-  obs::Span psd_span("echo_psd", "pipeline");
-  psd_span.set_arg("lanes", static_cast<std::int64_t>(lanes));
-  try {
-    psds = extractor_.spectrum_extractor().extract_all_multi(psd_items);
-  } catch (...) {
-    // The shared pass failed (e.g. an injected FFT fault). Each request
-    // recomputes its own PSDs inside stage_features below, where the
-    // recovery machinery attributes the error to the request (and chirp)
-    // that owns it.
-    psds.clear();
-  }
-  psd_span.end();
-  // The one multi-request stage record: the pass carried every request in
-  // psd_idx, and each request's timing is its share by echo count.
-  const double psd_ms = psd_span.elapsed_ms();
-  if (graph)
-    graph->record(pipeline::StageId::kEchoPsd, psd_ms, psd_items.size(),
-                  psd_items.size() > 1);
-
-  // --- features: per-request assembly from its slice of the shared pass.
-  for (std::size_t j = 0; j < psd_idx.size(); ++j) {
-    EchoAnalysis& analysis = out[psd_idx[j]].analysis;
-    analysis.timings[pipeline::StageId::kEchoPsd] =
-        psd_ms * static_cast<double>(analysis.echoes.size()) / static_cast<double>(lanes);
-    run(psd_idx[j], [&] {
-      stage_features(*items[psd_idx[j]].filtered, analysis,
-                     psds.empty() ? nullptr : &psds[j], graph);
-    });
-  }
-  return out;
+  stage_features(filtered, analysis, rows.empty() ? nullptr : &rows, graph);
+  return analysis;
 }
 
 void EarSonar::stage_event_detect(const audio::Waveform& filtered, EchoAnalysis& analysis,

@@ -9,9 +9,7 @@
 
 #include <array>
 #include <cstddef>
-#include <exception>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,9 +51,8 @@ struct PipelineConfig {
 /// one slot per pipeline::StageId. Each slot is written by the StageClock
 /// that timed the stage (its span carries the stage's name, see
 /// docs/observability.md), measured whether or not a trace is being
-/// captured. `echo_psd` holds the request's share, by echo count, of the one
-/// pass its batch ran; `filter` stays zero for a pre-fed streaming session
-/// and `inference` for an analysis no model scored.
+/// captured. `filter` stays zero for a pre-fed streaming session and
+/// `inference` for an analysis no model scored.
 struct StageTimings {
   std::array<double, pipeline::kStageCount> ms{};
 
@@ -76,8 +73,8 @@ struct StageTimings {
 /// span, its StageTimings slot and (given a graph) its occupancy and latency
 /// histogram are fed from. Opens `obs::Span(stage_name(id), category)`;
 /// end() — or the destructor, so a stage that throws is still counted —
-/// writes the elapsed time into `timings[id]` and records one unbatched pass
-/// of one item into `graph`.
+/// writes the elapsed time into `timings[id]` and records one pass into
+/// `graph`.
 class StageClock {
  public:
   StageClock(pipeline::StageId id, StageTimings& timings,
@@ -139,31 +136,13 @@ struct EchoAnalysis {
   [[nodiscard]] bool usable() const { return !features.empty(); }
 };
 
-/// One request's input to analyze_filtered(): its preprocessed signal at the
-/// probe sample rate plus its own cancellation token, so deadlines stay
-/// per-request inside a batch.
-struct AnalysisItem {
-  const audio::Waveform* filtered = nullptr;
-  CancelToken cancel;
-};
-
-/// One request's result: exactly one of `analysis` (success) or `error`
-/// (what analyze() would have thrown for it: the degradation-floor
-/// runtime_error, CancelledError, ...).
-struct AnalysisOutcome {
-  EchoAnalysis analysis;
-  std::exception_ptr error;
-
-  [[nodiscard]] bool ok() const { return error == nullptr; }
-};
-
 class EarSonar {
  public:
   explicit EarSonar(PipelineConfig config = {});
 
   /// Signal-processing front half: resample to the probe rate, band-pass,
-  /// then analyze_filtered() as a batch of one. `features` is empty when no
-  /// echo could be segmented (caller decides how to handle the dropout).
+  /// then analyze_filtered(). `features` is empty when no echo could be
+  /// segmented (caller decides how to handle the dropout).
   ///
   /// Error isolation: a chirp whose segmentation or PSD extraction throws is
   /// dropped and recorded in `quality` instead of aborting the recording;
@@ -174,27 +153,18 @@ class EarSonar {
   [[nodiscard]] EchoAnalysis analyze(const audio::Waveform& recording,
                                      const CancelToken& cancel = {}) const;
 
-  /// The post-filter analysis of N >= 1 requests, each already preprocessed
-  /// at the probe sample rate — the one way every caller (analyze(), fit(),
-  /// the streaming sessions of the serving engine) analyzes a recording.
-  /// Stages run as passes over all items: event_detect and segment per
-  /// request in submission order, then ONE echo_psd pass packing every
-  /// request's chirp windows into four-lane groups of the pruned band
-  /// transform (dsp::BandPsdPlan) that cross request boundaries and write
-  /// one flat buffer of PSD rows per request, then per-request feature
-  /// assembly from those rows. Each lane's arithmetic is independent of its
-  /// lane-mates (every band bin equals the full power spectrum of its own
-  /// window bitwise), so outcome [i] does not depend on what else rode the
-  /// batch. One request's exception is captured in its outcome and its
-  /// lane-mates proceed; a failed shared PSD pass makes each request
-  /// recompute its own PSDs, and the `pipeline.batch` fault point runs every
-  /// item as its own batch of one. `graph` (optional) receives per-stage
-  /// occupancy: one pass per request for event_detect, segment and
-  /// features, one pass for the whole batch's echo_psd. The `filter` and
-  /// `inference` timings stay zero.
-  [[nodiscard]] std::vector<AnalysisOutcome> analyze_filtered(
-      std::span<const AnalysisItem> items,
-      pipeline::StageGraph* graph = nullptr) const;
+  /// The post-filter analysis of one recording, already preprocessed at the
+  /// probe sample rate — the one way every caller (analyze(), fit(), the
+  /// streaming sessions of the serving engine) analyzes a recording.
+  /// event_detect, segment, echo_psd (the recording's chirp windows four at
+  /// a time through the pruned band transform, dsp::BandPsdPlan, into one
+  /// flat buffer of PSD rows) and features run in turn, each timed by a
+  /// StageClock into `graph` when one is given. A failed echo_psd pass makes
+  /// the features stage recompute the PSDs echo by echo. The `filter` and
+  /// `inference` timings stay zero. Throws what analyze() throws.
+  [[nodiscard]] EchoAnalysis analyze_filtered(const audio::Waveform& filtered,
+                                              const CancelToken& cancel = {},
+                                              pipeline::StageGraph* graph = nullptr) const;
 
   /// Trains the detection head on labeled recordings (label indices follow
   /// kMeeStateNames). Recordings whose analysis yields no features, or a
@@ -218,8 +188,8 @@ class EarSonar {
   [[nodiscard]] std::size_t feature_dimension() const { return extractor_.dimension(); }
 
  private:
-  // The per-request stage bodies analyze_filtered() runs for each item;
-  // each times itself with a StageClock into `analysis.timings` and `graph`.
+  // The stage bodies analyze_filtered() runs in turn; each times itself
+  // with a StageClock into `analysis.timings` and `graph`.
   void stage_event_detect(const audio::Waveform& filtered, EchoAnalysis& analysis,
                           pipeline::StageGraph* graph) const;
   /// Includes the min_usable_chirps floor check (may throw "degraded").
@@ -227,7 +197,7 @@ class EarSonar {
                      const CancelToken& cancel, pipeline::StageGraph* graph) const;
   /// `rows` non-null supplies the echo_psd pass's PSD rows for the happy
   /// path; null computes them here. The error-recovery path always
-  /// re-extracts per request.
+  /// re-extracts echo by echo.
   void stage_features(const audio::Waveform& filtered, EchoAnalysis& analysis,
                       const std::vector<double>* rows,
                       pipeline::StageGraph* graph) const;

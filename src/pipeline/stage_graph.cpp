@@ -93,12 +93,10 @@ void LatencyHistogram::write_text(std::ostream& out, std::string_view stage) con
         << "\"} " << values[i] << '\n';
 }
 
-void StageGraph::record(StageId id, double busy_ms, std::size_t item_count,
-                        bool batched) {
+void StageGraph::record(StageId id, double busy_ms) {
   StageStats& s = stats(id);
-  s.items.fetch_add(item_count, std::memory_order_relaxed);
+  s.items.fetch_add(1, std::memory_order_relaxed);
   s.passes.fetch_add(1, std::memory_order_relaxed);
-  if (batched) s.batched_items.fetch_add(item_count, std::memory_order_relaxed);
   s.busy_us.fetch_add(static_cast<std::uint64_t>(busy_ms * 1000.0),
                       std::memory_order_relaxed);
   s.latency.record(busy_ms);
@@ -113,13 +111,10 @@ std::string StageGraph::text_snapshot() const {
        << s.items.load(std::memory_order_relaxed) << "\n";
     os << "earsonar_serve_stage_passes{stage=\"" << name << "\"} "
        << s.passes.load(std::memory_order_relaxed) << "\n";
-    os << "earsonar_serve_stage_batched_items{stage=\"" << name << "\"} "
-       << s.batched_items.load(std::memory_order_relaxed) << "\n";
     os << "earsonar_serve_stage_busy_ms{stage=\"" << name << "\"} "
        << s.busy_us.load(std::memory_order_relaxed) / 1000.0 << "\n";
     s.latency.write_text(os, name);
   }
-  os << "earsonar_serve_batch_fallbacks_total " << fallbacks() << "\n";
   return os.str();
 }
 

@@ -2,19 +2,18 @@
 //
 //   filter -> event_detect -> segment -> echo_psd -> features -> inference
 //
-// (docs/architecture.md draws the full picture). core::EarSonar's
-// analyze_filtered() walks the post-filter stages as passes over N >= 1
-// requests, while the serving engine filters each session on its own (the
-// `filter` stage is never batched); this layer names the stages as
-// first-class nodes and counts their occupancy, so the counters show where
-// batching wins.
+// (docs/architecture.md draws the full picture), one request at a time:
+// the serving engine filters each session on its own and core::EarSonar's
+// analyze_filtered() walks the post-filter stages. This layer names the
+// stages as first-class nodes and counts their occupancy, so the counters
+// show where a request's time goes.
 // It depends on nothing else in the repository, so every layer above it can
 // record into a StageGraph.
 //
 // The graph is a straight line today (each stage's output feeds exactly the
 // next stage), so the edge list is implicit in the StageId order; what the
-// graph abstraction buys is the per-stage seam: a place to batch, a place to
-// count, and a stable set of exported stage names the docs gate pins.
+// graph abstraction buys is the per-stage seam: a place to count, and a
+// stable set of exported stage names the docs gate pins.
 #pragma once
 
 #include <array>
@@ -33,7 +32,7 @@ enum class StageId : std::size_t {
   kFilter = 0,     ///< band-pass preprocessing (streaming: chunked biquads)
   kEventDetect,    ///< adaptive-energy chirp event detection
   kSegment,        ///< parity-decomposition echo segmentation, per chirp
-  kEchoPsd,        ///< windowed band PSD per echo (the x4-lane batch point)
+  kEchoPsd,        ///< windowed band PSD per echo, four echoes per transform
   kFeatures,       ///< 105-dim feature assembly from the per-echo PSDs
   kInference,      ///< detection head on the feature vector
 };
@@ -76,17 +75,15 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> sum_ns_{0};
 };
 
-/// Occupancy counters of one stage node. `items` counts units of work
-/// entering the stage (requests, or chirps for the per-chirp stages);
-/// `passes` counts executions; a pass covering more than one request is a
-/// batched pass and its requests are also counted in `batched_items`.
-/// `latency` holds one sample per pass: its count equals `passes`.
+/// Occupancy counters of one stage node. `items` counts requests entering
+/// the stage and `passes` counts executions; every pass carries one
+/// request, so the two agree. `latency` holds one sample per pass: its
+/// count equals `passes`.
 /// Updated with relaxed atomics from worker threads; a snapshot is a
 /// consistent-enough monotonic read, same as serve::ServeMetrics.
 struct StageStats {
   std::atomic<std::uint64_t> items{0};
   std::atomic<std::uint64_t> passes{0};
-  std::atomic<std::uint64_t> batched_items{0};
   std::atomic<std::uint64_t> busy_us{0};  ///< wall time inside the stage
   LatencyHistogram latency;               ///< wall time of each pass
 };
@@ -102,26 +99,17 @@ class StageGraph {
     return stats_[static_cast<std::size_t>(id)];
   }
 
-  /// Records one pass through `id`: `item_count` units of work took
-  /// `busy_ms` wall milliseconds; `batched` marks a pass that carried more
-  /// than one request. Feeds every counter and the latency histogram.
-  void record(StageId id, double busy_ms, std::size_t item_count, bool batched);
-
-  /// Counts one multi-request pass that fell back to running each request
-  /// as its own batch of one (the `pipeline.batch` fault point).
-  void record_fallback() { fallbacks_.fetch_add(1, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t fallbacks() const {
-    return fallbacks_.load(std::memory_order_relaxed);
-  }
+  /// Records one pass of one request through `id` that took `busy_ms` wall
+  /// milliseconds. Feeds every counter and the latency histogram.
+  void record(StageId id, double busy_ms);
 
   /// Prometheus-style text lines (earsonar_serve_stage_* gauges and the
-  /// earsonar_serve_latency_* histogram lines with a stage label, plus the
-  /// fallback counter), appended to the serving metrics snapshot.
+  /// earsonar_serve_latency_* histogram lines with a stage label), appended
+  /// to the serving metrics snapshot.
   [[nodiscard]] std::string text_snapshot() const;
 
  private:
   std::array<StageStats, kStageCount> stats_;
-  std::atomic<std::uint64_t> fallbacks_{0};
 };
 
 }  // namespace earsonar::pipeline

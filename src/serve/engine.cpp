@@ -125,11 +125,11 @@ void ServingEngine::worker_loop() {
   // worker's occupancy between start() and stop().
   obs::Span worker_span("worker", "serve");
   Job job;
+  std::vector<Job> batch;
   while (queue_.pop(job)) {
     // The first pop leads a batch; linger up to batch_wait_us for stragglers
     // (or until the batch fills). A closed queue cuts the linger short, so
     // stop() still drains promptly. At batch_max 1 the job is a batch of one.
-    std::vector<Job> batch;
     batch.push_back(std::move(job));
     if (config_.batch_max > 1) {
       obs::Span collect_span("batch_collect", "serve");
@@ -141,7 +141,8 @@ void ServingEngine::worker_loop() {
         batch.push_back(std::move(extra));
       collect_span.set_arg("requests", static_cast<std::int64_t>(batch.size()));
     }
-    process_batch(std::move(batch));
+    process_batch(batch);
+    batch.clear();
   }
 }
 
@@ -160,9 +161,9 @@ std::optional<CancelToken> ServingEngine::admit_dequeued(Job& job,
                                           : CancelToken();
   if (cancel.expired()) {
     // Shed at dequeue: the caller's deadline passed while the job waited in
-    // the queue (or in a leader's batch-collect linger), so no pipeline work
-    // is worth doing. Counted separately from failures — the engine did
-    // nothing wrong, it was just too busy.
+    // the queue, in a leader's batch-collect linger, or behind its
+    // batch-mates, so no pipeline work is worth doing. Counted separately
+    // from failures — the engine did nothing wrong, it was just too busy.
     ServeResult shed;
     shed.id = job.request.id;
     shed.deadline_exceeded = true;
@@ -249,145 +250,67 @@ ServeResult ServingEngine::finalize_analysis(const std::string& id,
   return result;
 }
 
-void ServingEngine::process_batch(std::vector<Job> batch) {
-  // Shed-before-work: every job's deadline is re-checked here, after the
-  // batch-collect linger, so a request that expired while the leader waited
-  // for stragglers never reaches the pipeline (docs/serving.md).
-  std::vector<Admitted> live;
-  live.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
+void ServingEngine::process_batch(std::span<Job> batch) {
+  if (batch.size() > 1) {
+    metrics_.batches.fetch_add(1, std::memory_order_relaxed);
+    metrics_.batched_requests.fetch_add(batch.size(), std::memory_order_relaxed);
+  }
+  // One job at a time, each resolved before the next starts: a job's
+  // admission (deadline shed, queue wait) happens when it starts, so its
+  // queue_ms covers its wait behind batch-mates too (docs/serving.md).
+  for (Job& job : batch) {
+    obs::Span job_span("serve_job", "serve");
     double queue_ms = 0.0;
-    if (std::optional<CancelToken> cancel = admit_dequeued(batch[i], queue_ms))
-      live.push_back({i, *cancel, queue_ms});
-  }
-
-  // Partition by workload type: a pipeline batch never mixes types
-  // (docs/workloads.md). Absorbance jobs form their own type-pure group —
-  // they have no waveform to ingest.
-  std::vector<Admitted> earsonar;
-  std::vector<Admitted> absorbance;
-  for (const Admitted& a : live) {
-    if (batch[a.job].request.workload == WorkloadType::kAbsorbance)
-      absorbance.push_back(a);
-    else
-      earsonar.push_back(a);
-  }
-  if (absorbance.size() > 1) {
-    ServeMetrics::WorkloadCounters& per_type =
-        metrics_.workload[workload_index(WorkloadType::kAbsorbance)];
-    per_type.batches.fetch_add(1, std::memory_order_relaxed);
-    per_type.batched_requests.fetch_add(absorbance.size(), std::memory_order_relaxed);
-  }
-  for (const Admitted& a : absorbance) {
-    Job& job = batch[a.job];
-    ensure(job.request.workload == WorkloadType::kAbsorbance,
-           "batch type purity violated: non-absorbance job in absorbance group");
+    const std::optional<CancelToken> cancel = admit_dequeued(job, queue_ms);
+    if (!cancel) continue;
     ServeResult result;
     try {
-      result = process_absorbance(job.request);
+      result = job.request.workload == WorkloadType::kAbsorbance
+                   ? process_absorbance(job.request)
+                   : run_pipeline(job.request, *cancel);
     } catch (...) {
       result = error_result(job.request.id, std::current_exception());
     }
-    finish_job(job, std::move(result), a.queue_ms);
+    finish_job(job, std::move(result), queue_ms);
   }
-  if (!earsonar.empty()) run_pipeline(batch, earsonar);
 }
 
-void ServingEngine::run_pipeline(std::vector<Job>& batch,
-                                 std::span<const Admitted> group) {
-  obs::Span batch_span("serve_batch", "serve");
-  batch_span.set_arg("requests", static_cast<std::int64_t>(group.size()));
-  for (const Admitted& a : group)
-    ensure(batch[a.job].request.workload == WorkloadType::kEarSonar,
-           "batch type purity violated: non-EarSonar job in pipeline batch");
-  if (group.size() > 1) {
-    metrics_.batches.fetch_add(1, std::memory_order_relaxed);
-    metrics_.batched_requests.fetch_add(group.size(), std::memory_order_relaxed);
-    ServeMetrics::WorkloadCounters& per_type =
-        metrics_.workload[workload_index(WorkloadType::kEarSonar)];
-    per_type.batches.fetch_add(1, std::memory_order_relaxed);
-    per_type.batched_requests.fetch_add(group.size(), std::memory_order_relaxed);
-  }
-
-  // --- Ingest, one job at a time: a job that arrived as a whole recording
-  // streams into a fresh session in `chunk_samples` slices, its deadline
-  // checked before every chunk; an error lands on that job alone. Resample
-  // plus every feed is the job's one `filter` stage execution, as in
-  // EarSonar::analyze. Pre-fed sessions (the networked path) skip this.
-  struct Lane {
-    StreamingSession* session = nullptr;
-    std::unique_ptr<StreamingSession> own;  ///< engine-built session
-    core::StageTimings timings;             ///< the `filter` slot
-    std::exception_ptr error;
-  };
-  std::vector<Lane> lanes(group.size());
-  const double rate = config_.session.pipeline.chirp.sample_rate;
-  for (std::size_t j = 0; j < group.size(); ++j) {
-    Lane& lane = lanes[j];
-    const ServeRequest& request = batch[group[j].job].request;
-    if (request.session != nullptr) {
-      lane.session = request.session.get();  // fed by the connection thread
-      continue;
+ServeResult ServingEngine::run_pipeline(const ServeRequest& request,
+                                        const CancelToken& cancel) {
+  // --- Ingest: a job that arrived as a whole recording streams into a fresh
+  // session in `chunk_samples` slices, its deadline checked before every
+  // chunk. Resample plus every feed is the job's one `filter` stage
+  // execution, as in EarSonar::analyze. Pre-fed sessions (the networked
+  // path) skip this.
+  core::StageTimings filter_timing;
+  StreamingSession* session = request.session.get();
+  std::unique_ptr<StreamingSession> own;
+  if (session == nullptr) {
+    core::StageClock clock(pipeline::StageId::kFilter, filter_timing, &stage_graph_,
+                           "serve");
+    own = std::make_unique<StreamingSession>(config_.session);
+    session = own.get();
+    std::span<const double> samples = request.recording.view();
+    std::vector<double> resampled;
+    const double rate = config_.session.pipeline.chirp.sample_rate;
+    if (request.recording.sample_rate() != rate) {
+      obs::Span resample_span("resample", "serve");
+      resampled = dsp::resample_to_rate(samples, request.recording.sample_rate(), rate);
+      samples = resampled;
     }
-    try {
-      core::StageClock clock(pipeline::StageId::kFilter, lane.timings, &stage_graph_,
-                             "serve");
-      lane.own = std::make_unique<StreamingSession>(config_.session);
-      lane.session = lane.own.get();
-      std::span<const double> samples = request.recording.view();
-      std::vector<double> resampled;
-      if (request.recording.sample_rate() != rate) {
-        obs::Span resample_span("resample", "serve");
-        resampled =
-            dsp::resample_to_rate(samples, request.recording.sample_rate(), rate);
-        samples = resampled;
-      }
-      const std::size_t chunk =
-          request.chunk_samples > 0 ? request.chunk_samples : config_.chunk_samples;
-      for (std::size_t pos = 0; pos < samples.size(); pos += chunk) {
-        group[j].cancel.check("stream_ingest");
-        (void)lane.session->feed(
-            samples.subspan(pos, std::min(chunk, samples.size() - pos)));
-        metrics_.chunks_fed.fetch_add(1, std::memory_order_relaxed);
-      }
-    } catch (...) {
-      lane.error = std::current_exception();
+    const std::size_t chunk =
+        request.chunk_samples > 0 ? request.chunk_samples : config_.chunk_samples;
+    for (std::size_t pos = 0; pos < samples.size(); pos += chunk) {
+      cancel.check("stream_ingest");
+      (void)session->feed(samples.subspan(pos, std::min(chunk, samples.size() - pos)));
+      metrics_.chunks_fed.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  // --- Finish: one pass over every surviving session; the echo-PSD stage
-  // packs all requests' chirp windows into shared x4 lanes.
-  std::vector<StreamingSession*> finish_sessions;
-  std::vector<CancelToken> finish_cancels;
-  std::vector<std::size_t> finish_lanes;
-  for (std::size_t j = 0; j < group.size(); ++j) {
-    if (lanes[j].error) continue;
-    finish_sessions.push_back(lanes[j].session);
-    finish_cancels.push_back(group[j].cancel);
-    finish_lanes.push_back(j);
-  }
-  std::vector<core::AnalysisOutcome> outcomes = StreamingSession::finish(
-      pipeline_, finish_sessions, finish_cancels, &stage_graph_);
-  std::vector<core::AnalysisOutcome*> outcome_of(group.size(), nullptr);
-  for (std::size_t r = 0; r < finish_lanes.size(); ++r) {
-    Lane& lane = lanes[finish_lanes[r]];
-    if (!outcomes[r].ok()) {
-      lane.error = outcomes[r].error;
-      continue;
-    }
-    outcome_of[finish_lanes[r]] = &outcomes[r];
-    outcomes[r].analysis.timings[pipeline::StageId::kFilter] =
-        lane.timings[pipeline::StageId::kFilter];
-  }
-
-  for (std::size_t j = 0; j < group.size(); ++j) {
-    Job& job = batch[group[j].job];
-    ServeResult result =
-        outcome_of[j]
-            ? finalize_analysis(job.request.id, std::move(outcome_of[j]->analysis))
-            : error_result(job.request.id, lanes[j].error);
-    finish_job(job, std::move(result), group[j].queue_ms);
-  }
+  // --- Finish: the session's analysis through the engine's EarSonar.
+  core::EchoAnalysis analysis = session->finish(pipeline_, cancel, &stage_graph_);
+  analysis.timings[pipeline::StageId::kFilter] = filter_timing[pipeline::StageId::kFilter];
+  return finalize_analysis(request.id, std::move(analysis));
 }
 
 std::string ServingEngine::metrics_snapshot() const {

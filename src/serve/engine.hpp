@@ -4,7 +4,7 @@
 //
 //   submit() ──try_push──▶ BoundedQueue ──pop──▶ worker_loop × N ──▶ promise
 //                 │                                   │
-//            reject with                  a batch of N >= 1 jobs: chunked
+//            reject with                  one job at a time: chunked
 //            reason when full             StreamingSession ingest, finish
 //                                         through the engine's EarSonar,
 //                                         predict against ModelRegistry
@@ -17,13 +17,14 @@
 // their queues concurrently, and EarSonar::fit can run beside a serving
 // engine).
 //
-// Every EarSonar job runs through process_batch(): a worker pops a job,
-// collects up to `batch_max - 1` more, feeds each job's recording through
-// its own StreamingSession in `chunk_samples` slices, one job after the
-// other, then runs one finish over the whole batch. At batch_max 1 a job is
-// a batch of one. The engine never paces a job: a live device's chunks
-// arrive on the networked front-end's connection thread, which feeds the
-// session and submits only the finish.
+// A worker pops a job and collects up to `batch_max - 1` more; then
+// process_batch() runs them one after the other. Each job is admitted when
+// it starts, feeds its recording through its own StreamingSession in
+// `chunk_samples` slices, finishes it, and has its promise resolved before
+// the next job starts. At batch_max 1 a job is a batch of one. The engine
+// never paces a job: a live device's chunks arrive on the networked
+// front-end's connection thread, which feeds the session and submits only
+// the finish.
 #pragma once
 
 #include <atomic>
@@ -56,18 +57,17 @@ struct EngineConfig {
   std::size_t queue_capacity = 64;  ///< pending requests before rejection
   std::size_t chunk_samples = 480;  ///< default ingestion slice (10 ms @ 48 kHz)
   StreamingConfig session;          ///< per-request streaming configuration
-  /// Cross-request batching: a worker that pops a request keeps collecting
-  /// up to this many requests (lingering at most batch_wait_us for
-  /// stragglers), ingests each on its own, then finishes them through the
-  /// stage graph as ONE batch — cross-request x4 lanes in the echo-PSD
-  /// stage (core::EarSonar::analyze_filtered). At 1 every job is a batch of
-  /// one and nothing lingers. Results are bit-identical at every size; see
-  /// docs/serving.md "Batching semantics".
+  /// Dequeue unit: how many queued jobs a worker takes per wake-up. A worker
+  /// that pops a job keeps collecting up to this many (lingering at most
+  /// batch_wait_us for stragglers), then runs them one at a time, each
+  /// resolved before the next starts. At 1 nothing lingers. Results are
+  /// bit-identical at every size; see docs/serving.md "Dequeue semantics".
   std::size_t batch_max = 1;
-  /// Microseconds a batch-leading worker lingers for more requests after its
-  /// first pop. 0 still batches whatever is already queued, adding no
-  /// latency. Bounded by the request deadline rule: a request whose deadline
-  /// expires during the linger is shed before any pipeline work.
+  /// Microseconds a batch-leading worker lingers for more jobs after its
+  /// first pop. 0 still takes whatever is already queued. Bounded by the
+  /// request deadline rule: a job whose deadline expires during the linger
+  /// or behind its batch-mates is shed when it starts, before any pipeline
+  /// work.
   std::size_t batch_wait_us = 200;
 
   void validate() const;
@@ -175,7 +175,7 @@ class ServingEngine {
   [[nodiscard]] const EngineConfig& config() const { return config_; }
 
   /// metrics().text_snapshot() plus engine-level gauges (queue capacity,
-  /// worker count, batching knobs, model version/source) and the per-stage
+  /// worker count, dequeue knobs, model version/source) and the per-stage
   /// occupancy counters of the stage graph.
   [[nodiscard]] std::string metrics_snapshot() const;
 
@@ -193,13 +193,6 @@ class ServingEngine {
     std::optional<std::chrono::steady_clock::time_point> deadline;
   };
 
-  /// A dequeued job that survived admission.
-  struct Admitted {
-    std::size_t job;  ///< index into the collected batch
-    CancelToken cancel;
-    double queue_ms = 0.0;
-  };
-
   void worker_loop();
   /// The absorbance workload's whole pipeline: classify the request's curve
   /// with the installed wideband screener. No streaming session, no stage
@@ -210,12 +203,13 @@ class ServingEngine {
   /// hands back the request's cancel token.
   [[nodiscard]] std::optional<CancelToken> admit_dequeued(Job& job,
                                                           double& queue_ms);
-  /// One collected batch: shed expired jobs, split it into type-pure
-  /// groups, and complete every job.
-  void process_batch(std::vector<Job> batch);
-  /// The EarSonar pipeline over `group` (jobs of `batch`): each job's
-  /// chunked ingest, one StreamingSession::finish, inference.
-  void run_pipeline(std::vector<Job>& batch, std::span<const Admitted> group);
+  /// One collected batch, one job at a time: admit the job (or shed it),
+  /// run its workload, and resolve its promise before the next job starts.
+  void process_batch(std::span<Job> batch);
+  /// The EarSonar pipeline for one admitted request: chunked ingest, the
+  /// session's finish, inference.
+  [[nodiscard]] ServeResult run_pipeline(const ServeRequest& request,
+                                         const CancelToken& cancel);
   /// Result assembly from one analysis, per-stage throughput counters, and
   /// inference.
   [[nodiscard]] ServeResult finalize_analysis(const std::string& id,
@@ -224,7 +218,7 @@ class ServingEngine {
   void finish_job(Job& job, ServeResult result, double queue_ms);
 
   EngineConfig config_;
-  core::EarSonar pipeline_;  ///< finishes every session of every batch
+  core::EarSonar pipeline_;  ///< finishes every job's session
   ModelRegistry registry_;
   /// Wideband screener for the absorbance workload. Guarded like the model
   /// registry: readers copy the shared_ptr under a shared lock.

@@ -53,10 +53,6 @@ std::string ServeMetrics::text_snapshot() const {
     for (std::size_t i = 0; i < 4; ++i)
       out << "earsonar_serve_workload_requests_total{workload=\"" << label
           << "\",outcome=\"" << kOutcomes[i] << "\"} " << values[i] << '\n';
-    out << "earsonar_serve_workload_batches_total{workload=\"" << label
-        << "\"} " << c.batches.load(std::memory_order_relaxed) << '\n';
-    out << "earsonar_serve_workload_batched_requests_total{workload=\"" << label
-        << "\"} " << c.batched_requests.load(std::memory_order_relaxed) << '\n';
   }
   out << "earsonar_serve_queue_depth "
       << queue_depth.load(std::memory_order_relaxed) << '\n';

@@ -37,24 +37,19 @@ struct ServeMetrics {
   // enumerates all exported names).
   std::atomic<std::uint64_t> events_detected{0};   ///< chirp events, all requests
   std::atomic<std::uint64_t> echoes_segmented{0};  ///< segmented eardrum echoes
-  // Cross-request batching (docs/serving.md "Batching semantics"): how many
-  // multi-request batch passes ran and how many requests rode them. Passes
-  // that fell back to batches of one are counted by pipeline::StageGraph.
+  // Dequeue batching (docs/serving.md "Dequeue semantics"): how many worker
+  // wake-ups took more than one job, and how many jobs they took.
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> batched_requests{0};
   /// Per-workload-type accounting (docs/workloads.md): the engine carries
   /// mixed EarSonar + absorbance traffic; these split the request lifecycle
   /// by type so per-type accounting is exact —
-  /// accepted == completed + failed + deadline_exceeded once drained —
-  /// and batch passes are provably type-pure (a pass only ever ticks one
-  /// type's batch counters).
+  /// accepted == completed + failed + deadline_exceeded once drained.
   struct WorkloadCounters {
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> completed{0};
     std::atomic<std::uint64_t> failed{0};
     std::atomic<std::uint64_t> deadline_exceeded{0};
-    std::atomic<std::uint64_t> batches{0};           ///< type-pure batch passes
-    std::atomic<std::uint64_t> batched_requests{0};  ///< requests riding them
   };
   std::array<WorkloadCounters, kWorkloadTypeCount> workload;
   /// The two latencies no single stage owns; per-stage histograms live in

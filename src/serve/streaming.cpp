@@ -57,63 +57,29 @@ FeedStatus StreamingSession::feed(std::span<const double> chunk) {
   return FeedStatus::kAccepted;
 }
 
-std::vector<core::AnalysisOutcome> StreamingSession::finish(
-    const core::EarSonar& pipeline, std::span<StreamingSession* const> sessions,
-    std::span<const CancelToken> cancels, pipeline::StageGraph* graph) {
-  require(sessions.size() == cancels.size(),
-          "StreamingSession::finish: one cancel token per session");
-  const std::size_t n = sessions.size();
-  std::vector<core::AnalysisOutcome> out(n);
-  std::vector<audio::Waveform> waves(n);
-  std::vector<core::AnalysisItem> items;
-  std::vector<std::size_t> idx;  // items[j] belongs to sessions[idx[j]]
-  items.reserve(n);
-  idx.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    StreamingSession* s = sessions[i];
-    // Per-session capture: one session's finish-guard failure must not take
-    // down its lane-mates.
-    try {
-      require(s != nullptr, "StreamingSession::finish: null session");
-      require(!s->finished_, "StreamingSession: finish twice");
-      require(s->samples_fed_ > 0, "StreamingSession: finish with no audio fed");
-      obs::Span finish_span("stream_finish", "stream");
-      finish_span.set_arg("samples", static_cast<std::int64_t>(s->samples_fed_));
-      s->finished_ = true;
-      waves[i] = audio::Waveform(std::move(s->filtered_),
-                                 s->config_.pipeline.chirp.sample_rate);
-      s->filtered_.clear();
-      items.push_back({&waves[i], cancels[i]});
-      idx.push_back(i);
-    } catch (...) {
-      out[i].error = std::current_exception();
-    }
-  }
-  std::vector<core::AnalysisOutcome> results = pipeline.analyze_filtered(items, graph);
-  for (std::size_t j = 0; j < idx.size(); ++j) {
-    const StreamingSession& s = *sessions[idx[j]];
-    core::AnalysisOutcome& outcome = out[idx[j]] = std::move(results[j]);
-    if (outcome.ok() && s.truncated()) {
-      // Evicted samples mean the analysis only saw the retained tail: the
-      // result is valid but partial — surface that as degradation.
-      std::ostringstream os;
-      os << "stream evicted " << s.base_ << " of " << s.samples_fed_ << " samples";
-      core::AnalysisQuality& quality = outcome.analysis.quality;
-      quality.drops.push_back({core::ChirpDrop::kWholeStage, "stream", os.str()});
-      quality.chirps_dropped = quality.drops.size();
-      quality.degraded = true;
-    }
-  }
-  return out;
-}
-
 core::EchoAnalysis StreamingSession::finish(const core::EarSonar& pipeline,
-                                            const CancelToken& cancel) {
-  StreamingSession* self = this;
-  core::AnalysisOutcome outcome =
-      std::move(finish(pipeline, {&self, 1}, {&cancel, 1}).front());
-  if (!outcome.ok()) std::rethrow_exception(outcome.error);
-  return std::move(outcome.analysis);
+                                            const CancelToken& cancel,
+                                            pipeline::StageGraph* graph) {
+  require(!finished_, "StreamingSession: finish twice");
+  require(samples_fed_ > 0, "StreamingSession: finish with no audio fed");
+  obs::Span finish_span("stream_finish", "stream");
+  finish_span.set_arg("samples", static_cast<std::int64_t>(samples_fed_));
+  finished_ = true;
+  const audio::Waveform wave(std::move(filtered_), config_.pipeline.chirp.sample_rate);
+  filtered_.clear();
+  finish_span.end();
+  core::EchoAnalysis analysis = pipeline.analyze_filtered(wave, cancel, graph);
+  if (truncated()) {
+    // Evicted samples mean the analysis only saw the retained tail: the
+    // result is valid but partial — surface that as degradation.
+    std::ostringstream os;
+    os << "stream evicted " << base_ << " of " << samples_fed_ << " samples";
+    core::AnalysisQuality& quality = analysis.quality;
+    quality.drops.push_back({core::ChirpDrop::kWholeStage, "stream", os.str()});
+    quality.chirps_dropped = quality.drops.size();
+    quality.degraded = true;
+  }
+  return analysis;
 }
 
 }  // namespace earsonar::serve

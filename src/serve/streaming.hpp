@@ -7,9 +7,9 @@
 // across chunks) and bit-identical to filtering the concatenated signal, so
 // the session stores only *filtered* samples.
 //
-// finish() ends one or more sessions and hands their buffered filtered
-// samples to `core::EarSonar::analyze_filtered` as one batch — the same
-// post-filter walk `EarSonar::analyze` runs as a batch of one. Because causal
+// finish() ends the session and hands its buffered filtered samples to
+// `core::EarSonar::analyze_filtered` — the same post-filter walk
+// `EarSonar::analyze` runs. Because causal
 // filtering commutes with chunking, a finished session is bit-identical —
 // same features, same diagnosis — to `EarSonar::analyze` on the whole
 // recording with the same (causal) configuration, at every chunk size.
@@ -56,21 +56,15 @@ class StreamingSession {
   /// full under OverflowPolicy::kReject.
   FeedStatus feed(std::span<const double> chunk);
 
-  /// Ends every session and analyzes them as one batch through `pipeline`
-  /// (see core::EarSonar::analyze_filtered), whose config must match the
-  /// sessions' pipeline config. Outcome [i] is session i's analysis, with
-  /// stream-level truncation folded into its `quality`, or the error its
-  /// finalization raised: a finish-guard failure (finished twice, nothing
-  /// fed), the degradation floor, or CancelledError once cancels[i]
-  /// expires. One session's error never touches its lane-mates. `graph`
-  /// optionally receives per-stage occupancy.
-  static std::vector<core::AnalysisOutcome> finish(
-      const core::EarSonar& pipeline, std::span<StreamingSession* const> sessions,
-      std::span<const CancelToken> cancels, pipeline::StageGraph* graph = nullptr);
-
-  /// finish() for this session alone; rethrows its error.
+  /// Ends the session and analyzes its samples through `pipeline` (see
+  /// core::EarSonar::analyze_filtered), whose config must match the
+  /// session's pipeline config, with stream-level truncation folded into the
+  /// result's `quality`. Throws on a finish-guard failure (finished twice,
+  /// nothing fed), the degradation floor, or CancelledError once `cancel`
+  /// expires. `graph` optionally receives per-stage occupancy.
   core::EchoAnalysis finish(const core::EarSonar& pipeline,
-                            const CancelToken& cancel = {});
+                            const CancelToken& cancel = {},
+                            pipeline::StageGraph* graph = nullptr);
 
   [[nodiscard]] std::size_t samples_fed() const { return samples_fed_; }
   [[nodiscard]] std::size_t samples_buffered() const { return filtered_.size(); }

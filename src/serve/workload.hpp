@@ -5,8 +5,8 @@
 // (chunked 48 kHz audio through a StreamingSession) and wideband absorbance
 // screening (a 226 Hz-8 kHz absorbance curve classified by the ml/ stack).
 // Every ServeRequest carries its type; the tag rides the wire in Hello
-// frames, keys the per-type metrics, and partitions cross-request batches —
-// a pipeline batch NEVER mixes workload types (docs/workloads.md).
+// frames, keys the per-type metrics, and picks the job's pipeline when a
+// worker runs it (docs/workloads.md).
 #pragma once
 
 #include <cstddef>

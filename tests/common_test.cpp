@@ -486,15 +486,23 @@ TEST(StatsTest, PearsonConstantInputIsZero) {
   EXPECT_DOUBLE_EQ(pearson_correlation(xs, ys), 0.0);
 }
 
+// summarize() shares one mean and one second moment across its statistics;
+// each must still equal its own function bit for bit (the feature vector's
+// PSD statistics go through summarize()).
 TEST(StatsTest, SummarizeMatchesPieces) {
-  const std::vector<double> xs{1, 2, 2, 3, 8};
-  const SummaryStats s = summarize(xs);
-  EXPECT_DOUBLE_EQ(s.mean, mean(xs));
-  EXPECT_DOUBLE_EQ(s.stddev, stddev(xs));
-  EXPECT_DOUBLE_EQ(s.min, 1);
-  EXPECT_DOUBLE_EQ(s.max, 8);
-  EXPECT_DOUBLE_EQ(s.skewness, skewness(xs));
-  EXPECT_DOUBLE_EQ(s.kurtosis_excess, kurtosis_excess(xs));
+  Rng rng(11);
+  std::vector<double> psd(128);
+  for (double& v : psd) v = rng.uniform(0.01, 3.0);
+  for (const std::vector<double>& xs :
+       {std::vector<double>{1, 2, 2, 3, 8}, std::vector<double>(5, 2.5), psd}) {
+    const SummaryStats s = summarize(xs);
+    EXPECT_EQ(s.mean, mean(xs));
+    EXPECT_EQ(s.stddev, stddev(xs));
+    EXPECT_EQ(s.min, min_value(xs));
+    EXPECT_EQ(s.max, max_value(xs));
+    EXPECT_EQ(s.skewness, skewness(xs));
+    EXPECT_EQ(s.kurtosis_excess, kurtosis_excess(xs));
+  }
 }
 
 TEST(StatsTest, ArgmaxArgmin) {

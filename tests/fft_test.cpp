@@ -321,8 +321,8 @@ TEST(FftPlanCacheTest, ForwardInplaceMatchesOutOfPlace) {
 // The pruned four-lane band PSD (BandPsdPlan) must reproduce four single
 // full-transform calls bit for bit (the `dsp.psd.band` pair; the oracle
 // suite sweeps window shapes and sizes): every lane is independent of its
-// lane-mates, and the absorption stage packs echoes of different requests
-// into one group.
+// lane-mates, and the absorption stage packs four echoes of one recording
+// into one group, zero lanes in the last.
 TEST(PowerSpectrumBandX4Test, MatchesFourSingleCallsBitwise) {
   for (const std::size_t n : {8u, 64u, 512u}) {
     const auto plan = FftPlan::get(n, FftPlan::Kind::kReal);

@@ -453,8 +453,8 @@ TEST(ServingEngineTest, DiagnosesMatchDirectPrediction) {
   EXPECT_EQ(result.model_version, 1u);
   EXPECT_EQ(engine.metrics().completed.load(), 1u);
 
-  // batch_max 1 runs the job as a batch of one through the same stage walk
-  // as a batching engine, so every stage records its occupancy.
+  // batch_max 1 runs the job as a batch of one through the same per-job
+  // stage walk as any batch, so every stage records its occupancy.
   ASSERT_EQ(engine.config().batch_max, 1u);
   for (pipeline::StageId stage :
        {pipeline::StageId::kFilter, pipeline::StageId::kEventDetect,
@@ -643,6 +643,43 @@ TEST(ServingEngineChaosTest, ExpiredDeadlineIsShedWithoutPipelineWork) {
             std::string::npos);
 }
 
+// A job whose deadline passes while a batch-mate runs ahead of it is shed
+// when it starts: admission happens per job, not when the batch was
+// collected, so its queue wait covers the batch-mate's whole run and no
+// pipeline stage sees it.
+TEST(ServingEngineChaosTest, DeadlinePassingBehindBatchMateIsShedWhenItStarts) {
+  serve::EngineConfig cfg = small_engine(1, 8);
+  cfg.batch_max = 2;
+  cfg.batch_wait_us = 10'000'000;  // the batch closes when the second job lands
+  serve::ServingEngine engine(cfg);
+  engine.start();
+  serve::Submission busy = engine.submit(busy_request("busy"));
+  serve::ServeRequest doomed;
+  doomed.id = "doomed";
+  doomed.recording = test_recording();
+  doomed.timeout_ms = 5.0;  // far shorter than the busy job's ingest
+  serve::Submission doomed_sub = engine.submit(std::move(doomed));
+  ASSERT_TRUE(busy.accepted) << busy.reason;
+  ASSERT_TRUE(doomed_sub.accepted) << doomed_sub.reason;
+  const serve::ServeResult busy_result = busy.result.get();
+  const serve::ServeResult shed = doomed_sub.result.get();
+  engine.stop();
+
+  EXPECT_EQ(engine.metrics().batches.load(), 1u);
+  EXPECT_TRUE(busy_result.error.empty()) << busy_result.error;
+  EXPECT_TRUE(shed.deadline_exceeded);
+  EXPECT_NE(shed.error.find("shed at dequeue"), std::string::npos) << shed.error;
+  EXPECT_EQ(shed.events, 0u);
+  EXPECT_FALSE(shed.usable);
+  EXPECT_GT(shed.queue_ms, busy_result.total_ms - busy_result.queue_ms);
+  // Only the busy job reached the pipeline.
+  EXPECT_EQ(engine.stage_graph().stats(pipeline::StageId::kFilter).passes.load(), 1u);
+  EXPECT_EQ(engine.stage_graph().stats(pipeline::StageId::kEventDetect).passes.load(),
+            1u);
+  EXPECT_EQ(engine.metrics().deadline_exceeded.load(), 1u);
+  EXPECT_EQ(engine.metrics().completed.load(), 1u);
+}
+
 TEST(ServingEngineChaosTest, MidIngestDeadlineCancelsBetweenChunks) {
   serve::ServingEngine engine(small_engine(1, 4));
   engine.start();
@@ -815,7 +852,8 @@ TEST(MixedWorkloadTest, MixedTrafficBatchesAreTypePureWithExactCounters) {
 
   // Occupy the single worker with a busy request so the mixed backlog
   // accumulates in the queue; when the worker returns it collects the whole
-  // backlog as one batch and must partition it into type-pure groups.
+  // backlog as one batch and runs it job by job, each through its own
+  // workload's pipeline.
   serve::Submission pace = occupy_worker(engine);
   ASSERT_TRUE(pace.accepted) << pace.reason;
 
@@ -864,16 +902,12 @@ TEST(MixedWorkloadTest, MixedTrafficBatchesAreTypePureWithExactCounters) {
   EXPECT_EQ(ear_counters.failed.load(), 0u);
   EXPECT_EQ(abs_counters.failed.load(), 0u);
 
-  // Type purity is enforced by ensure() inside process_batch (a violation
-  // fails the request); observably, every batch pass ticked exactly one
-  // type's counters and each type's batched requests are bounded by its own
-  // traffic — absorbance rides never count toward EarSonar batches.
-  EXPECT_LE(ear_counters.batched_requests.load(), kPerType);
-  EXPECT_LE(abs_counters.batched_requests.load(), kPerType);
-  if (abs_counters.batches.load() > 0)
-    EXPECT_GE(abs_counters.batched_requests.load(), 2u);
-  if (ear_counters.batches.load() > 0)
-    EXPECT_GE(ear_counters.batched_requests.load(), 2u);
+  // Each job ran its own workload's pipeline alone: only EarSonar jobs
+  // reached the echo stages, and every job of both types was scored once.
+  const pipeline::StageGraph& graph = engine.stage_graph();
+  EXPECT_EQ(graph.stats(pipeline::StageId::kEventDetect).passes.load(), kPerType + 1);
+  EXPECT_GE(graph.stats(pipeline::StageId::kInference).passes.load(), 2 * kPerType);
+  EXPECT_LE(m.batched_requests.load(), 2 * kPerType);
 
   const std::string snapshot = engine.metrics_snapshot();
   EXPECT_NE(snapshot.find("earsonar_serve_workload_requests_total{"

@@ -1,11 +1,12 @@
-// Stage-graph batching tests: finishing N streaming sessions as one batch
-// must be bit-identical to EarSonar::analyze of each whole recording at
-// every batch size — including ragged lane tails, degraded lane-mates, and
-// the forced batch-of-one fallback.
+// Stage-graph tests: per-stage bookkeeping, a finished streaming session's
+// bit-identity to EarSonar::analyze under per-chirp faults, and the serving
+// engine's per-job path — every job of a dequeued batch runs alone and is
+// resolved before the next starts, bit-identical to EarSonar::analyze.
 // Built with the `stagegraph` ctest label so the suite can be re-run under
-// ASan/TSan (scripts/check_sanitize.sh) to certify the batched path.
+// ASan/TSan (scripts/check_sanitize.sh) to certify the engine's per-job path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <regex>
@@ -30,7 +31,7 @@ namespace earsonar {
 namespace {
 
 // Realistic screening recordings (10 chirps each); distinct seeds give each
-// "request" distinct audio so lane crosstalk would be visible.
+// request distinct audio.
 audio::Waveform test_recording(std::uint64_t seed) {
   sim::SubjectFactory factory(42);
   sim::ProbeConfig pc;
@@ -118,14 +119,14 @@ TEST(StageGraphTest, NamesCoverEveryStage) {
 
 TEST(StageGraphTest, RecordAccumulatesAndSnapshotExportsEveryStage) {
   pipeline::StageGraph graph;
-  graph.record(pipeline::StageId::kEchoPsd, 2.0, 8, true);
-  graph.record(pipeline::StageId::kEchoPsd, 1.0, 1, false);
+  graph.record(pipeline::StageId::kEchoPsd, 2.0);
+  graph.record(pipeline::StageId::kEchoPsd, 1.0);
   const pipeline::StageStats& stats =
       graph.stats(pipeline::StageId::kEchoPsd);
-  EXPECT_EQ(stats.items.load(), 9u);
+  EXPECT_EQ(stats.items.load(), 2u);
   EXPECT_EQ(stats.passes.load(), 2u);
-  EXPECT_EQ(stats.batched_items.load(), 8u);  // only the batched pass counts
   EXPECT_EQ(stats.busy_us.load(), 3000u);
+  EXPECT_EQ(stats.latency.count(), 2u);
 
   const std::string snapshot = graph.text_snapshot();
   for (const char* stage : pipeline::stage_names()) {
@@ -133,8 +134,6 @@ TEST(StageGraphTest, RecordAccumulatesAndSnapshotExportsEveryStage) {
     EXPECT_NE(snapshot.find("earsonar_serve_stage_items" + label),
               std::string::npos) << stage;
     EXPECT_NE(snapshot.find("earsonar_serve_stage_passes" + label),
-              std::string::npos) << stage;
-    EXPECT_NE(snapshot.find("earsonar_serve_stage_batched_items" + label),
               std::string::npos) << stage;
     EXPECT_NE(snapshot.find("earsonar_serve_stage_busy_ms" + label),
               std::string::npos) << stage;
@@ -154,190 +153,59 @@ TEST(BoundedQueueTest, TryPopUntilReturnsItemOrTimesOut) {
       out, std::chrono::steady_clock::now() + std::chrono::seconds(1)));
 }
 
-// --------------------------------------- batched bit-identity, all sizes
+// ------------------------------------- one session under per-chirp faults
 
-// One batch of N sessions through StreamingSession::finish must match
-// EarSonar::analyze of each recording bit for bit. 10-chirp recordings make
-// every size here a ragged x4 case within each request (10 % 4 != 0); size 3
-// is ragged in request count too.
-TEST(StageGraphBatchTest, FinishManyBitIdenticalAtBatchSizes) {
+// A session whose chirp is dropped by graceful degradation must produce the
+// exact degraded result analyze() gives under the same fault, and still
+// return a result.
+TEST(StageGraphSessionTest, DegradedSessionMatchesAnalyze) {
   const core::EarSonar pipeline(causal_config());
-  const std::size_t kDistinct = 6;
-  std::vector<audio::Waveform> recordings;
-  std::vector<core::EchoAnalysis> baselines;
-  for (std::size_t i = 0; i < kDistinct; ++i) {
-    recordings.push_back(test_recording(100 + i));
-    baselines.push_back(pipeline.analyze(recordings.back()));
-    ASSERT_TRUE(baselines.back().usable());
-  }
-
-  const std::size_t sizes[] = {1, 2, 3, 4, 64};
-  for (std::size_t n : sizes) {
-    SCOPED_TRACE("batch size " + std::to_string(n));
-    std::vector<std::unique_ptr<serve::StreamingSession>> sessions;
-    std::vector<serve::StreamingSession*> ptrs;
-    for (std::size_t i = 0; i < n; ++i) {
-      sessions.push_back(fed_session(recordings[i % kDistinct]));
-      ptrs.push_back(sessions.back().get());
-    }
-    std::vector<CancelToken> cancels(n);
-    pipeline::StageGraph graph;
-    std::vector<core::AnalysisOutcome> outcomes =
-        serve::StreamingSession::finish(pipeline, ptrs, cancels, &graph);
-    ASSERT_EQ(outcomes.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      SCOPED_TRACE("request " + std::to_string(i));
-      ASSERT_TRUE(outcomes[i].ok());
-      expect_bit_identical(outcomes[i].analysis, baselines[i % kDistinct]);
-    }
-    EXPECT_EQ(graph.fallbacks(), 0u);
-    // One shared echo_psd pass carried every request.
-    const pipeline::StageStats& psd = graph.stats(pipeline::StageId::kEchoPsd);
-    EXPECT_EQ(psd.passes.load(), 1u);
-    EXPECT_EQ(psd.items.load(), n);
-    EXPECT_EQ(psd.batched_items.load(), n > 1 ? n : 0u);
-  }
-}
-
-// A request whose chirp is dropped by graceful degradation mid-batch must
-// produce the exact degraded result analyze() gives, and its lane-mates
-// must be untouched. The fault counter is global and the batch runs
-// per-request segmentation in submission order, so the same `nth:` policy
-// lands on the same chirp of the same request either way.
-TEST(StageGraphBatchTest, DegradedRequestMatchesUnbatchedAndSparesLaneMates) {
-  const core::EarSonar pipeline(causal_config());
-  const std::size_t kRequests = 3;
-  std::vector<audio::Waveform> recordings;
-  for (std::size_t i = 0; i < kRequests; ++i)
-    recordings.push_back(test_recording(200 + i));
-
-  // nth:15 fires on the 15th segmented chirp overall — inside request 1
-  // (requests hold 10 chirps each).
-  std::vector<core::EchoAnalysis> baselines;
+  const audio::Waveform recording = test_recording(200);
+  core::EchoAnalysis baseline;
   {
-    fault::ScopedFault guard("pipeline.segment_chirp=nth:15");
-    for (const audio::Waveform& recording : recordings)
-      baselines.push_back(pipeline.analyze(recording));
+    fault::ScopedFault guard("pipeline.segment_chirp=nth:5");
+    baseline = pipeline.analyze(recording);
   }
-  ASSERT_FALSE(baselines[0].quality.degraded);
-  ASSERT_TRUE(baselines[1].quality.degraded);
-  ASSERT_EQ(baselines[1].quality.drops.size(), 1u);
-  ASSERT_FALSE(baselines[2].quality.degraded);
+  ASSERT_TRUE(baseline.quality.degraded);
+  ASSERT_EQ(baseline.quality.drops.size(), 1u);
+  ASSERT_TRUE(baseline.usable());
 
-  std::vector<std::unique_ptr<serve::StreamingSession>> sessions;
-  std::vector<serve::StreamingSession*> ptrs;
-  for (const audio::Waveform& recording : recordings) {
-    sessions.push_back(fed_session(recording));
-    ptrs.push_back(sessions.back().get());
-  }
-  std::vector<CancelToken> cancels(kRequests);
-  fault::ScopedFault guard("pipeline.segment_chirp=nth:15");
-  std::vector<core::AnalysisOutcome> outcomes =
-      serve::StreamingSession::finish(pipeline, ptrs, cancels);
-  for (std::size_t i = 0; i < kRequests; ++i) {
-    SCOPED_TRACE("request " + std::to_string(i));
-    ASSERT_TRUE(outcomes[i].ok());
-    expect_bit_identical(outcomes[i].analysis, baselines[i]);
-  }
+  std::unique_ptr<serve::StreamingSession> session = fed_session(recording);
+  fault::ScopedFault guard("pipeline.segment_chirp=nth:5");
+  const core::EchoAnalysis analysis = session->finish(pipeline);
+  EXPECT_TRUE(analysis.usable());
+  expect_bit_identical(analysis, baseline);
 }
 
-// The pipeline.batch fault point runs every request as its own batch of
-// one — each must still get its exact result.
-TEST(StageGraphBatchTest, PipelineBatchFaultFallsBackPerRequest) {
+// A transform fault inside the echo_psd pass fails the pass, not the
+// request: the features stage recomputes the PSDs echo by echo, and the
+// result equals the fault-free analysis bit for bit.
+TEST(StageGraphSessionTest, FftExecuteFaultInEchoPsdRecomputesPerEcho) {
   const core::EarSonar pipeline(causal_config());
-  const std::size_t kRequests = 3;
-  std::vector<audio::Waveform> recordings;
-  std::vector<core::EchoAnalysis> baselines;
-  for (std::size_t i = 0; i < kRequests; ++i) {
-    recordings.push_back(test_recording(300 + i));
-    baselines.push_back(pipeline.analyze(recordings.back()));
-  }
+  const audio::Waveform recording = test_recording(350);
+  const core::EchoAnalysis baseline = pipeline.analyze(recording);
+  ASSERT_GT(baseline.echoes.size(), 4u);  // the fault lands in the second group
 
-  std::vector<std::unique_ptr<serve::StreamingSession>> sessions;
-  std::vector<serve::StreamingSession*> ptrs;
-  for (const audio::Waveform& recording : recordings) {
-    sessions.push_back(fed_session(recording));
-    ptrs.push_back(sessions.back().get());
-  }
-  std::vector<CancelToken> cancels(kRequests);
-  fault::ScopedFault guard("pipeline.batch=always");
+  std::unique_ptr<serve::StreamingSession> session = fed_session(recording);
   pipeline::StageGraph graph;
-  std::vector<core::AnalysisOutcome> outcomes =
-      serve::StreamingSession::finish(pipeline, ptrs, cancels, &graph);
-  EXPECT_EQ(graph.fallbacks(), 1u);
-  const pipeline::StageStats& psd = graph.stats(pipeline::StageId::kEchoPsd);
-  EXPECT_EQ(psd.passes.load(), kRequests);
-  EXPECT_EQ(psd.batched_items.load(), 0u);
-  for (std::size_t i = 0; i < kRequests; ++i) {
-    SCOPED_TRACE("request " + std::to_string(i));
-    ASSERT_TRUE(outcomes[i].ok());
-    expect_bit_identical(outcomes[i].analysis, baselines[i]);
-  }
-}
-
-// A transform fault inside the shared echo_psd pass (here in a group that
-// holds echoes of the second request) fails the pass, not the batch: each
-// request recomputes its own PSD rows, and every result equals its
-// unbatched analysis bit for bit.
-TEST(StageGraphBatchTest, FftExecuteFaultInSharedPassRecomputesPerRequest) {
-  const core::EarSonar pipeline(causal_config());
-  const std::size_t kRequests = 3;
-  std::vector<audio::Waveform> recordings;
-  std::vector<core::EchoAnalysis> baselines;
-  for (std::size_t i = 0; i < kRequests; ++i) {
-    recordings.push_back(test_recording(350 + i));
-    baselines.push_back(pipeline.analyze(recordings.back()));
-  }
-  const std::size_t first_echoes = baselines[0].echoes.size();
-  ASSERT_GT(baselines[1].echoes.size(), 0u);
-  // The shared pass runs groups of four over the flattened echoes; the
-  // group after request 0's last full group holds request 1's echoes.
-  const std::size_t group = first_echoes / 4 + 1;
-
-  std::vector<std::unique_ptr<serve::StreamingSession>> sessions;
-  std::vector<serve::StreamingSession*> ptrs;
-  for (const audio::Waveform& recording : recordings) {
-    sessions.push_back(fed_session(recording));
-    ptrs.push_back(sessions.back().get());
-  }
-  std::vector<CancelToken> cancels(kRequests);
-  fault::ScopedFault guard("fft.execute=nth:" + std::to_string(group));
-  std::vector<core::AnalysisOutcome> outcomes =
-      serve::StreamingSession::finish(pipeline, ptrs, cancels);
+  fault::ScopedFault guard("fft.execute=nth:2");
+  const core::EchoAnalysis analysis = session->finish(pipeline, {}, &graph);
   std::uint64_t fires = 0;
   for (const fault::PointStats& stats : fault::Registry::instance().stats())
     if (stats.name == "fft.execute") fires = stats.fires;
   EXPECT_EQ(fires, 1u);
-  for (std::size_t i = 0; i < kRequests; ++i) {
-    SCOPED_TRACE("request " + std::to_string(i));
-    ASSERT_TRUE(outcomes[i].ok());
-    expect_bit_identical(outcomes[i].analysis, baselines[i]);
-  }
-}
-
-// One bad session (nothing fed) must fail alone; lane-mates still finish
-// with exact results.
-TEST(StageGraphBatchTest, EmptySessionFailsWithoutTakingDownLaneMates) {
-  const core::EarSonar pipeline(causal_config());
-  const audio::Waveform recording = test_recording(400);
-  const core::EchoAnalysis baseline = pipeline.analyze(recording);
-
-  std::unique_ptr<serve::StreamingSession> good = fed_session(recording);
-  serve::StreamingSession empty(causal_stream_config());  // never fed
-  std::vector<serve::StreamingSession*> ptrs = {good.get(), &empty};
-  std::vector<CancelToken> cancels(2);
-  std::vector<core::AnalysisOutcome> outcomes =
-      serve::StreamingSession::finish(pipeline, ptrs, cancels);
-  ASSERT_TRUE(outcomes[0].ok());
-  expect_bit_identical(outcomes[0].analysis, baseline);
-  EXPECT_FALSE(outcomes[1].ok());
+  EXPECT_EQ(graph.stats(pipeline::StageId::kEchoPsd).passes.load(), 1u);
+  expect_bit_identical(analysis, baseline);
 }
 
 // ----------------------------------------------------- engine integration
 
-// A batching engine (batch_max > 1) must return the same answers as
-// EarSonar::analyze and surface its batch passes in the metrics and
-// stage-graph occupancy counters.
+// A batching engine (batch_max > 1) runs one dequeued batch job by job:
+// each job's result is ready before the next job is admitted, and each
+// matches EarSonar::analyze bit for bit. The worker's own clock orders the
+// two instants: job i resolves at its enqueue plus total_ms, and job i+1
+// starts where its queue_wait span ends. Both come from one monotonic clock
+// on one thread, so the check is an ordering, not a timing ratio.
 TEST(StageGraphEngineTest, BatchedEngineMatchesPerRequestResults) {
   const core::EarSonar pipeline(causal_config());
   const std::size_t kRequests = 4;
@@ -355,6 +223,9 @@ TEST(StageGraphEngineTest, BatchedEngineMatchesPerRequestResults) {
   cfg.batch_max = kRequests;
   cfg.batch_wait_us = 200000;  // generous linger: the test submits fast
   serve::ServingEngine engine(cfg);
+  obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  recorder.enable();
   engine.start();
   std::vector<std::future<serve::ServeResult>> futures;
   for (std::size_t i = 0; i < kRequests; ++i) {
@@ -368,6 +239,11 @@ TEST(StageGraphEngineTest, BatchedEngineMatchesPerRequestResults) {
   std::vector<serve::ServeResult> results;
   for (auto& future : futures) results.push_back(future.get());
   engine.stop();
+  recorder.disable();
+  std::vector<obs::TraceEvent> waits;
+  for (const obs::TraceEvent& span : recorder.snapshot())
+    if (span.name == "queue_wait") waits.push_back(span);
+  recorder.clear();
 
   for (std::size_t i = 0; i < kRequests; ++i) {
     SCOPED_TRACE(results[i].id);
@@ -378,12 +254,29 @@ TEST(StageGraphEngineTest, BatchedEngineMatchesPerRequestResults) {
       EXPECT_EQ(results[i].features[f], baselines[i].features[f])
           << "feature " << f;
   }
+  // One worker wake-up took all N jobs.
   EXPECT_EQ(engine.metrics().completed.load(), kRequests);
-  EXPECT_GE(engine.metrics().batches.load(), 1u);
-  EXPECT_GE(engine.metrics().batched_requests.load(), 2u);
-  const pipeline::StageStats& psd = engine.stage_graph().stats(
-      pipeline::StageId::kEchoPsd);
-  EXPECT_GT(psd.items.load(), 0u);
+  EXPECT_EQ(engine.metrics().batches.load(), 1u);
+  EXPECT_EQ(engine.metrics().batched_requests.load(), kRequests);
+  EXPECT_EQ(engine.stage_graph().stats(pipeline::StageId::kEchoPsd).passes.load(),
+            kRequests);
+
+  // queue_wait spans run from enqueue to admission; submission order is
+  // enqueue order. Span endpoints are whole microseconds, so allow 3 us of
+  // rounding between the two instants.
+  ASSERT_EQ(waits.size(), kRequests);
+  std::sort(waits.begin(), waits.end(),
+            [](const obs::TraceEvent& a, const obs::TraceEvent& b) { return a.ts_us < b.ts_us; });
+  for (std::size_t i = 0; i + 1 < kRequests; ++i) {
+    SCOPED_TRACE(results[i].id);
+    const double resolved_us =
+        static_cast<double>(waits[i].ts_us) + results[i].total_ms * 1000.0;
+    const double next_start_us =
+        static_cast<double>(waits[i + 1].ts_us + waits[i + 1].dur_us);
+    EXPECT_LE(resolved_us, next_start_us + 3.0);
+    // The next job's queue wait covers this job's whole run.
+    EXPECT_GT(results[i + 1].queue_ms, results[i].total_ms - results[i].queue_ms);
+  }
 
   const std::string snapshot = engine.metrics_snapshot();
   EXPECT_NE(snapshot.find("earsonar_serve_batch_max 4"), std::string::npos);
@@ -406,7 +299,7 @@ serve::EngineConfig one_batch_engine(std::size_t batch_max) {
 }
 
 // Ingest is per job even inside a batch: each job's chunked feed is its own
-// `filter` pass (never batched) and its `filter` timing, as in EarSonar::analyze.
+// `filter` pass and its `filter` timing, as in EarSonar::analyze.
 TEST(StageGraphEngineTest, IngestIsPerJobAndTimedAsBandpass) {
   constexpr std::size_t kRequests = 4;
   serve::ServingEngine engine(one_batch_engine(kRequests));
@@ -430,7 +323,6 @@ TEST(StageGraphEngineTest, IngestIsPerJobAndTimedAsBandpass) {
       engine.stage_graph().stats(pipeline::StageId::kFilter);
   EXPECT_EQ(filter.items.load(), kRequests);
   EXPECT_EQ(filter.passes.load(), kRequests);
-  EXPECT_EQ(filter.batched_items.load(), 0u);
 }
 
 // One vocabulary across every sink: each stage execution feeds its span, the
@@ -482,23 +374,19 @@ TEST(StageGraphEngineTest, EverySinkSpeaksTheStageNames) {
   EXPECT_EQ(filter.passes.load(), kRequests);
 
   // Every stage's histogram holds one sample per pass, and its span count
-  // matches too.
+  // matches too. Every pass carries one request.
   for (std::size_t s = 0; s < pipeline::kStageCount; ++s) {
     const auto id = static_cast<pipeline::StageId>(s);
     const pipeline::StageStats& stats = engine.stage_graph().stats(id);
     SCOPED_TRACE(pipeline::stage_name(id));
     EXPECT_GT(stats.passes.load(), 0u);
+    EXPECT_EQ(stats.items.load(), stats.passes.load());
     EXPECT_EQ(stats.latency.count(), stats.passes.load());
     std::size_t named = 0;
     for (const obs::TraceEvent& span : spans)
       if (span.name == pipeline::stage_name(id)) ++named;
     EXPECT_EQ(named, stats.passes.load());
   }
-  // Only echo_psd runs across requests.
-  EXPECT_EQ(engine.stage_graph().stats(pipeline::StageId::kEchoPsd).batched_items.load(),
-            engine.metrics().batched_requests.load());
-  EXPECT_EQ(engine.stage_graph().stats(pipeline::StageId::kFeatures).batched_items.load(),
-            0u);
 
   // The snapshot's stage labels are exactly the stage names (plus the two
   // engine-level latencies), and no other spelling survives.
@@ -575,7 +463,7 @@ TEST(StageGraphEngineTest, StreamFeedFaultFailsOnlyItsJobInABatch) {
 
 // Deadline-mid-linger shed: a request whose deadline expires while the batch
 // leader lingers must be shed before pipeline work, flagged
-// deadline_exceeded, while fresh lane-mates complete normally.
+// deadline_exceeded, while fresh batch-mates complete normally.
 TEST(StageGraphEngineTest, ExpiredRequestIsShedBeforeBatchWork) {
   serve::EngineConfig cfg;
   cfg.workers = 1;
