@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
                               net::crc32_path(dsp::simd::active_level()));
   benchmark::AddCustomContext(
       "earsonar_biquad_path",
-      dsp::biquad_path(dsp::butterworth_bandpass(4, 14000.0, 21000.0, 48000.0).section_count()));
+      dsp::biquad_path(dsp::butterworth_bandpass(4, 14000.0, 21000.0, 48000.0)));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -92,6 +92,17 @@ std::vector<PairPolicy> build_table() {
   add_pair(t, "serve.stream.finish", "serve::StreamingSession::finish",
            "core::EarSonar::analyze on the whole recording", {0.0, 0.0},
            "bit-exact by design (see src/serve/streaming.hpp); any drift is a bug");
+  add_pair(t, "serve.stream.envelope",
+           "the dsp::EnvelopeFold a chunked BiquadCascade::process_in_place folds as it "
+           "filters (the band-pass wavefront's fused loop), and "
+           "core::AdaptiveEventDetector::detect on it",
+           "dsp::EnvelopeFold::fold over the whole filtered signal; "
+           "check::event_detect_naive for the events",
+           {0.0, 0.0},
+           "bit-exact: the fused loop runs the reference loop's full-window step on the "
+           "same samples in the same order; the window's warm-up, each call's last three "
+           "samples, other cascades, recordings shorter than the window and evicted "
+           "tails go through the reference loop itself");
   add_pair(t, "audio.wav.roundtrip_f32", "write_wav/read_wav float32",
            "the in-memory samples, clamped to [-1, 1]", {1.2e-7, 1e-37},
            "IEEE float quantization: half-ULP at 2^-24 relative");

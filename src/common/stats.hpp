@@ -75,6 +75,9 @@ class MedianBracketCounter {
   /// The bracket of median() over every value added. Requires at least one.
   [[nodiscard]] MedianBracket bracket() const;
 
+  /// Equal bucket counts.
+  bool operator==(const MedianBracketCounter&) const = default;
+
  private:
   std::array<std::uint32_t, 4096> counts_{};
 };

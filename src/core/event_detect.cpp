@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "dsp/envelope.hpp"
 
 namespace earsonar::core {
 
@@ -62,56 +63,33 @@ std::vector<Event> AdaptiveEventDetector::detect(const audio::Waveform& signal) 
   require_nonempty("event detection input", signal.size());
   const std::vector<double>& x = signal.samples();
   const std::size_t n = x.size();
-
   // Instantaneous power and its centered moving average A(i) over `smooth`
   // samples: the oscillating carrier makes raw |X(i)|^2 cross zero every half
-  // cycle, so thresholds act on the smoothed envelope. One fold over x: the
-  // power term leaving the moving window is recomputed from x (bit-identical
-  // to re-reading it) so no per-sample power array is materialized, and the
-  // global-mean accumulation rides along in its own accumulator, in the same
-  // element order as a separate loop. Every center before `half` lands on 0
-  // and is rewritten; from i = half on, center i - half is written once, so
-  // the fold also counts it into the median bracket's histogram. The last
-  // `half` centers never receive a completed moving average: they are zero,
-  // counted at once.
-  const std::size_t s = std::min(config_.smooth, n);
-  const std::size_t half = s / 2;
-  // Reused per-thread buffer: a whole-recording envelope is ~400 KB, and a
-  // fresh allocation pays mmap + page-fault cost every call.
+  // cycle, so thresholds act on the smoothed envelope. One fold over x
+  // (dsp::EnvelopeFold) yields the envelope, the global power sum and the
+  // median bracket's histogram. Reused per-thread row: a whole-recording
+  // envelope is ~400 KB, and a fresh allocation pays mmap + page-fault cost
+  // every call.
   thread_local std::vector<double> envelope;
   envelope.resize(n);
-  std::fill(envelope.end() - static_cast<std::ptrdiff_t>(half), envelope.end(), 0.0);
-  MedianBracketCounter histogram;
-  histogram.add(0.0, static_cast<std::uint32_t>(half));
-  double run = 0.0;
-  double global_mean = 0.0;
-  const auto add_power = [&](std::size_t i) {
-    const double p = x[i] * x[i];
-    global_mean += p;
-    run += p;
-  };
-  double* env = envelope.data();
-  std::size_t i = 0;
-  for (; i < half; ++i) {
-    add_power(i);
-    env[0] = run / static_cast<double>(i + 1);
-  }
-  for (; i < s; ++i) {
-    add_power(i);
-    env[i - half] = run / static_cast<double>(i + 1);
-    histogram.add(env[i - half]);
-  }
-  // Full windows: the oldest power term leaves the moving sum.
-  const double window = static_cast<double>(s);
-  for (; i < n; ++i) {
-    add_power(i);
-    run -= x[i - s] * x[i - s];
-    env[i - half] = run / window;
-    histogram.add(env[i - half]);
-  }
+  dsp::EnvelopeFold fold(std::min(config_.smooth, n), envelope.data());
+  fold.fold(x.data(), n);
+  return scan(fold);
+}
 
+std::vector<Event> AdaptiveEventDetector::detect(dsp::EnvelopeFold& fold) const {
+  require(fold.smooth == config_.smooth && fold.count >= fold.smooth,
+          "AdaptiveEventDetector::detect: fold does not match the detector");
+  return scan(fold);
+}
+
+std::vector<Event> AdaptiveEventDetector::scan(dsp::EnvelopeFold& fold) const {
+  fold.close();
+  const std::size_t n = fold.count;
+  const std::size_t half = fold.smooth / 2;
+  const double* env = fold.row;
   // Global mean power: the closing threshold mu-bar of Eq. 6-7.
-  global_mean /= static_cast<double>(n);
+  const double global_mean = fold.sum / static_cast<double>(n);
 
   // Robust noise-floor gate: peak >= floor_prominence * max(median, 1e-30).
   // Only a peak near that threshold needs the exact median. The histogram
@@ -120,7 +98,7 @@ std::vector<Event> AdaptiveEventDetector::detect(const audio::Waveform& signal) 
   // below the 1e-30 floor): a peak outside that range is decided by the
   // bracket, and the exact median is computed (once) only for a peak inside
   // it.
-  const MedianBracket bracket = histogram.bracket();
+  const MedianBracket bracket = fold.histogram.bracket();
   const double fp = config_.floor_prominence;
   const double at_lo = fp * std::max(bracket.lo, 1e-30);
   const double at_hi = fp * std::max(bracket.hi, 1e-30);
@@ -130,7 +108,7 @@ std::vector<Event> AdaptiveEventDetector::detect(const audio::Waveform& signal) 
     if (bracket.finite && peak >= at_hi) return true;
     if (bracket.finite && peak < at_lo) return false;
     if (!have_exact) {
-      exact_threshold = fp * std::max(median(envelope), 1e-30);
+      exact_threshold = fp * std::max(median({env, n}), 1e-30);
       have_exact = true;
     }
     return peak >= exact_threshold;
@@ -145,7 +123,7 @@ std::vector<Event> AdaptiveEventDetector::detect(const audio::Waveform& signal) 
   double mu = env[0];
   double sigma = 0.0;
   std::vector<Event> events;
-  i = 0;
+  std::size_t i = 0;
   while (true) {
     const std::size_t start =
         track_until_open({env, n}, i, alpha, config_.start_threshold_k, global_mean, mu, sigma);

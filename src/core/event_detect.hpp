@@ -13,6 +13,10 @@
 
 #include "audio/waveform.hpp"
 
+namespace earsonar::dsp {
+struct EnvelopeFold;
+}  // namespace earsonar::dsp
+
 namespace earsonar::core {
 
 struct Event {
@@ -49,9 +53,19 @@ class AdaptiveEventDetector {
   /// All detected events, in order, non-overlapping.
   [[nodiscard]] std::vector<Event> detect(const audio::Waveform& signal) const;
 
+  /// detect() on a signal whose power envelope was folded as it was filtered
+  /// (a streaming session's, see dsp::EnvelopeFold): `fold` has folded every
+  /// sample, with the detector's `smooth`, which must not exceed the sample
+  /// count. Closes the fold and scans it; the same events as detect() on
+  /// the signal.
+  [[nodiscard]] std::vector<Event> detect(dsp::EnvelopeFold& fold) const;
+
   [[nodiscard]] const EventDetectorConfig& config() const { return config_; }
 
  private:
+  /// Eq. 6-7 over a completed fold of a whole signal.
+  [[nodiscard]] std::vector<Event> scan(dsp::EnvelopeFold& fold) const;
+
   EventDetectorConfig config_;
 };
 

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
+#include "dsp/envelope.hpp"
 #include "dsp/interpolate.hpp"
 #include "obs/trace.hpp"
 
@@ -88,11 +90,14 @@ namespace {
 
 EchoAnalysis EarSonar::analyze_filtered(const audio::Waveform& filtered,
                                         const CancelToken& cancel,
-                                        pipeline::StageGraph* graph) const {
+                                        pipeline::StageGraph* graph,
+                                        dsp::EnvelopeFold* envelope) const {
   require_nonempty("EarSonar::analyze_filtered signal", filtered.size());
+  require(envelope == nullptr || envelope->count == filtered.size(),
+          "EarSonar::analyze_filtered: envelope does not cover the signal");
   EchoAnalysis analysis;
   analysis.quality.min_usable = config_.min_usable_chirps;
-  stage_event_detect(filtered, analysis, graph);
+  stage_event_detect(filtered, envelope, analysis, graph);
   stage_segment(filtered, analysis, cancel, graph);
   if (analysis.echoes.empty()) return analysis;
   cancel.check("features");
@@ -112,14 +117,16 @@ EchoAnalysis EarSonar::analyze_filtered(const audio::Waveform& filtered,
   return analysis;
 }
 
-void EarSonar::stage_event_detect(const audio::Waveform& filtered, EchoAnalysis& analysis,
+void EarSonar::stage_event_detect(const audio::Waveform& filtered,
+                                  dsp::EnvelopeFold* envelope, EchoAnalysis& analysis,
                                   pipeline::StageGraph* graph) const {
   AnalysisQuality& quality = analysis.quality;
   StageClock clock(pipeline::StageId::kEventDetect, analysis.timings, graph);
   try {
     if (fault::point("pipeline.event_detect"))
       fail("injected fault: pipeline.event_detect");
-    analysis.events = event_detector_.detect(filtered);
+    analysis.events = envelope != nullptr ? event_detector_.detect(*envelope)
+                                          : event_detector_.detect(filtered);
     for (Event& event : analysis.events)
       event.start = aligned_event_start(filtered.view(), event);
   } catch (const std::exception& e) {
@@ -140,8 +147,13 @@ void EarSonar::stage_segment(const audio::Waveform& filtered, EchoAnalysis& anal
   StageClock clock(pipeline::StageId::kSegment, analysis.timings, graph);
   for (std::size_t i = 0; i < analysis.events.size(); ++i) {
     cancel.check("segment_chirp");
-    obs::Span chirp_span("segment_chirp", "pipeline");
-    chirp_span.set_arg("chirp", static_cast<std::int64_t>(i));
+    // Opened only while tracing: an unarmed span still reads the clock
+    // twice, and a request segments ~30 chirps.
+    std::optional<obs::Span> chirp_span;
+    if (obs::TraceRecorder::instance().enabled()) {
+      chirp_span.emplace("segment_chirp", "pipeline");
+      chirp_span->set_arg("chirp", static_cast<std::int64_t>(i));
+    }
     // Per-chirp isolation: one clipped or corrupted chirp out of 200 must
     // not discard the recording. An exception drops this chirp (recorded in
     // `quality`); a nullopt is the pre-existing benign no-echo miss.

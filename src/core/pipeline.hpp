@@ -161,10 +161,14 @@ class EarSonar {
   /// flat buffer of PSD rows) and features run in turn, each timed by a
   /// StageClock into `graph` when one is given. A failed echo_psd pass makes
   /// the features stage recompute the PSDs echo by echo. The `filter` and
-  /// `inference` timings stay zero. Throws what analyze() throws.
+  /// `inference` timings stay zero. `envelope`, when given, is the power
+  /// envelope folded while `filtered` was filtered (every sample, the event
+  /// detector's `smooth`; see AdaptiveEventDetector::detect), so
+  /// event_detect only closes and scans it. Throws what analyze() throws.
   [[nodiscard]] EchoAnalysis analyze_filtered(const audio::Waveform& filtered,
                                               const CancelToken& cancel = {},
-                                              pipeline::StageGraph* graph = nullptr) const;
+                                              pipeline::StageGraph* graph = nullptr,
+                                              dsp::EnvelopeFold* envelope = nullptr) const;
 
   /// Trains the detection head on labeled recordings (label indices follow
   /// kMeeStateNames). Recordings whose analysis yields no features, or a
@@ -190,8 +194,8 @@ class EarSonar {
  private:
   // The stage bodies analyze_filtered() runs in turn; each times itself
   // with a StageClock into `analysis.timings` and `graph`.
-  void stage_event_detect(const audio::Waveform& filtered, EchoAnalysis& analysis,
-                          pipeline::StageGraph* graph) const;
+  void stage_event_detect(const audio::Waveform& filtered, dsp::EnvelopeFold* envelope,
+                          EchoAnalysis& analysis, pipeline::StageGraph* graph) const;
   /// Includes the min_usable_chirps floor check (may throw "degraded").
   void stage_segment(const audio::Waveform& filtered, EchoAnalysis& analysis,
                      const CancelToken& cancel, pipeline::StageGraph* graph) const;

@@ -10,6 +10,8 @@
 
 namespace earsonar::dsp {
 
+struct EnvelopeFold;
+
 /// One direct-form-II-transposed second-order section:
 ///   H(z) = (b0 + b1 z^-1 + b2 z^-2) / (1 + a1 z^-1 + a2 z^-2)
 struct Biquad {
@@ -41,8 +43,13 @@ class BiquadCascade {
   std::vector<double> process(std::span<const double> input);
 
   /// Filters a block in place; the same samples as process(). Stateful
-  /// across calls.
-  void process_in_place(std::span<double> data);
+  /// across calls. With `fold`, every filtered sample is also folded into
+  /// the power envelope, as EnvelopeFold::fold over the output would: `data`
+  /// must directly follow the samples already folded, in one buffer
+  /// (data[-k] is sample fold->count - k). A four-section cascade in
+  /// band-pass form on a four-lane kernel set folds in the filter's own
+  /// loop.
+  void process_in_place(std::span<double> data, EnvelopeFold* fold = nullptr);
 
   /// Zero-phase filtering: forward pass, reverse, forward again, reverse.
   /// Uses fresh state; does not disturb this cascade's streaming state.
@@ -64,16 +71,26 @@ class BiquadCascade {
   /// The delay lines, one State per section.
   [[nodiscard]] const std::vector<State>& state() const { return state_; }
 
+  /// True for four sections in the band-pass form of
+  /// simd::KernelSet::bandpass_wavefront4_d, which butterworth_bandpass
+  /// designs at order 4.
+  [[nodiscard]] bool bandpass_form() const { return bandpass_form_; }
+
  private:
+  template <bool Reverse>
+  void run(double* data, std::size_t n, EnvelopeFold* fold);
+
   std::vector<Biquad> sections_;
   std::vector<State> state_;
+  bool bandpass_form_ = false;
 };
 
-/// The kernel BiquadCascade::process and filtfilt run in this process for a
-/// cascade of `section_count` sections: "wavefront_<kernel set>" (four
-/// sections on a four-lane set — "wavefront_avx2", or "wavefront_pack4" under
-/// EARSONAR_SIMD=scalar) or "scalar" (the sample-major loop). Bench reports
-/// carry it as the `earsonar_biquad_path` context field.
-[[nodiscard]] std::string biquad_path(std::size_t section_count);
+/// The kernel BiquadCascade::process and filtfilt run in this process for
+/// `cascade`: "bandpass_<kernel set>" (four sections in band-pass form on a
+/// four-lane set — "bandpass_avx2", or "bandpass_pack4" under
+/// EARSONAR_SIMD=scalar), "wavefront_<kernel set>" (other four-section
+/// cascades) or "scalar" (the sample-major loop). Bench reports carry it as
+/// the `earsonar_biquad_path` context field.
+[[nodiscard]] std::string biquad_path(const BiquadCascade& cascade);
 
 }  // namespace earsonar::dsp

@@ -11,8 +11,11 @@
 // in this file only.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 
+#include "dsp/envelope.hpp"
 #include "dsp/simd.hpp"
 #include "dsp/simd_vec.hpp"
 
@@ -172,15 +175,58 @@ struct Kern {
   }
 
   /// A four-section cascade over one channel as a section wavefront (see
-  /// KernelSet::biquad_wavefront4_d). At step t lane s runs section s on
-  /// sample t - s; its input is lane s-1's output of step t-1, so one
-  /// shift_in moves every section's output to the next section and brings
-  /// sample t into lane 0. The first and last three steps leave some lanes
-  /// without a sample; they run those steps lane by lane in scalar code with
-  /// the same expressions, so each section consumes exactly the samples of
-  /// this call and its delay line is complete on return.
+  /// KernelSet::biquad_wavefront4_d).
   static void biquad_wavefront4(T* data, std::ptrdiff_t stride, std::size_t n,
                                 const T* coef, T* z1p, T* z2p) {
+    wavefront4<false, false>(data, stride, n, coef, z1p, z2p, nullptr);
+  }
+
+  /// The same cascade in band-pass form, optionally folding the power
+  /// envelope as it filters (see KernelSet::bandpass_wavefront4_d).
+  static void bandpass_wavefront4(T* data, std::ptrdiff_t stride, std::size_t n,
+                                  const T* coef, T* z1p, T* z2p, EnvelopeFold* fold) {
+    if (fold != nullptr) {
+      wavefront4<true, true>(data, stride, n, coef, z1p, z2p, fold);
+    } else {
+      wavefront4<true, false>(data, stride, n, coef, z1p, z2p, nullptr);
+    }
+  }
+
+  /// At step t lane s runs section s on sample t - s; its input is lane
+  /// s-1's output of step t-1, so one shift_in moves every section's output
+  /// to the next section and brings sample t into lane 0. The first and last
+  /// three steps leave some lanes without a sample; they run those steps lane
+  /// by lane in scalar code with the same expressions, so each section
+  /// consumes exactly the samples of this call and its delay line is complete
+  /// on return.
+  ///
+  /// BandPass runs the steady steps in band-pass form while the samples and
+  /// the delay lines are finite. Per lane it equals the general step bit for
+  /// bit:
+  ///   * y: lanes 1-3 have b0 == 1 and 1 * x == x; lane 0's x is b0 * d,
+  ///     the general step's own first product;
+  ///   * z1: b1 * x is a zero (x finite; in lane 0 b0 > 0 keeps the sign
+  ///     b1 * d has). A zero added to a nonzero value returns that value,
+  ///     and a sum of zeros is -0 only when every addend is, so
+  ///     (b1*x + z2) - a1*y equals (b1*x - a1*y) + z2 for finite operands,
+  ///     exact zeros and their signs included;
+  ///   * z2: -1 * x is b2 * x in lanes 1-3, and in lane 0 (-b0) * d equals
+  ///     -(b0 * d) because rounding is sign-symmetric.
+  /// A step whose operands are finite therefore matches even when one of
+  /// its results overflows. A NaN or infinity in a sample or a delay line
+  /// could take a different NaN's bits through the other association, so
+  /// such a sample sends the rest of the call through the general step, and
+  /// a call that starts with a non-finite delay line runs the general step
+  /// throughout. (A finite signal that overflows inside the cascade, near
+  /// DBL_MAX, is non-finite from the same sample on in both forms; only the
+  /// bits of its NaNs may differ.)
+  ///
+  /// Fold folds each output of a band-pass step into the power envelope
+  /// with EnvelopeFold::fold's full-window step, its state in registers,
+  /// and advances the fold over those leading samples.
+  template <bool BandPass, bool Fold>
+  static void wavefront4(T* data, std::ptrdiff_t stride, std::size_t n, const T* coef,
+                         T* z1p, T* z2p, EnvelopeFold* fold) {
     constexpr std::size_t S = 4;
     static_assert(W == S, "one section per lane");
     const auto at = [&](std::size_t i) -> T& {
@@ -210,15 +256,62 @@ struct Kern {
     std::size_t t = 0;
     for (; t < S - 1 && t < steps; ++t) partial_step(t);
     if (n >= S) {  // steps [S-1, n): every lane holds a sample
-      const V b0 = V::load(coef), b1 = V::load(coef + S), b2 = V::load(coef + 2 * S);
-      const V a1 = V::load(coef + 3 * S), a2 = V::load(coef + 4 * S);
       V z1 = V::load(z1s), z2 = V::load(z2s), y = V::load(carry);
-      for (; t < n; ++t) {
-        const V x = V::shift_in(y, at(t));
-        y = V::add(V::mul(b0, x), z1);
-        z1 = V::add(V::sub(V::mul(b1, x), V::mul(a1, y)), z2);
-        z2 = V::sub(V::mul(b2, x), V::mul(a2, y));
-        at(t - (S - 1)) = V::last_lane(y);
+      if constexpr (BandPass) {
+        bool finite = true;
+        for (std::size_t s = 0; s < S; ++s)
+          finite = finite && std::isfinite(z1s[s]) && std::isfinite(z2s[s]) &&
+                   std::isfinite(carry[s]);
+        if (finite) {
+          const T g = coef[0];
+          const V b1 = V::load(coef + S), a1 = V::load(coef + 3 * S);
+          const V a2 = V::load(coef + 4 * S), minus_one = V::broadcast(T(-1));
+          // Fold: output j (step j + S - 1) is sample fold->count + j, whose
+          // center lands at row[j] and whose leaving sample is leaving[j].
+          T run = 0, sum = 0, window = 1;
+          T* row = nullptr;
+          const T* leaving = nullptr;
+          if constexpr (Fold) {
+            run = fold->run;
+            sum = fold->sum;
+            window = static_cast<T>(fold->smooth);
+            row = fold->row + (fold->count - fold->smooth / 2);
+            leaving = data - fold->smooth;
+          }
+          const std::size_t first = t;
+          for (; t < n; ++t) {
+            const T x0 = g * at(t);
+            if (!(std::abs(x0) <= std::numeric_limits<T>::max())) break;
+            const V x = V::shift_in(y, x0);
+            y = V::add(x, z1);
+            z1 = V::sub(V::add(V::mul(b1, x), z2), V::mul(a1, y));
+            z2 = V::sub(V::mul(minus_one, x), V::mul(a2, y));
+            const T out = V::last_lane(y);
+            at(t - (S - 1)) = out;
+            if constexpr (Fold) {
+              const std::size_t j = t - first;
+              const T e = envelope_full_step(out, leaving[j], window, run, sum);
+              row[j] = e;
+              fold->histogram.add(e);
+            }
+          }
+          if constexpr (Fold) {
+            fold->run = run;
+            fold->sum = sum;
+            fold->count += t - first;
+          }
+        }
+      }
+      if (t < n) {
+        const V b0 = V::load(coef), b1 = V::load(coef + S), b2 = V::load(coef + 2 * S);
+        const V a1 = V::load(coef + 3 * S), a2 = V::load(coef + 4 * S);
+        for (; t < n; ++t) {
+          const V x = V::shift_in(y, at(t));
+          y = V::add(V::mul(b0, x), z1);
+          z1 = V::add(V::sub(V::mul(b1, x), V::mul(a1, y)), z2);
+          z2 = V::sub(V::mul(b2, x), V::mul(a2, y));
+          at(t - (S - 1)) = V::last_lane(y);
+        }
       }
       V::store(z1s, z1);
       V::store(z2s, z2);
@@ -242,7 +335,10 @@ inline KernelSet make_kernel_set(const char* name) {
   set.butterfly_runs_x4_d = &Kern<V>::butterfly_runs_x4;
   set.power_bins_d = &Kern<V>::power_bins;
   set.mul_d = &Kern<V>::mul;
-  if constexpr (V::kLanes == 4) set.biquad_wavefront4_d = &Kern<V>::biquad_wavefront4;
+  if constexpr (V::kLanes == 4) {
+    set.biquad_wavefront4_d = &Kern<V>::biquad_wavefront4;
+    set.bandpass_wavefront4_d = &Kern<V>::bandpass_wavefront4;
+  }
   return set;
 }
 

@@ -28,6 +28,10 @@
 #include <cstddef>
 #include <cstdint>
 
+namespace earsonar::dsp {
+struct EnvelopeFold;
+}  // namespace earsonar::dsp
+
 namespace earsonar::dsp::simd {
 
 enum class Level {
@@ -86,6 +90,26 @@ struct KernelSet {
   using Wavefront4 = void (*)(double* data, std::ptrdiff_t stride, std::size_t n,
                               const double* coef, double* z1, double* z2);
   Wavefront4 biquad_wavefront4_d;
+
+  /// biquad_wavefront4_d for a cascade in band-pass form: every b1 is zero
+  /// (of either sign), sections 1-3 have b0 == 1 and b2 == -1, and section
+  /// 0 has b0 > 0 and b2 == -b0 (dsp::butterworth_bandpass designs exactly
+  /// this). Lane 0 takes b0 * x instead of x, so the steady step is
+  ///   x = shift_in(y, b0 * d);  y = x + z1;
+  ///   z1 = (b1 * x + z2) - a1 * y;  z2 = -1 * x - a2 * y
+  /// and both loop-carried chains are three operations long (the general
+  /// step's are four). Output and delay lines equal biquad_wavefront4_d's
+  /// bit for bit (see kernel_impl.hpp); a non-finite sample, or a
+  /// non-finite delay line, sends the rest of the call through the general
+  /// step. With `fold` non-null (forward only: stride 1, fold->count >=
+  /// fold->smooth, data[i] the fold's sample fold->count + i with the
+  /// fold's previous samples in front of it), each sample the band-pass
+  /// step filters is folded into the power envelope in the same loop, and
+  /// the fold advances over those leading samples (the caller folds the
+  /// rest with EnvelopeFold::fold).
+  using Bandpass4 = void (*)(double* data, std::ptrdiff_t stride, std::size_t n,
+                             const double* coef, double* z1, double* z2, EnvelopeFold* fold);
+  Bandpass4 bandpass_wavefront4_d;
 };
 
 /// The dispatch mode chosen from EARSONAR_SIMD (read once per process;

@@ -211,8 +211,8 @@ struct VecAvx2D {
                                 _mm256_set1_pd(x), 0b0001));
   }
   static double last_lane(VecAvx2D a) {
-    const __m128d hi = _mm256_extractf128_pd(a.v, 1);
-    return _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
+    // Lane 3 into lane 0 with one permute: the wavefronts store it every step.
+    return _mm256_cvtsd_f64(_mm256_permute4x64_pd(a.v, 0xFF));
   }
 };
 

@@ -298,6 +298,7 @@ ServeResult ServingEngine::run_pipeline(const ServeRequest& request,
       resampled = dsp::resample_to_rate(samples, request.recording.sample_rate(), rate);
       samples = resampled;
     }
+    session->reserve(samples.size());
     const std::size_t chunk =
         request.chunk_samples > 0 ? request.chunk_samples : config_.chunk_samples;
     for (std::size_t pos = 0; pos < samples.size(); pos += chunk) {

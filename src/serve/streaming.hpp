@@ -5,11 +5,15 @@
 // StreamingSession accepts arbitrary-size chunks and band-pass filters them
 // as they arrive: the filter is stateful (`dsp::BiquadCascade` carried
 // across chunks) and bit-identical to filtering the concatenated signal, so
-// the session stores only *filtered* samples.
+// the session stores only *filtered* samples. Each filtered sample is also
+// folded into the event detector's power envelope (`dsp::EnvelopeFold`,
+// carried across chunks like the filter state), in the band-pass loop
+// itself for the designed four-section band-pass.
 //
-// finish() ends the session and hands its buffered filtered samples to
-// `core::EarSonar::analyze_filtered` — the same post-filter walk
-// `EarSonar::analyze` runs. Because causal
+// finish() ends the session and hands its buffered filtered samples and
+// their envelope to `core::EarSonar::analyze_filtered` — the same
+// post-filter walk `EarSonar::analyze` runs, whose event detection then
+// only closes and scans the envelope. Because causal
 // filtering commutes with chunking, a finished session is bit-identical —
 // same features, same diagnosis — to `EarSonar::analyze` on the whole
 // recording with the same (causal) configuration, at every chunk size.
@@ -18,7 +22,12 @@
 // either rejects the chunk (kReject — the backpressure signal a serving
 // engine propagates to the device) or drops the oldest samples (kEvictOldest
 // — continuous-monitoring mode, where finish() degrades to a best-effort
-// analysis of the retained tail and truncated() reports the loss).
+// analysis of the retained tail and truncated() reports the loss; the
+// envelope of the whole stream no longer describes the tail, so the session
+// stops folding and event detection folds the tail itself).
+//
+// The buffers grow as chunks arrive; a caller that knows the recording's
+// length up front reserves it (reserve()).
 #pragma once
 
 #include <cstddef>
@@ -27,6 +36,7 @@
 
 #include "core/pipeline.hpp"
 #include "dsp/biquad.hpp"
+#include "dsp/envelope.hpp"
 #include "pipeline/stage_graph.hpp"
 
 namespace earsonar::serve {
@@ -50,6 +60,10 @@ enum class FeedStatus { kAccepted, kRejected };
 class StreamingSession {
  public:
   explicit StreamingSession(StreamingConfig config = {});
+
+  /// Reserves room for `samples` samples (at most the buffer bound), so a
+  /// whole recording fed in chunks never reallocates.
+  void reserve(std::size_t samples);
 
   /// Ingests one chunk at the pipeline sample rate (any size, including
   /// empty). Returns kRejected — with no state change — when the buffer is
@@ -77,6 +91,10 @@ class StreamingSession {
   dsp::BiquadCascade filter_;
 
   std::vector<double> filtered_;  ///< filtered_[i] = absolute sample base_ + i
+  /// The power envelope of filtered_ while nothing was evicted: row
+  /// envelope_, one center per sample.
+  std::vector<double> envelope_;
+  dsp::EnvelopeFold fold_;
   std::size_t base_ = 0;
   std::size_t samples_fed_ = 0;
   std::size_t rejected_chunks_ = 0;

@@ -8,9 +8,11 @@
 #include <fstream>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "core/pipeline.hpp"
 #include "obs/trace.hpp"
+#include "serve/streaming.hpp"
 #include "sim/dataset.hpp"
 
 namespace earsonar::obs {
@@ -275,6 +277,31 @@ TEST(TracePipelineTest, AnalyzeEmitsOneSpanPerStageAndPerChirp) {
   // The aggregate StageTimings view is derived from the same spans.
   EXPECT_GT(analysis.timings[pipeline::StageId::kFilter], 0.0);
   EXPECT_GT(analysis.timings[pipeline::StageId::kEventDetect], 0.0);
+}
+
+// Streaming ingest: one `stream_feed` span per chunk, carrying its sample
+// count, while tracing; none while the recorder is off.
+TEST(TracePipelineTest, StreamFeedSpansOnlyWhileTracing) {
+  TraceRecorder& recorder = TraceRecorder::instance();
+  recorder.clear();
+  serve::StreamingConfig sc;
+  sc.pipeline.preprocess.zero_phase = false;
+  serve::StreamingSession session(sc);
+  session.feed(std::vector<double>(480, 0.25));
+  recorder.enable();
+  session.feed(std::vector<double>(480, 0.25));
+  session.feed(std::vector<double>(100, 0.5));
+  recorder.disable();
+  const auto events = recorder.snapshot();
+  recorder.clear();
+
+  std::vector<std::int64_t> fed;
+  for (const TraceEvent& e : events)
+    if (e.name == "stream_feed") {
+      EXPECT_EQ(e.arg_name, "samples");
+      fed.push_back(e.arg_value);
+    }
+  EXPECT_EQ(fed, (std::vector<std::int64_t>{480, 100}));
 }
 
 }  // namespace

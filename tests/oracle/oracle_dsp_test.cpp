@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -28,6 +30,7 @@
 #include "dsp/dct.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/goertzel.hpp"
+#include "dsp/simd.hpp"
 #include "dsp/spectrum.hpp"
 #include "sim/dataset.hpp"
 #include "sim/probe.hpp"
@@ -131,6 +134,54 @@ TEST(OracleDctTest, MatchesLiteralFormulaAndInverts) {
 
 // ------------------------------------------------------------ biquad
 
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_bits(const std::vector<double>& got, const std::vector<double>& want,
+                      const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    if (!same_bits(got[i], want[i])) {
+      ADD_FAILURE() << label << ": first differing sample " << i << ": got " << got[i]
+                    << ", sample-major " << want[i];
+      return;
+    }
+}
+
+// Band-pass inputs for the kernels' edge cases, 2,000 samples each: a burst
+// of noise between stretches of exact zeros (+0, -0, or zeros of random
+// sign, which leave zero delay lines of either sign), and noise with
+// +inf, -inf or NaN at sample 700 (inside the second 480-sample chunk).
+std::vector<std::pair<std::string, std::vector<double>>> bandpass_edge_signals() {
+  constexpr std::size_t kN = 2000;
+  Rng rng(kSeed ^ 11);
+  std::vector<double> noise(kN);
+  for (double& v : noise) v = rng.uniform(-1.0, 1.0);
+  std::vector<std::pair<std::string, std::vector<double>>> out;
+  const char* const zero_kinds[] = {"zero_stretches", "negative_zero_stretches",
+                                    "random_sign_zero_stretches"};
+  for (std::size_t kind = 0; kind < 3; ++kind) {
+    std::vector<double> x = noise;
+    for (std::size_t i = 0; i < kN; ++i) {
+      if ((i >= 300 && i < 900) || i >= 1300) continue;  // the noise bursts
+      const bool negative = kind == 1 || (kind == 2 && rng.uniform(-1.0, 1.0) < 0.0);
+      x[i] = negative ? -0.0 : 0.0;
+    }
+    out.emplace_back(zero_kinds[kind], x);
+  }
+  const std::pair<const char*, double> bad[] = {
+      {"inf_mid_chunk", std::numeric_limits<double>::infinity()},
+      {"minus_inf_mid_chunk", -std::numeric_limits<double>::infinity()},
+      {"nan_mid_chunk", std::numeric_limits<double>::quiet_NaN()}};
+  for (const auto& [name, value] : bad) {
+    std::vector<double> x = noise;
+    x[700] = value;
+    out.emplace_back(name, x);
+  }
+  return out;
+}
+
 TEST(OracleBiquadTest, CascadeMatchesPerSampleDirectForm1) {
   // The production 8-pole band-pass (poles near |z| = 1, worst case for
   // state-form divergence) plus a gentler low-pass.
@@ -148,7 +199,8 @@ TEST(OracleBiquadTest, CascadeMatchesPerSampleDirectForm1) {
 }
 
 // Whatever kernel the section count and CPU select (the four-section
-// wavefront on a four-lane set, run_fixed<N> otherwise) must equal the
+// wavefront on a four-lane set, in band-pass form for the designed
+// band-pass, run_fixed<N> otherwise) must equal the
 // sample-major per-sample cascade bit for bit, fed in chunks of any length
 // with the delay lines carried across splits, and in filtfilt's reverse
 // pass. The bound above is against direct form I; this one is exact.
@@ -164,7 +216,7 @@ TEST(OracleBiquadTest, BlockKernelsMatchSampleMajorCascadeBitwise) {
       dsp::BiquadCascade reference(filter.sections());
       std::vector<double> forward(n);
       for (std::size_t i = 0; i < n; ++i) forward[i] = reference.process_sample(c.data[i]);
-      for (std::size_t chunk : {1UL, 2UL, 3UL, 4UL, 5UL, 480UL, 4800UL}) {
+      for (std::size_t chunk : {1UL, 2UL, 3UL, 4UL, 5UL, 480UL, 4800UL, n}) {
         dsp::BiquadCascade chunked(filter.sections());
         std::vector<double> got;
         got.reserve(n);
@@ -189,6 +241,59 @@ TEST(OracleBiquadTest, BlockKernelsMatchSampleMajorCascadeBitwise) {
       const CompareResult r = check::compare_vectors(filter.filtfilt(c.data), zero_phase, exact);
       EXPECT_TRUE(r.ok) << c.name << " filtfilt sections=" << filter.section_count() << ": "
                         << check::describe_failure("dsp.biquad.block", r);
+    }
+  }
+
+  // The designed order-4 band-pass runs in band-pass form
+  // (KernelSet::bandpass_wavefront4_d). Its edge cases, compared bit for bit
+  // (signs of zeros and non-finite values included) through the dispatched
+  // cascade and through both levels' kernel sets directly: stretches of
+  // exact zeros of either sign at the start and between bursts, and +inf,
+  // -inf and NaN in the middle of a chunk, which send the rest of the call
+  // through the general step and leave the signal non-finite from there on.
+  const dsp::BiquadCascade& bandpass = filters.front();
+  ASSERT_TRUE(bandpass.bandpass_form());
+  ASSERT_EQ(dsp::biquad_path(bandpass).rfind("bandpass_", 0) == 0,
+            dsp::simd::active().bandpass_wavefront4_d != nullptr);
+  for (const auto& [name, x] : bandpass_edge_signals()) {
+    const std::size_t n = x.size();
+    dsp::BiquadCascade reference(bandpass.sections());
+    std::vector<double> forward(n);
+    for (std::size_t i = 0; i < n; ++i) forward[i] = reference.process_sample(x[i]);
+    dsp::BiquadCascade backward(bandpass.sections());
+    std::vector<double> zero_phase = forward;
+    for (std::size_t i = n; i-- > 0;) zero_phase[i] = backward.process_sample(zero_phase[i]);
+    expect_same_bits(bandpass.filtfilt(x), zero_phase, name + " filtfilt");
+    for (std::size_t chunk : {1UL, 3UL, 4UL, 5UL, 480UL, n}) {
+      const std::string label = name + " chunk=" + std::to_string(chunk);
+      dsp::BiquadCascade chunked(bandpass.sections());
+      std::vector<double> got = x;
+      for (std::size_t pos = 0; pos < n; pos += chunk)
+        chunked.process_in_place(std::span<double>(got).subspan(pos, std::min(chunk, n - pos)));
+      expect_same_bits(got, forward, label + " dispatched");
+      for (dsp::simd::Level level : {dsp::simd::Level::kNative, dsp::simd::Level::kScalar}) {
+        const dsp::simd::KernelSet& set = dsp::simd::kernel_set(level);
+        if (set.bandpass_wavefront4_d == nullptr) continue;  // two-lane sets
+        double coef[20], z1[4] = {}, z2[4] = {};
+        for (std::size_t s = 0; s < 4; ++s) {
+          const dsp::Biquad& q = bandpass.sections()[s];
+          coef[s] = q.b0;
+          coef[4 + s] = q.b1;
+          coef[8 + s] = q.b2;
+          coef[12 + s] = q.a1;
+          coef[16 + s] = q.a2;
+        }
+        std::vector<double> direct = x;
+        for (std::size_t pos = 0; pos < n; pos += chunk)
+          set.bandpass_wavefront4_d(direct.data() + pos, 1, std::min(chunk, n - pos), coef, z1,
+                                    z2, nullptr);
+        const std::string at = label + " " + set.name;
+        expect_same_bits(direct, forward, at);
+        for (std::size_t s = 0; s < 4; ++s) {
+          EXPECT_TRUE(same_bits(z1[s], reference.state()[s].z1)) << at << " z1[" << s << "]";
+          EXPECT_TRUE(same_bits(z2[s], reference.state()[s].z2)) << at << " z2[" << s << "]";
+        }
+      }
     }
   }
 }

@@ -7,22 +7,35 @@
 //   serve.stream.finish — StreamingSession::finish() vs EarSonar::analyze()
 //     on the identical causal configuration, at chunk sizes from single
 //     samples to the whole recording.
+//   serve.stream.envelope — the power envelope BiquadCascade::process_in_place
+//     folds chunk by chunk as it filters (the band-pass wavefront's fused
+//     loop) vs EnvelopeFold::fold over the whole filtered signal, and the
+//     events detected on it vs check::event_detect_naive; sessions shorter
+//     than the window and evicting sessions, whose finish() folds on its own,
+//     vs the batch analysis of what they kept; sessions on several threads
+//     at once.
 //
 // This binary carries the extra `oracle_stream` ctest label so
 // scripts/check_sanitize.sh can run just the concurrency-relevant pairs
 // under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/cases.hpp"
+#include "check/reference.hpp"
 #include "check/tolerance.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "dsp/biquad.hpp"
 #include "dsp/butterworth.hpp"
+#include "dsp/envelope.hpp"
 #include "serve/streaming.hpp"
 #include "sim/dataset.hpp"
 #include "sim/probe.hpp"
@@ -152,6 +165,141 @@ TEST(OracleStreamFinishTest, HoldsAcrossStatesAndSeeds) {
         check::compare_vectors(stream.features, batch.features, tol);
     EXPECT_TRUE(feat.ok) << "state " << static_cast<int>(state) << ": "
                          << check::describe_failure("serve.stream.finish", feat);
+  }
+}
+
+// ------------------------------------------------------ folded envelope
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_events(const std::vector<core::Event>& got,
+                        const std::vector<core::Event>& want, const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].start, want[i].start) << label << " event " << i;
+    EXPECT_EQ(got[i].end, want[i].end) << label << " event " << i;
+  }
+}
+
+// Feeds `recording` to a session in `chunk`-sample slices and finishes it.
+core::EchoAnalysis stream_through(const serve::StreamingConfig& sc,
+                                  std::span<const double> samples, std::size_t chunk,
+                                  const core::EarSonar& pipeline) {
+  serve::StreamingSession session(sc);
+  for (std::size_t pos = 0; pos < samples.size(); pos += chunk)
+    EXPECT_EQ(session.feed(samples.subspan(pos, std::min(chunk, samples.size() - pos))),
+              serve::FeedStatus::kAccepted);
+  return session.finish(pipeline);
+}
+
+TEST(OracleStreamEnvelopeTest, FusedFoldMatchesReferenceFoldAndNaiveEvents) {
+  const core::EventDetectorConfig events;
+  const core::AdaptiveEventDetector detector(events);
+  const dsp::BiquadCascade prototype = core::Preprocessor(causal_config().preprocess)
+                                           .streaming_filter(48000.0);
+  for (std::uint64_t seed : {7ULL, 8ULL}) {
+    const std::vector<double> raw = test_recording(seed).samples();
+    const std::size_t n = raw.size();
+    dsp::BiquadCascade whole(prototype.sections());
+    const std::vector<double> filtered = whole.process(raw);
+    std::vector<double> want_row(n);
+    dsp::EnvelopeFold want(events.smooth, want_row.data());
+    want.fold(filtered.data(), n);
+    const std::vector<core::Event> naive = check::event_detect_naive(filtered, events);
+    ASSERT_FALSE(naive.empty());
+    // Chunks below, at and just above the window, the serving chunk, whole.
+    for (std::size_t chunk : {1UL, 3UL, 7UL, 15UL, 16UL, 17UL, 480UL, n}) {
+      const std::string label =
+          "seed " + std::to_string(seed) + " chunk " + std::to_string(chunk);
+      dsp::BiquadCascade chunked(prototype.sections());
+      std::vector<double> buffer = raw;
+      std::vector<double> row(n);
+      dsp::EnvelopeFold fold(events.smooth, row.data());
+      for (std::size_t pos = 0; pos < n; pos += chunk)
+        chunked.process_in_place(
+            std::span<double>(buffer).subspan(pos, std::min(chunk, n - pos)), &fold);
+      ASSERT_EQ(fold.count, n) << label;
+      std::size_t differ = 0;
+      for (std::size_t i = 0; i < n; ++i)
+        differ += !same_bits(buffer[i], filtered[i]) || !same_bits(row[i], want_row[i]);
+      EXPECT_EQ(differ, 0U) << label << ": samples or envelope centers differ";
+      EXPECT_TRUE(same_bits(fold.run, want.run)) << label;
+      EXPECT_TRUE(same_bits(fold.sum, want.sum)) << label;
+      EXPECT_TRUE(fold.histogram == want.histogram) << label;
+      expect_same_events(detector.detect(fold), naive, label);
+    }
+  }
+}
+
+TEST(OracleStreamEnvelopeTest, UnfoldedSessionsMatchBatchAnalysisOfWhatTheyKept) {
+  const Tolerance tol = check::pair_policy("serve.stream.envelope").tol;
+  const core::EarSonar pipeline(causal_config());
+  const audio::Waveform recording = test_recording();
+  serve::StreamingConfig sc;
+  sc.pipeline = causal_config();
+  // Shorter than the smoothing window: the whole-recording fold shrinks its
+  // window to the recording, so finish() folds on its own.
+  for (std::size_t n : {1UL, 5UL, 15UL}) {
+    const std::vector<double> head(recording.samples().begin(),
+                                   recording.samples().begin() + static_cast<std::ptrdiff_t>(n));
+    const core::EchoAnalysis batch = pipeline.analyze(audio::Waveform(head, 48000.0));
+    for (std::size_t chunk : {1UL, 4UL, n}) {
+      const core::EchoAnalysis stream = stream_through(sc, head, chunk, pipeline);
+      expect_same_events(stream.events, batch.events,
+                         "n " + std::to_string(n) + " chunk " + std::to_string(chunk));
+      EXPECT_EQ(stream.usable(), batch.usable());
+    }
+  }
+  // kEvictOldest: the envelope of the whole stream does not describe the
+  // retained tail; finish() must equal the analysis of the tail alone.
+  sc.max_buffered_samples = 2048;
+  sc.overflow = serve::StreamingConfig::OverflowPolicy::kEvictOldest;
+  dsp::BiquadCascade filter = core::Preprocessor(causal_config().preprocess)
+                                  .streaming_filter(48000.0);
+  const std::vector<double> filtered = filter.process(recording.view());
+  ASSERT_GT(filtered.size(), sc.max_buffered_samples);
+  const audio::Waveform tail(
+      std::vector<double>(filtered.end() - static_cast<std::ptrdiff_t>(sc.max_buffered_samples),
+                          filtered.end()),
+      48000.0);
+  const core::EchoAnalysis batch = pipeline.analyze_filtered(tail);
+  ASSERT_FALSE(batch.events.empty());
+  for (std::size_t chunk : {7UL, 480UL}) {
+    const std::string label = "evicting, chunk " + std::to_string(chunk);
+    const core::EchoAnalysis stream = stream_through(sc, recording.view(), chunk, pipeline);
+    expect_same_events(stream.events, batch.events, label);
+    const CompareResult feat = check::compare_vectors(stream.features, batch.features, tol);
+    EXPECT_TRUE(feat.ok) << label << ": "
+                         << check::describe_failure("serve.stream.envelope", feat);
+  }
+}
+
+// Sessions fold on whichever thread feeds them; several at once must not
+// share fold state (the ThreadSanitizer leg runs this binary).
+TEST(OracleStreamEnvelopeTest, SessionsOnSeveralThreadsMatchBatch) {
+  const Tolerance tol = check::pair_policy("serve.stream.envelope").tol;
+  const core::EarSonar pipeline(causal_config());
+  const audio::Waveform recording = test_recording();
+  const core::EchoAnalysis batch = pipeline.analyze(recording);
+  ASSERT_TRUE(batch.usable());
+  serve::StreamingConfig sc;
+  sc.pipeline = causal_config();
+  const std::size_t chunks[] = {1, 17, 480, recording.size()};
+  std::vector<core::EchoAnalysis> streams(std::size(chunks));
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < std::size(chunks); ++k)
+    threads.emplace_back([&, k] {
+      streams[k] = stream_through(sc, recording.view(), chunks[k], pipeline);
+    });
+  for (std::thread& t : threads) t.join();
+  for (std::size_t k = 0; k < std::size(chunks); ++k) {
+    const std::string label = "chunk " + std::to_string(chunks[k]);
+    expect_same_events(streams[k].events, batch.events, label);
+    const CompareResult feat = check::compare_vectors(streams[k].features, batch.features, tol);
+    EXPECT_TRUE(feat.ok) << label << ": "
+                         << check::describe_failure("serve.stream.envelope", feat);
   }
 }
 
