@@ -23,9 +23,8 @@
 #      section must list every such stage, and each of its rows must be one
 #      of them, `queue_wait` or `total`; and docs/cli.md must mention every
 #      --batch-* flag the CLI parses.
-#   8. docs/workloads.md (the workload + longitudinal reference) must exist,
-#      be linked from README.md and docs/architecture.md, and name every
-#      serve::WorkloadType label the code defines.
+#   8. docs/workloads.md (the longitudinal screening reference) must exist
+#      and be linked from README.md and docs/architecture.md.
 set -eu
 
 ROOT=${1:?usage: check_docs.sh REPO_ROOT [EARSONAR_BIN]}
@@ -212,7 +211,7 @@ if [ -f "$CLI_DOC" ]; then
   done
 fi
 
-# ---- 8. workload reference ------------------------------------------------
+# ---- 8. longitudinal reference -------------------------------------------
 WORKLOADS_DOC="$ROOT/docs/workloads.md"
 [ -f "$WORKLOADS_DOC" ] || err "docs/workloads.md is missing"
 
@@ -221,15 +220,6 @@ if [ -f "$WORKLOADS_DOC" ]; then
     || err "README.md does not link docs/workloads.md"
   grep -q "docs/workloads.md" "$ARCH_DOC" \
     || err "docs/architecture.md does not link docs/workloads.md"
-  # Every wire/metric label the workload enum defines (the to_string
-  # spellings in src/serve/workload.cpp) must appear in the reference.
-  labels=$(grep -ohE 'return "[a-z]+";' "$ROOT/src/serve/workload.cpp" \
-             | sed 's/return "//; s/";//' | sort -u) || true
-  [ -n "$labels" ] || err "no workload labels found in src/serve/workload.cpp"
-  for l in $labels; do
-    grep -qF "\"$l\"" "$WORKLOADS_DOC" \
-      || err "docs/workloads.md does not name workload label '$l'"
-  done
 fi
 
 if [ "$fail" -ne 0 ]; then

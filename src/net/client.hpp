@@ -36,11 +36,6 @@ struct SessionOptions {
   /// streaming = chunk_samples / sample_rate.
   double chunk_period_s = 0.0;
   double deadline_ms = 0.0;  ///< carried in Hello; 0 = server default
-  /// serve::workload_index value carried in Hello (0 = EarSonar audio,
-  /// 1 = wideband absorbance). For absorbance sessions the "recording" holds
-  /// the raw curve bins: no resampling is applied and the Hello skips the
-  /// sample-rate handshake server-side (docs/workloads.md).
-  std::uint8_t workload = 0;
 };
 
 /// Retry policy for run_session_with_retry — the ModelReloader backoff shape

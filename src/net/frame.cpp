@@ -9,7 +9,6 @@
 #endif
 
 #include "common/error.hpp"
-#include "serve/workload.hpp"
 
 namespace earsonar::net {
 
@@ -333,24 +332,19 @@ std::optional<Frame> FrameDecoder::next() {
 
 std::vector<std::uint8_t> encode_hello(const HelloPayload& hello) {
   std::vector<std::uint8_t> out;
-  out.reserve(17);
+  out.reserve(16);
   put_f64(out, hello.sample_rate);
   put_f64(out, hello.deadline_ms);
-  out.push_back(hello.workload);
   return out;
 }
 
 std::optional<HelloPayload> decode_hello(std::span<const std::uint8_t> p) {
-  // 16 bytes is the legacy (pre-workload) Hello: rate + deadline only,
-  // implicitly the EarSonar workload. 17 bytes appends the workload tag.
-  if (p.size() != 16 && p.size() != 17) return std::nullopt;
+  // Hello is rate + deadline. Older clients append a 17th byte that is
+  // always 0 for an EarSonar session; any other value is refused.
+  if (p.size() != 16 && !(p.size() == 17 && p[16] == 0)) return std::nullopt;
   HelloPayload hello;
   hello.sample_rate = get_f64(p, 0);
   hello.deadline_ms = get_f64(p, 8);
-  if (p.size() == 17) {
-    if (p[16] >= serve::kWorkloadTypeCount) return std::nullopt;
-    hello.workload = p[16];
-  }
   return hello;
 }
 

@@ -210,11 +210,6 @@ class FrameDecoder {
 struct HelloPayload {
   double sample_rate = 48000.0;
   double deadline_ms = 0.0;  ///< 0 = no deadline
-  /// serve::workload_index value: 0 = EarSonar (Chunk frames carry audio
-  /// samples), 1 = wideband absorbance (Chunk frames carry curve bins).
-  /// Wire back-compat: a legacy 16-byte Hello decodes as workload 0, so old
-  /// clients keep working against new servers (docs/workloads.md).
-  std::uint8_t workload = 0;
 };
 
 struct HelloAckPayload {

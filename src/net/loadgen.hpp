@@ -39,7 +39,6 @@
 // there is always post-recovery traffic to measure.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -63,11 +62,6 @@ struct LoadGenConfig {
   double diurnal_peak_to_trough = 4.0;
   std::size_t population = 16;  ///< distinct simulated subjects
   std::size_t chirp_count = 6;  ///< probe chirps per recording
-  /// Fraction of sessions carrying the wideband-absorbance workload instead
-  /// of EarSonar audio, in [0, 1]. The assignment is seeded per session
-  /// index, so the same seed replays the same interleaving; the report then
-  /// splits every outcome counter per workload type (docs/workloads.md).
-  double workload_mix = 0.0;
   std::size_t chunk_samples = 4800;  ///< 100 ms at 48 kHz
   /// Chunk pacing as a fraction of real time: 1 = live earbud cadence,
   /// 0 = backlogged upload (send as fast as TCP accepts).
@@ -93,17 +87,6 @@ struct LoadGenConfig {
   void validate() const;
 };
 
-/// Per-workload-type slice of the outcome counters; index by
-/// serve::workload_index. Exactness invariant per type:
-/// attempted == completed + rejected + errored + transport.
-struct WorkloadLoad {
-  std::size_t attempted = 0;
-  std::size_t completed = 0;
-  std::size_t rejected = 0;
-  std::size_t errored = 0;
-  std::size_t transport_failures = 0;
-};
-
 struct LoadReport {
   std::size_t attempted = 0;
   std::size_t admitted = 0;   ///< HelloAck received
@@ -127,10 +110,6 @@ struct LoadReport {
   /// Server-side per-shard counters (Stats frame at the end of the run).
   StatsPayload server;
   bool have_server_stats = false;
-  /// Outcome counters split by workload type (earsonar, absorbance); the
-  /// per-type sums always reconcile with the totals above, and accounting_ok
-  /// additionally asserts the per-type exactness invariant.
-  std::array<WorkloadLoad, 2> per_workload{};
 
   // --- retry / chaos accounting ---
   /// Extra attempts beyond each session's first (0 when retries are off).

@@ -273,7 +273,6 @@ bool ShardPool::add_shard(std::string* error) {
       return refuse("max_shards reached");
     }
     if (model_ != nullptr) fresh->registry().install(*model_, model_source_);
-    if (wideband_ != nullptr) fresh->install_wideband(wideband_);
   }
   fresh->start();
   std::size_t index = 0;
@@ -356,15 +355,6 @@ void ShardPool::install_model(const core::DetectorModel& model,
   for (auto& shard : shards_)
     if (shard->health.load(std::memory_order_acquire) != ShardHealth::kRetired)
       shard->engine->registry().install(model, source);
-}
-
-void ShardPool::install_wideband(
-    std::shared_ptr<const core::WidebandScreener> model) {
-  std::unique_lock<std::shared_mutex> lock(membership_mutex_);
-  wideband_ = std::move(model);
-  for (auto& shard : shards_)
-    if (shard->health.load(std::memory_order_acquire) != ShardHealth::kRetired)
-      shard->engine->install_wideband(wideband_);
 }
 
 // -------------------------------------------------------------- supervisor
@@ -470,7 +460,6 @@ void ShardPool::restart_shard(std::size_t index, Clock::time_point now) {
   {
     std::shared_lock<std::shared_mutex> lock(membership_mutex_);
     if (model_ != nullptr) fresh->registry().install(*model_, model_source_);
-    if (wideband_ != nullptr) fresh->install_wideband(wideband_);
   }
   fresh->start();
   {

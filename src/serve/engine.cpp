@@ -73,7 +73,6 @@ void ServingEngine::stop() {
 
 Submission ServingEngine::submit(ServeRequest request) {
   Submission submission;
-  const std::size_t widx = workload_index(request.workload);
   if (!running_.load()) {
     metrics_.rejected_stopped.fetch_add(1, std::memory_order_relaxed);
     submission.reason = "engine not running";
@@ -102,22 +101,9 @@ Submission ServingEngine::submit(ServeRequest request) {
     return submission;
   }
   metrics_.accepted.fetch_add(1, std::memory_order_relaxed);
-  metrics_.workload[widx].accepted.fetch_add(1, std::memory_order_relaxed);
   metrics_.queue_depth.fetch_add(1, std::memory_order_relaxed);
   submission.accepted = true;
   return submission;
-}
-
-std::uint64_t ServingEngine::install_wideband(
-    std::shared_ptr<const core::WidebandScreener> model) {
-  std::unique_lock lock(wideband_mutex_);
-  wideband_ = std::move(model);
-  return wideband_version_.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-std::shared_ptr<const core::WidebandScreener> ServingEngine::wideband_model() const {
-  std::shared_lock lock(wideband_mutex_);
-  return wideband_;
 }
 
 void ServingEngine::worker_loop() {
@@ -168,12 +154,9 @@ std::optional<CancelToken> ServingEngine::admit_dequeued(Job& job,
     shed.id = job.request.id;
     shed.deadline_exceeded = true;
     shed.error = "deadline_exceeded: shed at dequeue";
-    shed.workload = job.request.workload;
     shed.queue_ms = queue_ms;
     shed.total_ms = ms_since(job.enqueued);
     metrics_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    metrics_.workload[workload_index(job.request.workload)]
-        .deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
     job.promise.set_value(std::move(shed));
     return std::nullopt;
   }
@@ -181,49 +164,20 @@ std::optional<CancelToken> ServingEngine::admit_dequeued(Job& job,
 }
 
 void ServingEngine::finish_job(Job& job, ServeResult result, double queue_ms) {
-  result.workload = job.request.workload;
-  ServeMetrics::WorkloadCounters& per_type =
-      metrics_.workload[workload_index(job.request.workload)];
   result.queue_ms = queue_ms;
   result.total_ms = ms_since(job.enqueued);
   metrics_.latency.total.record(result.total_ms);
   if (result.deadline_exceeded) {
     metrics_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    per_type.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
   } else if (!result.error.empty()) {
     metrics_.failed.fetch_add(1, std::memory_order_relaxed);
-    per_type.failed.fetch_add(1, std::memory_order_relaxed);
   } else {
     metrics_.completed.fetch_add(1, std::memory_order_relaxed);
-    per_type.completed.fetch_add(1, std::memory_order_relaxed);
     if (!result.usable) metrics_.no_echo.fetch_add(1, std::memory_order_relaxed);
     if (result.quality.degraded)
       metrics_.degraded.fetch_add(1, std::memory_order_relaxed);
   }
   job.promise.set_value(std::move(result));
-}
-
-ServeResult ServingEngine::process_absorbance(const ServeRequest& request) {
-  ServeResult result;
-  result.id = request.id;
-  result.workload = WorkloadType::kAbsorbance;
-  require(request.session == nullptr,
-          "absorbance request must not carry a streaming session");
-  if (request.absorbance.empty()) {
-    // Mirrors an EarSonar recording with no segmentable echo: the request
-    // completes, but there is nothing to classify.
-    result.usable = false;
-    return result;
-  }
-  result.usable = true;
-  result.features = request.absorbance;  // what a remote caller verifies against
-  if (std::shared_ptr<const core::WidebandScreener> model = wideband_model()) {
-    core::StageClock clock(pipeline::StageId::kInference, result.timings,
-                           &stage_graph_, "serve");
-    result.diagnosis = model->classify(request.absorbance);
-    result.model_version = wideband_version();
-  }
-  return result;
 }
 
 ServeResult ServingEngine::finalize_analysis(const std::string& id,
@@ -265,9 +219,7 @@ void ServingEngine::process_batch(std::span<Job> batch) {
     if (!cancel) continue;
     ServeResult result;
     try {
-      result = job.request.workload == WorkloadType::kAbsorbance
-                   ? process_absorbance(job.request)
-                   : run_pipeline(job.request, *cancel);
+      result = run_pipeline(job.request, *cancel);
     } catch (...) {
       result = error_result(job.request.id, std::current_exception());
     }
@@ -321,7 +273,6 @@ std::string ServingEngine::metrics_snapshot() const {
   out << "earsonar_serve_batch_max " << config_.batch_max << "\n";
   out << "earsonar_serve_batch_wait_us " << config_.batch_wait_us << "\n";
   out << "earsonar_serve_model_version " << registry_.version() << "\n";
-  out << "earsonar_serve_wideband_model_version " << wideband_version() << "\n";
   const obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
   out << "earsonar_serve_trace_enabled " << (recorder.enabled() ? 1 : 0) << "\n";
   out << "earsonar_serve_trace_spans_total " << recorder.size() << "\n";

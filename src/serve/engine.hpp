@@ -33,7 +33,6 @@
 #include <future>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -42,13 +41,11 @@
 #include "audio/waveform.hpp"
 #include "core/detector.hpp"
 #include "core/pipeline.hpp"
-#include "core/wideband.hpp"
 #include "pipeline/stage_graph.hpp"
 #include "serve/metrics.hpp"
 #include "serve/queue.hpp"
 #include "serve/registry.hpp"
 #include "serve/streaming.hpp"
-#include "serve/workload.hpp"
 
 namespace earsonar::serve {
 
@@ -76,14 +73,6 @@ struct EngineConfig {
 struct ServeRequest {
   std::string id;                 ///< caller's tag, echoed in the result
   audio::Waveform recording;      ///< any sample rate; resampled like analyze()
-  /// Which screening this request is (docs/workloads.md). kEarSonar requests
-  /// carry `recording`/`session`; kAbsorbance requests carry `absorbance`.
-  /// Declared after `recording` so `{id, recording}` aggregate init keeps
-  /// meaning "an EarSonar request".
-  WorkloadType workload = WorkloadType::kEarSonar;
-  /// kAbsorbance payload: the measured 226 Hz-8 kHz absorbance curve (one
-  /// value per wideband grid bin; length checked against the loaded model).
-  std::vector<double> absorbance;
   std::size_t chunk_samples = 0;  ///< 0 = engine default
   /// Request deadline in milliseconds from submit() (0 = none). An expired
   /// request is shed at dequeue — before any pipeline work — and a request
@@ -102,7 +91,6 @@ struct ServeRequest {
 
 struct ServeResult {
   std::string id;
-  WorkloadType workload = WorkloadType::kEarSonar;  ///< echoed from the request
   bool usable = false;  ///< an echo was segmented and features extracted
   std::optional<core::Diagnosis> diagnosis;  ///< set when usable and a model is loaded
   std::size_t events = 0;
@@ -153,19 +141,6 @@ class ServingEngine {
   /// The hot-swappable model store shared by all workers.
   [[nodiscard]] ModelRegistry& registry() { return registry_; }
 
-  /// Installs the wideband screener for the absorbance workload (same
-  /// reader-copies-the-shared_ptr discipline as ModelRegistry); returns the
-  /// new wideband model version. Absorbance requests processed while no
-  /// screener is installed complete usable but carry no diagnosis, mirroring
-  /// the EarSonar path before its first model install.
-  std::uint64_t install_wideband(std::shared_ptr<const core::WidebandScreener> model);
-
-  /// The active wideband screener, or nullptr before the first install.
-  [[nodiscard]] std::shared_ptr<const core::WidebandScreener> wideband_model() const;
-  [[nodiscard]] std::uint64_t wideband_version() const {
-    return wideband_version_.load(std::memory_order_relaxed);
-  }
-
   [[nodiscard]] const ServeMetrics& metrics() const { return metrics_; }
   /// Mutable access for collaborators that feed engine counters from outside
   /// the request path (e.g. the CLI's model reloader incrementing
@@ -179,7 +154,7 @@ class ServingEngine {
   /// occupancy counters of the stage graph.
   [[nodiscard]] std::string metrics_snapshot() const;
 
-  /// Per-stage occupancy of every EarSonar job (see pipeline::StageGraph).
+  /// Per-stage occupancy of every job (see pipeline::StageGraph).
   [[nodiscard]] const pipeline::StageGraph& stage_graph() const {
     return stage_graph_;
   }
@@ -194,17 +169,13 @@ class ServingEngine {
   };
 
   void worker_loop();
-  /// The absorbance workload's whole pipeline: classify the request's curve
-  /// with the installed wideband screener. No streaming session, no stage
-  /// graph — one scaler + softmax pass.
-  [[nodiscard]] ServeResult process_absorbance(const ServeRequest& request);
   /// Dequeue-side bookkeeping: records queue wait, sheds the job (promise
   /// satisfied, nullopt returned) when its deadline already expired, else
   /// hands back the request's cancel token.
   [[nodiscard]] std::optional<CancelToken> admit_dequeued(Job& job,
                                                           double& queue_ms);
   /// One collected batch, one job at a time: admit the job (or shed it),
-  /// run its workload, and resolve its promise before the next job starts.
+  /// run its pipeline, and resolve its promise before the next job starts.
   void process_batch(std::span<Job> batch);
   /// The EarSonar pipeline for one admitted request: chunked ingest, the
   /// session's finish, inference.
@@ -220,11 +191,6 @@ class ServingEngine {
   EngineConfig config_;
   core::EarSonar pipeline_;  ///< finishes every job's session
   ModelRegistry registry_;
-  /// Wideband screener for the absorbance workload. Guarded like the model
-  /// registry: readers copy the shared_ptr under a shared lock.
-  mutable std::shared_mutex wideband_mutex_;
-  std::shared_ptr<const core::WidebandScreener> wideband_;
-  std::atomic<std::uint64_t> wideband_version_{0};
   ServeMetrics metrics_;
   pipeline::StageGraph stage_graph_;
   BoundedQueue<Job> queue_;

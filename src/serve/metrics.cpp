@@ -40,20 +40,6 @@ std::string ServeMetrics::text_snapshot() const {
   emit_counter(out, "batches_total", batches.load(std::memory_order_relaxed));
   emit_counter(out, "batched_requests_total",
                batched_requests.load(std::memory_order_relaxed));
-  for (std::size_t w = 0; w < kWorkloadTypeCount; ++w) {
-    const std::string label = to_string(workload_from_index(w));
-    const WorkloadCounters& c = workload[w];
-    const char* kOutcomes[] = {"accepted", "completed", "failed",
-                               "deadline_exceeded"};
-    const std::uint64_t values[] = {
-        c.accepted.load(std::memory_order_relaxed),
-        c.completed.load(std::memory_order_relaxed),
-        c.failed.load(std::memory_order_relaxed),
-        c.deadline_exceeded.load(std::memory_order_relaxed)};
-    for (std::size_t i = 0; i < 4; ++i)
-      out << "earsonar_serve_workload_requests_total{workload=\"" << label
-          << "\",outcome=\"" << kOutcomes[i] << "\"} " << values[i] << '\n';
-  }
   out << "earsonar_serve_queue_depth "
       << queue_depth.load(std::memory_order_relaxed) << '\n';
   latency.queue_wait.write_text(out, "queue_wait");

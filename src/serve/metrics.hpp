@@ -9,13 +9,11 @@
 #pragma once
 
 #include <atomic>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "pipeline/stage_graph.hpp"
-#include "serve/workload.hpp"
 
 namespace earsonar::serve {
 
@@ -41,17 +39,6 @@ struct ServeMetrics {
   // wake-ups took more than one job, and how many jobs they took.
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> batched_requests{0};
-  /// Per-workload-type accounting (docs/workloads.md): the engine carries
-  /// mixed EarSonar + absorbance traffic; these split the request lifecycle
-  /// by type so per-type accounting is exact —
-  /// accepted == completed + failed + deadline_exceeded once drained.
-  struct WorkloadCounters {
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> failed{0};
-    std::atomic<std::uint64_t> deadline_exceeded{0};
-  };
-  std::array<WorkloadCounters, kWorkloadTypeCount> workload;
   /// The two latencies no single stage owns; per-stage histograms live in
   /// pipeline::StageGraph.
   struct {

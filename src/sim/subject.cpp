@@ -1,7 +1,5 @@
 #include "sim/subject.hpp"
 
-#include <algorithm>
-
 namespace earsonar::sim {
 
 EardrumModel Subject::eardrum(EffusionState state, double fill, std::uint64_t session) const {
@@ -20,24 +18,6 @@ EardrumModel Subject::eardrum(EffusionState state, double fill, std::uint64_t se
 }
 
 SubjectFactory::SubjectFactory(std::uint64_t cohort_seed) : cohort_seed_(cohort_seed) {}
-
-Subject contralateral_ear(const Subject& subject) {
-  Subject other = subject;
-  other.seed = splitmix64(subject.seed ^ 0x077e4ULL);
-  Rng rng(other.seed);
-  // Small within-person anatomical differences.
-  other.canal.length_m = std::clamp(subject.canal.length_m * rng.normal(1.0, 0.03),
-                                    kMinCanalLengthM, kMaxCanalLengthM);
-  other.canal.eardrum_path_gain =
-      std::clamp(subject.canal.eardrum_path_gain * rng.normal(1.0, 0.03), 0.3, 0.55);
-  other.drum.clear_resonance_hz = subject.drum.clear_resonance_hz * rng.normal(1.0, 0.008);
-  other.drum.surface_density = subject.drum.surface_density * rng.normal(1.0, 0.02);
-  other.drum.resistance_rayl =
-      std::max(20.0, subject.drum.resistance_rayl * rng.normal(1.0, 0.02));
-  // The fingerprint ripple is mostly shared, perturbed slightly per knot.
-  for (double& g : other.drum.ripple) g = std::max(0.5, g * rng.normal(1.0, 0.01));
-  return other;
-}
 
 Subject SubjectFactory::make(std::uint32_t subject_id) const {
   Subject subject;

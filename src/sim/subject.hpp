@@ -43,11 +43,4 @@ class SubjectFactory {
   std::uint64_t cohort_seed_;
 };
 
-/// The same person's other ear: anatomy is strongly correlated within a
-/// person (canal length within ~4%, drum mechanics within ~2%, a largely
-/// shared spectral fingerprint) — far closer than between two different
-/// people. Deterministic in the subject's seed. Used by the bilateral
-/// (own-control) screening extension.
-Subject contralateral_ear(const Subject& subject);
-
 }  // namespace earsonar::sim

@@ -1,14 +1,19 @@
-// Hardening tests for detector-model persistence: a serving engine reloads
-// model files while requests are in flight, so every malformed file — however
-// it got malformed (truncated upload, version skew, NaN from a broken
-// training run) — must throw cleanly at load time, never poison predictions.
+// Detector-model persistence: round trips of a fitted detector, and
+// hardening. A serving engine reloads model files while requests are in
+// flight, so every malformed file — however it got malformed (truncated
+// upload, version skew, NaN from a broken training run) — must throw cleanly
+// at load time, never poison predictions.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "core/model_io.hpp"
 
 using namespace earsonar;
@@ -127,4 +132,83 @@ TEST(ModelIoHardeningTest, ScalerMeanStdSizeMismatchRejected) {
   core::DetectorModel model = valid_model();
   model.scaler_std.pop_back();
   EXPECT_THROW(core::validate_model(model), std::runtime_error);
+}
+
+// Round trips of a fitted detector through the stream and file forms.
+class ModelIoTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Rng rng(5);
+    for (std::size_t c = 0; c < core::kMeeStateCount; ++c)
+      for (int i = 0; i < 20; ++i) {
+        std::vector<double> row(12);
+        for (double& v : row) v = static_cast<double>(c) * 2.0 + rng.normal(0, 0.2);
+        features_.push_back(row);
+        labels_.push_back(c);
+      }
+    core::DetectorConfig cfg;
+    cfg.selected_features = 6;
+    detector_ = std::make_unique<core::MeeDetector>(cfg);
+    detector_->fit(features_, labels_);
+  }
+
+  ml::Matrix features_;
+  std::vector<std::size_t> labels_;
+  std::unique_ptr<core::MeeDetector> detector_;
+};
+
+TEST_F(ModelIoTest, StreamRoundTripPreservesPredictions) {
+  std::stringstream stream;
+  core::save_detector(*detector_, stream);
+  const core::DetectorModel model = core::load_detector(stream);
+  for (std::size_t i = 0; i < features_.size(); ++i) {
+    const auto a = detector_->predict(features_[i]);
+    const auto b = model.predict(features_[i]);
+    EXPECT_EQ(a.state, b.state) << i;
+    EXPECT_NEAR(a.distance, b.distance, 1e-9);
+    EXPECT_NEAR(a.confidence, b.confidence, 1e-9);
+  }
+}
+
+TEST_F(ModelIoTest, FileRoundTrip) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "earsonar_model_test.txt").string();
+  core::save_detector_file(*detector_, path);
+  const core::DetectorModel model = core::load_detector_file(path);
+  EXPECT_EQ(model.feature_dimension(), 12u);
+  EXPECT_EQ(model.selected_features.size(), 6u);
+  EXPECT_EQ(model.centroids.size(), core::kMeeStateCount);
+  std::filesystem::remove(path);
+}
+
+TEST_F(ModelIoTest, SnapshotMatchesAccessors) {
+  const core::DetectorModel model = core::snapshot(*detector_);
+  EXPECT_EQ(model.scaler_mean, detector_->scaler_means());
+  EXPECT_EQ(model.selected_features, detector_->selected_features());
+  EXPECT_EQ(model.centroids, detector_->centroids());
+}
+
+TEST_F(ModelIoTest, UnfittedDetectorRejected) {
+  core::MeeDetector empty;
+  std::stringstream stream;
+  EXPECT_THROW(core::save_detector(empty, stream), std::invalid_argument);
+}
+
+TEST(ModelIoErrorsTest, BadMagicRejected) {
+  std::stringstream stream("not-a-model 1\n");
+  EXPECT_THROW(core::load_detector(stream), std::runtime_error);
+}
+
+TEST(ModelIoErrorsTest, BadVersionRejected) {
+  std::stringstream stream("earsonar-model 99\n");
+  EXPECT_THROW(core::load_detector(stream), std::runtime_error);
+}
+
+TEST(ModelIoErrorsTest, TruncatedFileRejected) {
+  std::stringstream stream("earsonar-model 1\nscaler_mean 5 1.0 2.0\n");
+  EXPECT_THROW(core::load_detector(stream), std::runtime_error);
+}
+
+TEST(ModelIoErrorsTest, MissingFileRejected) {
+  EXPECT_THROW(core::load_detector_file("/nonexistent/model.txt"), std::runtime_error);
 }

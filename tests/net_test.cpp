@@ -291,23 +291,27 @@ TEST(FrameCodecTest, TypedDecodersRejectTruncation) {
   const auto result = net::encode_result(net::ResultPayload{});
   EXPECT_FALSE(
       net::decode_result({result.data(), result.size() - 1}).has_value());
-  // Hello is special: dropping the workload byte yields the 16-byte legacy
-  // encoding, which MUST decode (as the EarSonar workload) for wire
-  // back-compat; dropping anything more is a truncation.
+  // Hello is 16 bytes. A 17th byte of 0 is what older clients append and
+  // still decodes; any other 17th byte, or a shorter payload, is refused.
   net::HelloPayload hello_in;
-  hello_in.workload = 1;
-  const auto hello = net::encode_hello(hello_in);
-  ASSERT_EQ(hello.size(), 17u);
-  const auto tagged = net::decode_hello(hello);
-  ASSERT_TRUE(tagged.has_value());
-  EXPECT_EQ(tagged->workload, 1);
-  const auto legacy = net::decode_hello({hello.data(), 16});
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->workload, 0);
+  hello_in.sample_rate = 44100.0;
+  hello_in.deadline_ms = 250.0;
+  auto hello = net::encode_hello(hello_in);
+  ASSERT_EQ(hello.size(), 16u);
+  const auto decoded = net::decode_hello(hello);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->sample_rate, 44100.0);
+  EXPECT_EQ(decoded->deadline_ms, 250.0);
   EXPECT_FALSE(net::decode_hello({hello.data(), 15}).has_value());
-  auto bad_workload = hello;
-  bad_workload[16] = 2;  // outside serve::kWorkloadTypeCount
-  EXPECT_FALSE(net::decode_hello(bad_workload).has_value());
+  hello.push_back(0);
+  const auto padded = net::decode_hello(hello);
+  ASSERT_TRUE(padded.has_value());
+  EXPECT_EQ(padded->sample_rate, 44100.0);
+  EXPECT_EQ(padded->deadline_ms, 250.0);
+  hello.back() = 1;
+  EXPECT_FALSE(net::decode_hello(hello).has_value());
+  hello.push_back(0);
+  EXPECT_FALSE(net::decode_hello(hello).has_value());
   EXPECT_FALSE(net::decode_stats(std::span<const std::uint8_t>{}).has_value());
 }
 
@@ -677,6 +681,41 @@ TEST(NetLoopbackTest, ChunkForUnknownSessionIsProtocolError) {
       net::decode_status(net::payload_bytes(arena, read.header));
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->code, static_cast<std::uint16_t>(net::ErrorCode::kProtocol));
+  server.stop();
+}
+
+TEST(NetLoopbackTest, HelloWithNonzeroSeventeenthByteIsRefused) {
+  net::NetServer server(small_server_config(1));
+  server.shards().install_model(tiny_model(), "test");
+  server.start();
+  net::TcpStream stream = net::TcpStream::connect("127.0.0.1", server.port());
+  std::vector<double> arena;
+
+  // A 17th Hello byte other than 0 opens no session: the server answers
+  // with a malformed-payload Error and keeps the connection.
+  std::vector<std::uint8_t> tagged = net::encode_hello({48000.0, 0.0});
+  tagged.push_back(1);
+  net::write_frame(stream, net::FrameType::kHello, 1, tagged);
+  net::ReadFrameResult read = net::read_frame(stream, arena);
+  ASSERT_EQ(read.kind, net::ReadFrameResult::Kind::kFrame);
+  EXPECT_EQ(read.header.type, net::FrameType::kError);
+  EXPECT_EQ(read.header.session_id, 1u);
+  const auto status = net::decode_status(net::payload_bytes(arena, read.header));
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->code, static_cast<std::uint16_t>(net::ErrorCode::kBadFrame));
+
+  // A 16-byte Hello on the same connection still gets its Result.
+  net::write_frame(stream, net::FrameType::kHello, 2,
+                   net::encode_hello({48000.0, 0.0}));
+  read = net::read_frame(stream, arena);
+  ASSERT_EQ(read.kind, net::ReadFrameResult::Kind::kFrame);
+  ASSERT_EQ(read.header.type, net::FrameType::kHelloAck);
+  net::write_chunk_frame(stream, 2, test_recording().view());
+  net::write_frame(stream, net::FrameType::kFinish, 2, {});
+  read = net::read_frame(stream, arena);
+  ASSERT_EQ(read.kind, net::ReadFrameResult::Kind::kFrame);
+  EXPECT_EQ(read.header.type, net::FrameType::kResult);
+  EXPECT_EQ(read.header.session_id, 2u);
   server.stop();
 }
 

@@ -16,7 +16,6 @@
 #include "common/rng.hpp"
 #include "core/model_io.hpp"
 #include "core/pipeline.hpp"
-#include "core/wideband.hpp"
 #include "pipeline/stage_graph.hpp"
 #include "serve/engine.hpp"
 #include "serve/metrics.hpp"
@@ -24,7 +23,6 @@
 #include "serve/registry.hpp"
 #include "serve/ring_buffer.hpp"
 #include "serve/streaming.hpp"
-#include "sim/absorbance.hpp"
 #include "sim/dataset.hpp"
 #include "sim/probe.hpp"
 
@@ -764,82 +762,9 @@ TEST(ServingEngineChaosTest, DegradedRequestCompletesAndIsCounted) {
             std::string::npos);
 }
 
-// ------------------------------------------------------- mixed workloads
+// ------------------------------------------------------------ backlog batch
 
-// A fitted wideband screener plus labeled replay curves for the absorbance
-// workload tests.
-struct WidebandFixture {
-  std::shared_ptr<core::WidebandScreener> screener;
-  std::vector<std::vector<double>> curves;  ///< one per effusion state
-};
-
-WidebandFixture wideband_fixture() {
-  WidebandFixture fx;
-  const std::vector<double> grid = core::wideband_frequency_grid();
-  const auto dataset = sim::absorbance_dataset(10, 2, grid, 42);
-  fx.screener = std::make_shared<core::WidebandScreener>();
-  fx.screener->fit(dataset.curves, dataset.labels);
-  const sim::Subject subject = sim::SubjectFactory(99).make(0);
-  Rng rng(123);
-  for (sim::EffusionState state : sim::all_effusion_states())
-    fx.curves.push_back(sim::absorbance_curve_state(subject, state, 0, grid, rng));
-  return fx;
-}
-
-TEST(MixedWorkloadTest, AbsorbanceRequestsMatchDirectClassification) {
-  const WidebandFixture fx = wideband_fixture();
-  serve::ServingEngine engine(small_engine(2, 8));
-  engine.install_wideband(fx.screener);
-  engine.start();
-  for (const std::vector<double>& curve : fx.curves) {
-    serve::ServeRequest request;
-    request.id = "abs";
-    request.workload = serve::WorkloadType::kAbsorbance;
-    request.absorbance = curve;
-    serve::Submission sub = engine.submit(std::move(request));
-    ASSERT_TRUE(sub.accepted) << sub.reason;
-    const serve::ServeResult result = sub.result.get();
-    EXPECT_TRUE(result.error.empty()) << result.error;
-    EXPECT_EQ(result.workload, serve::WorkloadType::kAbsorbance);
-    ASSERT_TRUE(result.usable);
-    ASSERT_TRUE(result.diagnosis.has_value());
-    const core::Diagnosis direct = fx.screener->classify(curve);
-    EXPECT_EQ(result.diagnosis->state, direct.state);
-    EXPECT_DOUBLE_EQ(result.diagnosis->confidence, direct.confidence);
-  }
-  engine.stop();
-}
-
-TEST(MixedWorkloadTest, AbsorbanceWithoutModelCompletesWithoutDiagnosis) {
-  // Mirrors the EarSonar path before its first model install: the request
-  // completes (curve echoed in features) but carries no diagnosis. An empty
-  // curve is the unusable case.
-  serve::ServingEngine engine(small_engine(1, 4));
-  engine.start();
-  serve::ServeRequest request;
-  request.id = "no-model";
-  request.workload = serve::WorkloadType::kAbsorbance;
-  request.absorbance.assign(core::kWidebandBins, 0.5);
-  serve::Submission sub = engine.submit(std::move(request));
-  ASSERT_TRUE(sub.accepted) << sub.reason;
-  const serve::ServeResult result = sub.result.get();
-
-  serve::ServeRequest empty;
-  empty.id = "empty";
-  empty.workload = serve::WorkloadType::kAbsorbance;
-  serve::Submission empty_sub = engine.submit(std::move(empty));
-  ASSERT_TRUE(empty_sub.accepted) << empty_sub.reason;
-  const serve::ServeResult empty_result = empty_sub.result.get();
-  engine.stop();
-
-  EXPECT_TRUE(result.usable);
-  EXPECT_FALSE(result.diagnosis.has_value());
-  EXPECT_EQ(result.model_version, 0u);
-  EXPECT_FALSE(empty_result.usable);
-}
-
-TEST(MixedWorkloadTest, MixedTrafficBatchesAreTypePureWithExactCounters) {
-  const WidebandFixture fx = wideband_fixture();
+TEST(ServingEngineTest, BacklogBehindBusyWorkerRunsOnceWithExactCounters) {
   const audio::Waveform recording = test_recording();
 
   serve::EngineConfig cfg = small_engine(1, 32);
@@ -847,89 +772,40 @@ TEST(MixedWorkloadTest, MixedTrafficBatchesAreTypePureWithExactCounters) {
   cfg.batch_wait_us = 0;  // batch whatever is queued, no linger needed
   serve::ServingEngine engine(cfg);
   engine.registry().install(tiny_model(), "test");
-  engine.install_wideband(fx.screener);
   engine.start();
 
-  // Occupy the single worker with a busy request so the mixed backlog
-  // accumulates in the queue; when the worker returns it collects the whole
-  // backlog as one batch and runs it job by job, each through its own
-  // workload's pipeline.
+  // Occupy the single worker with a busy request so the backlog accumulates
+  // in the queue; when the worker returns it collects the whole backlog as
+  // one batch and runs it job by job.
   serve::Submission pace = occupy_worker(engine);
   ASSERT_TRUE(pace.accepted) << pace.reason;
 
-  constexpr std::size_t kPerType = 4;
+  constexpr std::size_t kBacklog = 4;
   std::vector<std::future<serve::ServeResult>> futures;
-  for (std::size_t i = 0; i < kPerType; ++i) {
-    serve::Submission ear = engine.submit(
-        {"ear" + std::to_string(i), recording});
-    ASSERT_TRUE(ear.accepted) << ear.reason;
-    futures.push_back(std::move(ear.result));
-    serve::ServeRequest abs;
-    abs.id = "abs" + std::to_string(i);
-    abs.workload = serve::WorkloadType::kAbsorbance;
-    abs.absorbance = fx.curves[i % fx.curves.size()];
-    serve::Submission sub = engine.submit(std::move(abs));
+  for (std::size_t i = 0; i < kBacklog; ++i) {
+    serve::Submission sub = engine.submit({"ear" + std::to_string(i), recording});
     ASSERT_TRUE(sub.accepted) << sub.reason;
     futures.push_back(std::move(sub.result));
   }
 
-  std::size_t ear_seen = 0, abs_seen = 0;
   (void)pace.result.get();
   for (auto& f : futures) {
     const serve::ServeResult result = f.get();
     EXPECT_TRUE(result.error.empty()) << result.id << ": " << result.error;
     EXPECT_TRUE(result.usable) << result.id;
-    if (result.workload == serve::WorkloadType::kAbsorbance)
-      ++abs_seen;
-    else
-      ++ear_seen;
   }
   engine.stop();
-  EXPECT_EQ(ear_seen, kPerType);
-  EXPECT_EQ(abs_seen, kPerType);
 
-  // Exact per-type accounting: accepted == completed for both types, with
-  // the busy request on the EarSonar side, and no cross-type leakage.
+  // Exact accounting: every accepted job, the busy one included, completed.
   const serve::ServeMetrics& m = engine.metrics();
-  const auto& ear_counters =
-      m.workload[serve::workload_index(serve::WorkloadType::kEarSonar)];
-  const auto& abs_counters =
-      m.workload[serve::workload_index(serve::WorkloadType::kAbsorbance)];
-  EXPECT_EQ(ear_counters.accepted.load(), kPerType + 1);
-  EXPECT_EQ(ear_counters.completed.load(), kPerType + 1);
-  EXPECT_EQ(abs_counters.accepted.load(), kPerType);
-  EXPECT_EQ(abs_counters.completed.load(), kPerType);
-  EXPECT_EQ(ear_counters.failed.load(), 0u);
-  EXPECT_EQ(abs_counters.failed.load(), 0u);
+  EXPECT_EQ(m.accepted.load(), kBacklog + 1);
+  EXPECT_EQ(m.completed.load(), kBacklog + 1);
+  EXPECT_EQ(m.failed.load(), 0u);
 
-  // Each job ran its own workload's pipeline alone: only EarSonar jobs
-  // reached the echo stages, and every job of both types was scored once.
+  // Each job ran its own pipeline once, and only the backlog was batched.
   const pipeline::StageGraph& graph = engine.stage_graph();
-  EXPECT_EQ(graph.stats(pipeline::StageId::kEventDetect).passes.load(), kPerType + 1);
-  EXPECT_GE(graph.stats(pipeline::StageId::kInference).passes.load(), 2 * kPerType);
-  EXPECT_LE(m.batched_requests.load(), 2 * kPerType);
-
-  const std::string snapshot = engine.metrics_snapshot();
-  EXPECT_NE(snapshot.find("earsonar_serve_workload_requests_total{"
-                          "workload=\"absorbance\",outcome=\"completed\"} 4"),
-            std::string::npos)
-      << snapshot;
-  EXPECT_NE(snapshot.find("workload=\"earsonar\",outcome=\"completed\"} 5"),
-            std::string::npos)
-      << snapshot;
-  EXPECT_NE(snapshot.find("earsonar_serve_wideband_model_version 1"),
-            std::string::npos);
-}
-
-TEST(MixedWorkloadTest, WidebandHotSwapBumpsVersion) {
-  const WidebandFixture fx = wideband_fixture();
-  serve::ServingEngine engine(small_engine(1, 4));
-  EXPECT_EQ(engine.wideband_version(), 0u);
-  EXPECT_EQ(engine.wideband_model(), nullptr);
-  EXPECT_EQ(engine.install_wideband(fx.screener), 1u);
-  EXPECT_EQ(engine.install_wideband(fx.screener), 2u);
-  EXPECT_EQ(engine.wideband_version(), 2u);
-  EXPECT_NE(engine.wideband_model(), nullptr);
+  EXPECT_EQ(graph.stats(pipeline::StageId::kEventDetect).passes.load(), kBacklog + 1);
+  EXPECT_LE(m.batched_requests.load(), kBacklog);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// DCT, mel scale, and interpolation tests.
+// DCT, mel scale, interpolation, and STFT tests.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,6 +12,7 @@
 #include "dsp/dct.hpp"
 #include "dsp/interpolate.hpp"
 #include "dsp/mel.hpp"
+#include "dsp/stft.hpp"
 
 namespace earsonar::dsp {
 namespace {
@@ -287,6 +288,63 @@ TEST(ResampleRateTest, InvalidRatesThrow) {
   const std::vector<double> x(10, 1.0);
   EXPECT_THROW(resample_to_rate(x, 0.0, 48000.0), std::invalid_argument);
   EXPECT_THROW(resample_to_rate(x, 48000.0, -1.0), std::invalid_argument);
+}
+
+// ------------------------------------------------------------------ STFT
+
+TEST(StftTest, ToneConcentratesInOneBin) {
+  std::vector<double> x(4800);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = std::sin(2 * std::numbers::pi * 6000.0 * i / 48000.0);
+  const auto gram = stft(x, 48000.0);
+  ASSERT_GT(gram.frames(), 0u);
+  for (double f : peak_frequency_track(gram)) EXPECT_NEAR(f, 6000.0, 200.0);
+}
+
+TEST(StftTest, TrackFollowsChirpSweep) {
+  // A slow chirp 2 kHz -> 10 kHz: the track must rise monotonically-ish.
+  std::vector<double> x(48000);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double t = static_cast<double>(i) / 48000.0;
+    x[i] = std::sin(2 * std::numbers::pi * (2000.0 * t + 4000.0 * t * t));
+  }
+  const auto gram = stft(x, 48000.0);
+  const auto track = peak_frequency_track(gram);
+  EXPECT_LT(track.front(), 3500.0);
+  EXPECT_GT(track.back(), 8000.0);
+}
+
+TEST(StftTest, FrameCountMatchesHop) {
+  const std::vector<double> x(1024, 1.0);
+  StftConfig cfg;
+  cfg.window_length = 256;
+  cfg.hop = 128;
+  const auto gram = stft(x, 48000.0, cfg);
+  EXPECT_GE(gram.frames(), 6u);
+  EXPECT_LE(gram.frames(), 8u);
+  EXPECT_EQ(gram.bins(), 129u);
+}
+
+TEST(StftTest, AxesAreConsistent) {
+  const std::vector<double> x(2048, 0.5);
+  const auto gram = stft(x, 48000.0);
+  EXPECT_EQ(gram.time_s.size(), gram.frames());
+  EXPECT_DOUBLE_EQ(gram.frequency_hz.front(), 0.0);
+  EXPECT_DOUBLE_EQ(gram.frequency_hz.back(), 24000.0);
+  for (std::size_t i = 1; i < gram.time_s.size(); ++i)
+    EXPECT_GT(gram.time_s[i], gram.time_s[i - 1]);
+}
+
+TEST(StftTest, InvalidConfigsRejected) {
+  const std::vector<double> x(512, 1.0);
+  StftConfig cfg;
+  cfg.fft_size = 100;  // not a power of two
+  EXPECT_THROW(stft(x, 48000.0, cfg), std::invalid_argument);
+  cfg = StftConfig{};
+  cfg.hop = cfg.window_length + 1;
+  EXPECT_THROW(stft(x, 48000.0, cfg), std::invalid_argument);
+  EXPECT_THROW(stft(std::vector<double>(16, 1.0), 48000.0, StftConfig{}),
+               std::invalid_argument);
 }
 
 }  // namespace
