@@ -105,6 +105,7 @@ OverloadResult run_overload(const audio::Waveform& recording) {
   serve::EngineConfig cfg;
   cfg.workers = 1;
   cfg.queue_capacity = 4;
+  cfg.chunk_samples = recording.size() / 4 + 1;
   cfg.session.pipeline = causal_config();
   serve::ServingEngine engine(cfg);
   engine.registry().install(bench_model(), "bench");
@@ -117,7 +118,6 @@ OverloadResult run_overload(const audio::Waveform& recording) {
     serve::ServeRequest request;
     request.id = "o" + std::to_string(i);
     request.recording = recording;
-    request.chunk_samples = recording.size() / 4 + 1;
     serve::Submission sub = engine.submit(std::move(request));
     if (sub.accepted) futures.push_back(std::move(sub.result));
   }

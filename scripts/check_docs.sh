@@ -11,7 +11,8 @@
 #      name exported by src/serve/metrics.cpp and src/serve/engine.cpp, and
 #      every earsonar_net_* metric name exported by src/net/.
 #   4. docs/robustness.md must catalog every fault point registered in the
-#      source tree (each fault::point("...") call site).
+#      source tree (each fault::point("...") call site), and every point its
+#      catalog table lists must have such a call site.
 #   5. docs/testing.md must catalog every differential-oracle pair registered
 #      in src/check/tolerance.cpp (each add_pair(t, "...") call site).
 #   6. docs/performance.md must document every top-level field bench/
@@ -111,6 +112,15 @@ if [ -f "$ROBUST_DOC" ]; then
   for p in $points; do
     grep -qF "\`$p\`" "$ROBUST_DOC" \
       || err "docs/robustness.md does not catalog fault point '$p'"
+  done
+  # And the reverse: a cataloged point must exist in the source.
+  doc_points=$(sed -n '/^### Fault-point catalog/,/^##* /p' "$ROBUST_DOC" \
+                 | grep -oE '^\| `[a-z_.]+` \|' \
+                 | sed 's/^| `//; s/` |$//' | sort -u) || true
+  [ -n "$doc_points" ] || err "docs/robustness.md has no fault-point catalog table"
+  for p in $doc_points; do
+    printf '%s\n' "$points" | grep -qxF "$p" \
+      || err "docs/robustness.md catalogs unknown fault point '$p'"
   done
 fi
 

@@ -68,9 +68,6 @@ struct CompareResult {
 CompareResult compare_vectors(std::span<const double> got,
                               std::span<const double> want, const Tolerance& tol);
 
-/// Scalar convenience wrapper around compare_vectors.
-bool within_tolerance(double got, double want, const Tolerance& tol);
-
 /// Human-readable one-line description of a failed comparison.
 std::string describe_failure(std::string_view pair, const CompareResult& result);
 

@@ -115,13 +115,7 @@ struct AnalysisQuality {
   std::size_t chirps_dropped = 0;  ///< chirps lost to *errors* (== drops.size())
   std::size_t min_usable = 1;      ///< the floor analyze() enforced
   std::vector<ChirpDrop> drops;
-  bool degraded = false;  ///< any error drop (or stream truncation) occurred
-
-  [[nodiscard]] double usable_fraction() const {
-    return chirps_total == 0 ? 0.0
-                             : static_cast<double>(chirps_used) /
-                                   static_cast<double>(chirps_total);
-  }
+  bool degraded = false;  ///< any error drop occurred
 };
 
 /// Everything analyze() learns about one recording.

@@ -1,6 +1,7 @@
 // Signal preprocessing (paper §IV-B1): Butterworth band-pass around the
-// probe band to strip ambient noise, plus an optional Hanning pulse-shaping
-// pass that raises the peak-to-sidelobe ratio of each chirp.
+// probe band to strip ambient noise. The paper's Hanning pulse shaping,
+// which raises each chirp's peak-to-sidelobe ratio, happens on the transmit
+// side (`FmcwConfig::hann_shaped` in src/audio/chirp.hpp), not here.
 #pragma once
 
 #include "audio/waveform.hpp"

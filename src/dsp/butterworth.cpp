@@ -131,18 +131,6 @@ BiquadCascade butterworth_lowpass(int order, double cutoff_hz, double sample_rat
   return assemble_sections(std::move(zzeros), std::move(zpoles), /*ref_w=*/0.0);
 }
 
-BiquadCascade butterworth_highpass(int order, double cutoff_hz, double sample_rate) {
-  require_positive("sample_rate", sample_rate);
-  require(cutoff_hz > 0.0 && cutoff_hz < sample_rate / 2.0,
-          "butterworth_highpass: cutoff must be in (0, Nyquist)");
-  const double wc = prewarp(cutoff_hz, sample_rate);
-  std::vector<Cx> zpoles;
-  for (Cx p : prototype_poles(order)) zpoles.push_back(bilinear(wc / p, sample_rate));
-  // High-pass: analog zeros at s = 0 -> z = +1.
-  std::vector<Cx> zzeros(zpoles.size(), Cx{1.0, 0.0});
-  return assemble_sections(std::move(zzeros), std::move(zpoles), /*ref_w=*/kPi);
-}
-
 BiquadCascade butterworth_bandpass(int order, double low_hz, double high_hz,
                                    double sample_rate) {
   check_band(low_hz, high_hz, sample_rate);

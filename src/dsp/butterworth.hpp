@@ -11,9 +11,6 @@ namespace earsonar::dsp {
 /// Order-n Butterworth low-pass with cutoff `cutoff_hz` (0 < f < Nyquist).
 BiquadCascade butterworth_lowpass(int order, double cutoff_hz, double sample_rate);
 
-/// Order-n Butterworth high-pass with cutoff `cutoff_hz` (0 < f < Nyquist).
-BiquadCascade butterworth_highpass(int order, double cutoff_hz, double sample_rate);
-
 /// Butterworth band-pass between `low_hz` and `high_hz`. `order` is the
 /// prototype order; the digital filter has 2*order poles (matching the
 /// scipy/matlab convention for "order-N bandpass").

@@ -167,17 +167,4 @@ std::vector<double> cross_correlate(std::span<const double> a, std::span<const d
   return out;
 }
 
-double normalized_correlation(std::span<const double> a, std::span<const double> b) {
-  require(a.size() == b.size(), "normalized_correlation: size mismatch");
-  require_nonempty("normalized_correlation input", a.size());
-  double num = 0.0, ea = 0.0, eb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    num += a[i] * b[i];
-    ea += a[i] * a[i];
-    eb += b[i] * b[i];
-  }
-  if (ea <= 0.0 || eb <= 0.0) return 0.0;
-  return num / std::sqrt(ea * eb);
-}
-
 }  // namespace earsonar::dsp

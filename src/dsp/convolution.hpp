@@ -35,8 +35,4 @@ std::vector<double> autoconvolve_range(std::span<const double> x, std::size_t fi
 /// length N+M-1, lag k - (len(b)-1).
 std::vector<double> cross_correlate(std::span<const double> a, std::span<const double> b);
 
-/// Normalized cross-correlation peak value in [-1, 1] between two sequences of
-/// equal length (zero lag only).
-double normalized_correlation(std::span<const double> a, std::span<const double> b);
-
 }  // namespace earsonar::dsp

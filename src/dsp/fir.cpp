@@ -14,53 +14,10 @@ namespace earsonar::dsp {
 namespace {
 constexpr double kPi = std::numbers::pi;
 
-double sinc(double x) {
-  if (std::abs(x) < 1e-12) return 1.0;
-  return std::sin(kPi * x) / (kPi * x);
-}
-
 void check_taps(std::size_t taps) {
   require(taps >= 3 && taps % 2 == 1, "FIR taps must be odd and >= 3");
 }
 }  // namespace
-
-std::vector<double> fir_lowpass(std::size_t taps, double cutoff_hz, double sample_rate) {
-  check_taps(taps);
-  require_positive("sample_rate", sample_rate);
-  require(cutoff_hz > 0.0 && cutoff_hz < sample_rate / 2.0,
-          "fir_lowpass: cutoff must be in (0, Nyquist)");
-  const double fc = cutoff_hz / sample_rate;  // cycles/sample
-  const std::vector<double> w = hann_window(taps);
-  const double mid = static_cast<double>(taps - 1) / 2.0;
-  std::vector<double> h(taps);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < taps; ++i) {
-    h[i] = 2.0 * fc * sinc(2.0 * fc * (static_cast<double>(i) - mid)) * w[i];
-    sum += h[i];
-  }
-  // Normalize DC gain to exactly 1.
-  for (double& v : h) v /= sum;
-  return h;
-}
-
-std::vector<double> fir_highpass(std::size_t taps, double cutoff_hz, double sample_rate) {
-  std::vector<double> lp = fir_lowpass(taps, cutoff_hz, sample_rate);
-  // Spectral inversion: delta at center minus the low-pass.
-  std::vector<double> hp(lp.size());
-  for (std::size_t i = 0; i < lp.size(); ++i) hp[i] = -lp[i];
-  hp[(lp.size() - 1) / 2] += 1.0;
-  return hp;
-}
-
-std::vector<double> fir_bandpass(std::size_t taps, double low_hz, double high_hz,
-                                 double sample_rate) {
-  require(low_hz < high_hz, "fir_bandpass: low must be < high");
-  std::vector<double> lp_high = fir_lowpass(taps, high_hz, sample_rate);
-  std::vector<double> lp_low = fir_lowpass(taps, low_hz, sample_rate);
-  std::vector<double> bp(taps);
-  for (std::size_t i = 0; i < taps; ++i) bp[i] = lp_high[i] - lp_low[i];
-  return bp;
-}
 
 std::vector<double> fir_from_magnitude(std::span<const double> frequencies_hz,
                                        std::span<const double> magnitudes,
@@ -107,11 +64,6 @@ std::vector<double> fir_from_magnitude(std::span<const double> frequencies_hz,
   std::vector<double> h(n);
   for (std::size_t i = 0; i < n; ++i) h[i] = impulse[i].real() * w[i];
   return h;
-}
-
-std::vector<double> fir_filter(std::span<const double> signal,
-                               std::span<const double> kernel) {
-  return convolve(signal, kernel);
 }
 
 std::vector<double> fir_filter_same(std::span<const double> signal,

@@ -1,6 +1,6 @@
-// Windowed-sinc FIR design and linear filtering. The simulator renders the
-// eardrum's frequency-dependent reflectance as an FIR kernel, so arbitrary
-// reflectance curves become convolutions.
+// FIR design by frequency sampling and linear filtering. The simulator
+// renders the eardrum's frequency-dependent reflectance as an FIR kernel, so
+// arbitrary reflectance curves become convolutions.
 #pragma once
 
 #include <cstddef>
@@ -9,16 +9,6 @@
 
 namespace earsonar::dsp {
 
-/// Odd-length linear-phase low-pass via Hann-windowed sinc.
-std::vector<double> fir_lowpass(std::size_t taps, double cutoff_hz, double sample_rate);
-
-/// Odd-length linear-phase high-pass (spectral inversion of the low-pass).
-std::vector<double> fir_highpass(std::size_t taps, double cutoff_hz, double sample_rate);
-
-/// Odd-length linear-phase band-pass between low_hz and high_hz.
-std::vector<double> fir_bandpass(std::size_t taps, double low_hz, double high_hz,
-                                 double sample_rate);
-
 /// Designs a linear-phase FIR whose magnitude response approximates the
 /// piecewise-linear curve given by (frequencies_hz[i] -> magnitudes[i]) using
 /// the frequency-sampling method. `taps` must be odd. Frequencies must be
@@ -26,10 +16,6 @@ std::vector<double> fir_bandpass(std::size_t taps, double low_hz, double high_hz
 std::vector<double> fir_from_magnitude(std::span<const double> frequencies_hz,
                                        std::span<const double> magnitudes,
                                        std::size_t taps, double sample_rate);
-
-/// Full ("same origin") convolution: output length = signal + kernel - 1.
-std::vector<double> fir_filter(std::span<const double> signal,
-                               std::span<const double> kernel);
 
 /// Convolution trimmed to the input length with the kernel's group delay
 /// compensated (linear-phase kernels line up with the input).

@@ -8,46 +8,6 @@
 
 namespace earsonar::dsp {
 
-std::vector<double> interp_linear(std::span<const double> x, std::span<const double> y,
-                                  std::span<const double> queries) {
-  require(x.size() == y.size(), "interp_linear: x/y size mismatch");
-  require(x.size() >= 2, "interp_linear: need >= 2 knots");
-  for (std::size_t i = 1; i < x.size(); ++i)
-    require(x[i] > x[i - 1], "interp_linear: x must be strictly ascending");
-
-  std::vector<double> out(queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const double f = queries[q];
-    if (f <= x.front()) {
-      out[q] = y.front();
-    } else if (f >= x.back()) {
-      out[q] = y.back();
-    } else {
-      const auto it = std::lower_bound(x.begin(), x.end(), f);
-      const std::size_t hi = static_cast<std::size_t>(it - x.begin());
-      const std::size_t lo = hi - 1;
-      const double t = (f - x[lo]) / (x[hi] - x[lo]);
-      out[q] = y[lo] * (1.0 - t) + y[hi] * t;
-    }
-  }
-  return out;
-}
-
-double sample_fractional(std::span<const double> signal, double index) {
-  if (signal.empty()) return 0.0;
-  if (index < 0.0 || index > static_cast<double>(signal.size() - 1)) return 0.0;
-  const auto at = [&](std::ptrdiff_t i) -> double {
-    if (i < 0 || i >= static_cast<std::ptrdiff_t>(signal.size())) return 0.0;
-    return signal[static_cast<std::size_t>(i)];
-  };
-  const std::ptrdiff_t i1 = static_cast<std::ptrdiff_t>(std::floor(index));
-  const double t = index - static_cast<double>(i1);
-  const double p0 = at(i1 - 1), p1 = at(i1), p2 = at(i1 + 1), p3 = at(i1 + 2);
-  // Catmull-Rom.
-  return 0.5 * ((2.0 * p1) + (-p0 + p2) * t + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * t * t +
-                (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * t * t * t);
-}
-
 double sample_fractional_sinc(std::span<const double> signal, double index) {
   if (signal.empty()) return 0.0;
   if (index < 0.0 || index > static_cast<double>(signal.size() - 1)) return 0.0;
@@ -96,16 +56,6 @@ std::vector<double> resample_to_rate(std::span<const double> signal, double sour
   std::vector<double> out(std::max<std::size_t>(out_len, 1));
   for (std::size_t i = 0; i < out.size(); ++i)
     out[i] = sample_fractional_sinc(prepared, static_cast<double>(i) * ratio);
-  return out;
-}
-
-std::vector<double> fractional_delay(std::span<const double> signal, double delay_samples) {
-  require(delay_samples >= 0.0, "fractional_delay: delay must be >= 0");
-  std::vector<double> out(signal.size(), 0.0);
-  for (std::size_t i = 0; i < signal.size(); ++i) {
-    const double src = static_cast<double>(i) - delay_samples;
-    if (src >= 0.0) out[i] = sample_fractional(signal, src);
-  }
   return out;
 }
 

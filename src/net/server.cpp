@@ -9,9 +9,13 @@
 
 namespace earsonar::net {
 
+namespace {
+/// How long one accept round waits before the loop rechecks running_.
+constexpr int kAcceptPollMs = 50;
+}  // namespace
+
 void NetServerConfig::validate() const {
   require(max_connections >= 1, "NetServerConfig: max_connections must be >= 1");
-  require(accept_poll_ms >= 1, "NetServerConfig: accept_poll_ms must be >= 1");
   require(default_deadline_ms >= 0.0,
           "NetServerConfig: default_deadline_ms must be >= 0");
   shards.validate();
@@ -70,7 +74,7 @@ void NetServer::reap_finished() {
 void NetServer::accept_loop() {
   while (running_.load()) {
     reap_finished();
-    std::optional<TcpStream> stream = listener_.accept(config_.accept_poll_ms);
+    std::optional<TcpStream> stream = listener_.accept(kAcceptPollMs);
     if (!stream) continue;  // timeout, transient failure, or injected fault
     if (stats_.connections_active.load(std::memory_order_relaxed) >=
         static_cast<std::int64_t>(config_.max_connections)) {

@@ -24,8 +24,9 @@
 //
 // Threading: one accept thread plus one blocking thread per connection —
 // the right complexity point while max_connections bounds the thread count
-// (see socket.hpp). stop() shuts each connection's socket down to unblock
-// its read, then joins everything.
+// (see socket.hpp). The accept thread wakes every 50 ms to notice stop();
+// stop() also closes the listener, shuts each connection's socket down to
+// unblock its read, then joins everything.
 #pragma once
 
 #include <atomic>
@@ -47,8 +48,6 @@ struct NetServerConfig {
   /// Concurrent connections before the accept loop rejects (explicitly —
   /// the peer gets a Reject frame, not a hang).
   std::size_t max_connections = 256;
-  /// How often the accept loop wakes to notice stop(), in milliseconds.
-  int accept_poll_ms = 50;
   ShardConfig shards;
   /// Deadline applied to sessions whose Hello carries none (0 = none).
   double default_deadline_ms = 0.0;

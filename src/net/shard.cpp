@@ -13,6 +13,14 @@ namespace earsonar::net {
 
 using Clock = std::chrono::steady_clock;
 
+namespace {
+/// Virtual ring nodes per shard.
+constexpr std::size_t kRingReplicas = 64;
+/// Ceiling on total slots ever created (live + retired); add_shard refuses
+/// past it so a resize loop cannot grow without bound.
+constexpr std::size_t kMaxShards = 64;
+}  // namespace
+
 std::uint64_t HashRing::mix(std::uint64_t x) {
   // splitmix64 finalizer (Steele et al.): full-avalanche mixing so nearby
   // session ids land far apart on the ring.
@@ -35,13 +43,11 @@ HashRing::Point HashRing::make_point(std::size_t shard, std::size_t replica) {
   return {mix(id ^ kPointSalt), static_cast<std::uint32_t>(shard)};
 }
 
-HashRing::HashRing(std::size_t shards, std::size_t replicas)
-    : members_(shards), replicas_(replicas) {
+HashRing::HashRing(std::size_t shards) : members_(shards) {
   require(shards >= 1, "HashRing: shards must be >= 1");
-  require(replicas >= 1, "HashRing: replicas must be >= 1");
-  points_.reserve(shards * replicas);
+  points_.reserve(shards * kRingReplicas);
   for (std::size_t s = 0; s < shards; ++s)
-    for (std::size_t r = 0; r < replicas; ++r) points_.push_back(make_point(s, r));
+    for (std::size_t r = 0; r < kRingReplicas; ++r) points_.push_back(make_point(s, r));
   std::sort(points_.begin(), points_.end(),
             [](const Point& a, const Point& b) {
               return a.hash != b.hash ? a.hash < b.hash : a.shard < b.shard;
@@ -66,7 +72,7 @@ bool HashRing::contains(std::size_t shard) const {
 
 void HashRing::add_shard(std::size_t shard) {
   if (contains(shard)) return;
-  for (std::size_t r = 0; r < replicas_; ++r) {
+  for (std::size_t r = 0; r < kRingReplicas; ++r) {
     const Point point = make_point(shard, r);
     const auto at = std::lower_bound(
         points_.begin(), points_.end(), point,
@@ -102,19 +108,18 @@ const char* to_string(ShardHealth health) {
 
 void ShardConfig::validate() const {
   require(shards >= 1, "ShardConfig: shards must be >= 1");
-  require(replicas >= 1, "ShardConfig: replicas must be >= 1");
   require(max_sessions_per_shard >= 1,
           "ShardConfig: max_sessions_per_shard must be >= 1");
   require(supervisor_interval_ms >= 1,
           "ShardConfig: supervisor_interval_ms must be >= 1");
   require(drain_deadline_ms >= 0.0, "ShardConfig: drain_deadline_ms must be >= 0");
   require(wedge_timeout_ms >= 0.0, "ShardConfig: wedge_timeout_ms must be >= 0");
-  require(max_shards >= shards, "ShardConfig: max_shards must be >= shards");
+  require(shards <= kMaxShards, "ShardConfig: shards must be <= 64");
   engine.validate();
 }
 
 ShardPool::ShardPool(ShardConfig config)
-    : config_(std::move(config)), ring_(config_.shards, config_.replicas) {
+    : config_(std::move(config)), ring_(config_.shards) {
   config_.validate();
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
@@ -267,10 +272,10 @@ bool ShardPool::add_shard(std::string* error) {
   auto fresh = make_engine();
   {
     std::unique_lock<std::shared_mutex> lock(membership_mutex_);
-    if (shards_.size() >= config_.max_shards) {
+    if (shards_.size() >= kMaxShards) {
       lock.unlock();
       fresh.reset();
-      return refuse("max_shards reached");
+      return refuse("shard slot limit (64) reached");
     }
     if (model_ != nullptr) fresh->registry().install(*model_, model_source_);
   }
@@ -278,10 +283,10 @@ bool ShardPool::add_shard(std::string* error) {
   std::size_t index = 0;
   {
     std::unique_lock<std::shared_mutex> lock(membership_mutex_);
-    if (shards_.size() >= config_.max_shards) {
+    if (shards_.size() >= kMaxShards) {
       lock.unlock();
       fresh->stop();
-      return refuse("max_shards reached");
+      return refuse("shard slot limit (64) reached");
     }
     index = shards_.size();
     auto shard = std::make_unique<Shard>();

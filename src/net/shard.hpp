@@ -69,13 +69,13 @@
 namespace earsonar::net {
 
 /// Consistent-hash ring mapping u64 session ids onto shard indices via
-/// virtual nodes (`replicas` ring points per shard). Supports live
+/// virtual nodes (64 ring points per shard). Supports live
 /// membership changes: adding a shard only *inserts* its points and removing
 /// one only *erases* its points, so every surviving key keeps its owner
 /// unless the change itself took or gave that key (minimal remap).
 class HashRing {
  public:
-  HashRing(std::size_t shards, std::size_t replicas);
+  explicit HashRing(std::size_t shards);
 
   /// The shard owning `session_id`: the first ring point at or after the
   /// id's hash, wrapping at the top. Undefined on an empty ring (the pool
@@ -90,7 +90,6 @@ class HashRing {
 
   /// Current member count (live shards, not historical slot count).
   [[nodiscard]] std::size_t shard_count() const { return members_; }
-  [[nodiscard]] std::size_t replicas() const { return replicas_; }
 
   /// The mixer used for ring points and keys (splitmix64 finalizer —
   /// avalanche-complete, so sequential session ids spread uniformly).
@@ -105,7 +104,6 @@ class HashRing {
 
   std::vector<Point> points_;  ///< sorted by hash
   std::size_t members_;
-  std::size_t replicas_;
 };
 
 /// Per-shard lifecycle state (the wire carries the raw value in
@@ -122,7 +120,6 @@ enum class ShardHealth : std::uint8_t {
 
 struct ShardConfig {
   std::size_t shards = 1;
-  std::size_t replicas = 64;  ///< virtual ring nodes per shard
   /// Live streaming sessions a shard holds at once — the admission layer
   /// above the engine's BoundedQueue. A paced session occupies its slot for
   /// the recording's wall-clock duration; the queue only sees the (cheap)
@@ -140,9 +137,6 @@ struct ShardConfig {
   /// A healthy shard with a nonempty queue and no completion progress for
   /// this long is declared wedged (down). 0 disables wedge detection.
   double wedge_timeout_ms = 2000.0;
-  /// Ceiling on total slots ever created (live + retired); add_shard refuses
-  /// past it so a resize loop cannot grow without bound.
-  std::size_t max_shards = 64;
 
   void validate() const;
 };
@@ -210,8 +204,8 @@ class ShardPool {
   // ------------------------------------------------------------ lifecycle
 
   /// Grows the pool by one shard slot (ring insert is minimal-remap). False
-  /// with `*error` set when refused (`net.admin.resize` fault, max_shards,
-  /// pool stopped).
+  /// with `*error` set when refused (`net.admin.resize` fault, the 64-slot
+  /// ceiling on slots ever created, live plus retired, pool stopped).
   bool add_shard(std::string* error = nullptr);
 
   /// Graceful drain: the slot leaves the ring immediately (no new Hellos;

@@ -1,7 +1,8 @@
 // Dependency-free POSIX TCP wrappers for the serving front-end.
 //
 // Deliberately minimal: RAII file descriptors, a blocking listener with a
-// poll()-based accept timeout (so the accept loop can notice stop()), and a
+// poll()-based accept timeout (the server's accept loop waits at most 50 ms
+// a round, kAcceptPollMs in server.cpp, so it notices stop()), and a
 // blocking stream with read-exact/write-all framing helpers. Thread-per-
 // connection blocking I/O is the right complexity point here — connection
 // counts are bounded by admission control (NetServerConfig::max_connections)

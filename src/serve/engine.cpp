@@ -231,9 +231,9 @@ ServeResult ServingEngine::run_pipeline(const ServeRequest& request,
                                         const CancelToken& cancel) {
   // --- Ingest: a job that arrived as a whole recording streams into a fresh
   // session in `chunk_samples` slices, its deadline checked before every
-  // chunk. Resample plus every feed is the job's one `filter` stage
-  // execution, as in EarSonar::analyze. Pre-fed sessions (the networked
-  // path) skip this.
+  // chunk, and fails if the session's buffer refuses one. Resample plus
+  // every feed is the job's one `filter` stage execution, as in
+  // EarSonar::analyze. Pre-fed sessions (the networked path) skip this.
   core::StageTimings filter_timing;
   StreamingSession* session = request.session.get();
   std::unique_ptr<StreamingSession> own;
@@ -251,11 +251,19 @@ ServeResult ServingEngine::run_pipeline(const ServeRequest& request,
       samples = resampled;
     }
     session->reserve(samples.size());
-    const std::size_t chunk =
-        request.chunk_samples > 0 ? request.chunk_samples : config_.chunk_samples;
+    const std::size_t chunk = config_.chunk_samples;
     for (std::size_t pos = 0; pos < samples.size(); pos += chunk) {
       cancel.check("stream_ingest");
-      (void)session->feed(samples.subspan(pos, std::min(chunk, samples.size() - pos)));
+      // A refused chunk would leave a cut (or, past a later accepted one,
+      // spliced) stream: the recording fails as a whole instead.
+      if (session->feed(samples.subspan(pos, std::min(chunk, samples.size() - pos))) ==
+          FeedStatus::kRejected) {
+        std::ostringstream msg;
+        msg << "recording of " << samples.size()
+            << " samples exceeds the session buffer of "
+            << config_.session.max_buffered_samples << " samples";
+        fail(msg.str());
+      }
       metrics_.chunks_fed.fetch_add(1, std::memory_order_relaxed);
     }
   }

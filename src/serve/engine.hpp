@@ -52,7 +52,7 @@ namespace earsonar::serve {
 struct EngineConfig {
   std::size_t workers = 2;          ///< worker threads the engine owns
   std::size_t queue_capacity = 64;  ///< pending requests before rejection
-  std::size_t chunk_samples = 480;  ///< default ingestion slice (10 ms @ 48 kHz)
+  std::size_t chunk_samples = 480;  ///< ingestion slice (10 ms @ 48 kHz)
   StreamingConfig session;          ///< per-request streaming configuration
   /// Dequeue unit: how many queued jobs a worker takes per wake-up. A worker
   /// that pops a job keeps collecting up to this many (lingering at most
@@ -73,7 +73,6 @@ struct EngineConfig {
 struct ServeRequest {
   std::string id;                 ///< caller's tag, echoed in the result
   audio::Waveform recording;      ///< any sample rate; resampled like analyze()
-  std::size_t chunk_samples = 0;  ///< 0 = engine default
   /// Request deadline in milliseconds from submit() (0 = none). An expired
   /// request is shed at dequeue — before any pipeline work — and a request
   /// that expires mid-pipeline is cancelled at the next stage boundary;
@@ -83,9 +82,9 @@ struct ServeRequest {
   /// Alternative payload: a StreamingSession someone else already fed (the
   /// networked front-end streams chunks into the session on the connection
   /// thread as they arrive, then submits only the finalization). When set,
-  /// `recording` / chunking fields are ignored and the worker only finishes
-  /// the session and runs inference. The session must have been built with
-  /// this engine's session config.
+  /// `recording` is ignored and the worker only finishes the session and
+  /// runs inference. The session must have been built with this engine's
+  /// session config.
   std::unique_ptr<StreamingSession> session = nullptr;
 };
 

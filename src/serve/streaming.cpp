@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
@@ -46,36 +45,21 @@ FeedStatus StreamingSession::feed(std::span<const double> chunk) {
     feed_span->set_arg("samples", static_cast<std::int64_t>(chunk.size()));
   }
 
-  if (config_.overflow == StreamingConfig::OverflowPolicy::kReject &&
-      filtered_.size() + chunk.size() > config_.max_buffered_samples) {
+  if (filtered_.size() + chunk.size() > config_.max_buffered_samples) {
     // Reject *before* touching the filter, so the accepted stream stays
     // contiguous and a later finish() is still exact for everything accepted.
     ++rejected_chunks_;
     return FeedStatus::kRejected;
   }
   // Append the raw chunk and filter it where it lies: no per-chunk
-  // temporary vector. Until an eviction the samples before it are all in
-  // filtered_, as the envelope fold requires.
+  // temporary vector. The samples before it are all in filtered_, as the
+  // envelope fold requires.
   const std::size_t tail = filtered_.size();
   filtered_.insert(filtered_.end(), chunk.begin(), chunk.end());
-  const std::span<double> fresh = std::span<double>(filtered_).subspan(tail);
-  if (truncated()) {
-    filter_.process_in_place(fresh);
-  } else {
-    envelope_.resize(filtered_.size());
-    fold_.row = envelope_.data();
-    filter_.process_in_place(fresh, &fold_);
-  }
+  envelope_.resize(filtered_.size());
+  fold_.row = envelope_.data();
+  filter_.process_in_place(std::span<double>(filtered_).subspan(tail), &fold_);
   samples_fed_ += chunk.size();
-  if (filtered_.size() > config_.max_buffered_samples) {
-    // kEvictOldest: the stored prefix is lost, taking finish()'s exactness
-    // and the whole-stream envelope with it.
-    const std::size_t drop = filtered_.size() - config_.max_buffered_samples;
-    filtered_.erase(filtered_.begin(),
-                    filtered_.begin() + static_cast<std::ptrdiff_t>(drop));
-    base_ += drop;
-    std::vector<double>().swap(envelope_);
-  }
   return FeedStatus::kAccepted;
 }
 
@@ -88,26 +72,14 @@ core::EchoAnalysis StreamingSession::finish(const core::EarSonar& pipeline,
   finish_span.set_arg("samples", static_cast<std::int64_t>(samples_fed_));
   finished_ = true;
   // The folded envelope serves event detection when it covers the analyzed
-  // samples with the pipeline's window: not after an eviction, nor for a
-  // recording shorter than the window (whose fold shrinks the window).
-  const bool folded = !truncated() && fold_.count >= fold_.smooth &&
+  // samples with the pipeline's window: not for a recording shorter than
+  // the window (whose fold shrinks the window).
+  const bool folded = fold_.count >= fold_.smooth &&
                       pipeline.config().events.smooth == fold_.smooth;
   const audio::Waveform wave(std::move(filtered_), config_.pipeline.chirp.sample_rate);
   filtered_.clear();
   finish_span.end();
-  core::EchoAnalysis analysis =
-      pipeline.analyze_filtered(wave, cancel, graph, folded ? &fold_ : nullptr);
-  if (truncated()) {
-    // Evicted samples mean the analysis only saw the retained tail: the
-    // result is valid but partial — surface that as degradation.
-    std::ostringstream os;
-    os << "stream evicted " << base_ << " of " << samples_fed_ << " samples";
-    core::AnalysisQuality& quality = analysis.quality;
-    quality.drops.push_back({core::ChirpDrop::kWholeStage, "stream", os.str()});
-    quality.chirps_dropped = quality.drops.size();
-    quality.degraded = true;
-  }
-  return analysis;
+  return pipeline.analyze_filtered(wave, cancel, graph, folded ? &fold_ : nullptr);
 }
 
 }  // namespace earsonar::serve

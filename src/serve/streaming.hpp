@@ -18,13 +18,10 @@
 // same features, same diagnosis — to `EarSonar::analyze` on the whole
 // recording with the same (causal) configuration, at every chunk size.
 //
-// The sample store is bounded. When a chunk would overflow it, the session
-// either rejects the chunk (kReject — the backpressure signal a serving
-// engine propagates to the device) or drops the oldest samples (kEvictOldest
-// — continuous-monitoring mode, where finish() degrades to a best-effort
-// analysis of the retained tail and truncated() reports the loss; the
-// envelope of the whole stream no longer describes the tail, so the session
-// stops folding and event detection folds the tail itself).
+// The sample store is bounded. A chunk that would overflow it is rejected
+// with no state change — the backpressure signal a serving engine
+// propagates to the device — so the accepted stream stays contiguous and
+// finish() stays exact for everything accepted.
 //
 // The buffers grow as chunks arrive; a caller that knows the recording's
 // length up front reserves it (reserve()).
@@ -44,13 +41,8 @@ namespace earsonar::serve {
 struct StreamingConfig {
   core::PipelineConfig pipeline;  ///< must have preprocess.zero_phase = false
   /// Bound on buffered (filtered) samples: 20 s at the probe rate by default.
+  /// A chunk that would overflow it is refused (feed() returns kRejected).
   std::size_t max_buffered_samples = 20UL * 48000UL;
-  /// What to do with a chunk that would overflow the buffer.
-  enum class OverflowPolicy {
-    kReject,       ///< refuse the chunk; feed() returns kRejected
-    kEvictOldest,  ///< drop oldest samples; finish() analyzes the tail only
-  };
-  OverflowPolicy overflow = OverflowPolicy::kReject;
 
   void validate() const;
 };
@@ -66,14 +58,13 @@ class StreamingSession {
   void reserve(std::size_t samples);
 
   /// Ingests one chunk at the pipeline sample rate (any size, including
-  /// empty). Returns kRejected — with no state change — when the buffer is
-  /// full under OverflowPolicy::kReject.
+  /// empty). Returns kRejected — with no state change — when the chunk
+  /// would overflow max_buffered_samples.
   FeedStatus feed(std::span<const double> chunk);
 
   /// Ends the session and analyzes its samples through `pipeline` (see
   /// core::EarSonar::analyze_filtered), whose config must match the
-  /// session's pipeline config, with stream-level truncation folded into the
-  /// result's `quality`. Throws on a finish-guard failure (finished twice,
+  /// session's pipeline config. Throws on a finish-guard failure (finished twice,
   /// nothing fed), the degradation floor, or CancelledError once `cancel`
   /// expires. `graph` optionally receives per-stage occupancy.
   core::EchoAnalysis finish(const core::EarSonar& pipeline,
@@ -82,20 +73,16 @@ class StreamingSession {
 
   [[nodiscard]] std::size_t samples_fed() const { return samples_fed_; }
   [[nodiscard]] std::size_t samples_buffered() const { return filtered_.size(); }
-  [[nodiscard]] std::size_t samples_dropped() const { return base_; }
   [[nodiscard]] std::size_t rejected_chunks() const { return rejected_chunks_; }
-  [[nodiscard]] bool truncated() const { return base_ > 0; }
 
  private:
   StreamingConfig config_;
   dsp::BiquadCascade filter_;
 
-  std::vector<double> filtered_;  ///< filtered_[i] = absolute sample base_ + i
-  /// The power envelope of filtered_ while nothing was evicted: row
-  /// envelope_, one center per sample.
+  std::vector<double> filtered_;
+  /// The power envelope of filtered_: row envelope_, one center per sample.
   std::vector<double> envelope_;
   dsp::EnvelopeFold fold_;
-  std::size_t base_ = 0;
   std::size_t samples_fed_ = 0;
   std::size_t rejected_chunks_ = 0;
   bool finished_ = false;

@@ -144,30 +144,6 @@ TEST(CrossCorrelateTest, FindsKnownLag) {
   EXPECT_EQ(lag, 5);
 }
 
-TEST(NormalizedCorrelationTest, IdenticalIsOne) {
-  const std::vector<double> x{1, -2, 3, 0.5};
-  EXPECT_NEAR(normalized_correlation(x, x), 1.0, 1e-12);
-}
-
-TEST(NormalizedCorrelationTest, NegatedIsMinusOne) {
-  const std::vector<double> x{1, -2, 3, 0.5};
-  std::vector<double> y;
-  for (double v : x) y.push_back(-v);
-  EXPECT_NEAR(normalized_correlation(x, y), -1.0, 1e-12);
-}
-
-TEST(NormalizedCorrelationTest, SilenceGivesZero) {
-  const std::vector<double> x{0, 0, 0};
-  const std::vector<double> y{1, 2, 3};
-  EXPECT_DOUBLE_EQ(normalized_correlation(x, y), 0.0);
-}
-
-TEST(NormalizedCorrelationTest, MismatchedSizesThrow) {
-  const std::vector<double> x{1, 2};
-  const std::vector<double> y{1, 2, 3};
-  EXPECT_THROW(normalized_correlation(x, y), std::invalid_argument);
-}
-
 TEST(ConvolveTest, EmptyInputThrows) {
   const std::vector<double> x{1, 2};
   const std::vector<double> empty;

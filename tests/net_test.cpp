@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -318,17 +319,17 @@ TEST(FrameCodecTest, TypedDecodersRejectTruncation) {
 // ----------------------------------------------------------------- hash ring
 
 TEST(HashRingTest, AffinityIsDeterministic) {
-  const net::HashRing ring(4, 64);
+  const net::HashRing ring(4);
   for (std::uint64_t id = 1; id <= 100; ++id)
     EXPECT_EQ(ring.shard_for(id), ring.shard_for(id));
-  const net::HashRing same(4, 64);
+  const net::HashRing same(4);
   for (std::uint64_t id = 1; id <= 100; ++id)
     EXPECT_EQ(ring.shard_for(id), same.shard_for(id));
 }
 
 TEST(HashRingTest, BalancesAcrossShards) {
   const std::size_t shards = 4;
-  const net::HashRing ring(shards, 64);
+  const net::HashRing ring(shards);
   std::vector<std::size_t> counts(shards, 0);
   const std::size_t keys = 4000;
   for (std::uint64_t id = 1; id <= keys; ++id) ++counts[ring.shard_for(id)];
@@ -344,7 +345,7 @@ TEST(HashRingTest, BalancesAcrossShards) {
 // ids, so ids 0..63 landed exactly on shard 0's points and every small id
 // mapped to shard 0.
 TEST(HashRingTest, SequentialSmallIdsSpread) {
-  const net::HashRing ring(2, 64);
+  const net::HashRing ring(2);
   std::set<std::size_t> hit;
   for (std::uint64_t id = 1; id <= 64; ++id) hit.insert(ring.shard_for(id));
   EXPECT_EQ(hit.size(), 2u);
@@ -352,8 +353,8 @@ TEST(HashRingTest, SequentialSmallIdsSpread) {
 
 TEST(HashRingTest, ResizeRemapsMinimally) {
   const std::size_t keys = 2000;
-  const net::HashRing before(4, 64);
-  const net::HashRing after(5, 64);
+  const net::HashRing before(4);
+  const net::HashRing after(5);
   std::size_t moved = 0;
   for (std::uint64_t id = 1; id <= keys; ++id) {
     const std::size_t from = before.shard_for(id);
@@ -376,9 +377,9 @@ TEST(HashRingTest, ResizeRemapsMinimally) {
 // it restores the original mapping bit for bit.
 TEST(HashRingTest, LiveAddAndRemoveAreMinimalAndExact) {
   const std::size_t keys = 2000;
-  const net::HashRing fresh4(4, 64);
-  const net::HashRing fresh5(5, 64);
-  net::HashRing live(4, 64);
+  const net::HashRing fresh4(4);
+  const net::HashRing fresh5(5);
+  net::HashRing live(4);
 
   live.add_shard(4);
   EXPECT_TRUE(live.contains(4));
@@ -682,6 +683,121 @@ TEST(NetLoopbackTest, ChunkForUnknownSessionIsProtocolError) {
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->code, static_cast<std::uint16_t>(net::ErrorCode::kProtocol));
   server.stop();
+}
+
+// Per-frame refusals on one raw connection. Each answers with exactly one
+// Error frame carrying the documented code and keeps the connection: the
+// frame after it is the Pong to a Ping sent next. None holds a session slot
+// afterwards, and a good session on the same server still gets its Result.
+class NetRefusalTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    net::NetServerConfig cfg = small_server_config(1);
+    // Room for exactly one test recording per session.
+    cfg.shards.engine.session.max_buffered_samples = recording_.size();
+    server_ = std::make_unique<net::NetServer>(cfg);
+    server_->shards().install_model(tiny_model(), "test");
+    server_->start();
+    stream_ = net::TcpStream::connect("127.0.0.1", server_->port());
+  }
+  void TearDown() override { server_->stop(); }
+
+  net::ReadFrameResult next_frame() { return net::read_frame(stream_, arena_); }
+
+  void hello(std::uint64_t sid) {
+    net::write_frame(stream_, net::FrameType::kHello, sid,
+                     net::encode_hello({48000.0, 0.0}));
+  }
+
+  void open(std::uint64_t sid) {
+    hello(sid);
+    const net::ReadFrameResult read = next_frame();
+    ASSERT_EQ(read.kind, net::ReadFrameResult::Kind::kFrame);
+    ASSERT_EQ(read.header.type, net::FrameType::kHelloAck);
+  }
+
+  void expect_one_error(std::uint64_t sid, net::ErrorCode code) {
+    net::ReadFrameResult read = next_frame();
+    ASSERT_EQ(read.kind, net::ReadFrameResult::Kind::kFrame);
+    ASSERT_EQ(read.header.type, net::FrameType::kError);
+    EXPECT_EQ(read.header.session_id, sid);
+    const auto status = net::decode_status(net::payload_bytes(arena_, read.header));
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->code, static_cast<std::uint16_t>(code)) << status->message;
+    net::write_frame(stream_, net::FrameType::kPing, 0, {});
+    read = next_frame();
+    ASSERT_EQ(read.kind, net::ReadFrameResult::Kind::kFrame);
+    EXPECT_EQ(read.header.type, net::FrameType::kPong);
+  }
+
+  void expect_server_clean() {
+    EXPECT_EQ(server_->shards().sessions_active(0), 0);
+    net::NetClient client("127.0.0.1", server_->port());
+    net::SessionOptions options;
+    options.session_id = 99;
+    EXPECT_EQ(client.run_session(recording_, options).kind,
+              net::SessionOutcome::Kind::kResult);
+  }
+
+  const audio::Waveform recording_ = test_recording();
+  std::unique_ptr<net::NetServer> server_;
+  net::TcpStream stream_;
+  std::vector<double> arena_;
+};
+
+TEST_F(NetRefusalTest, ChunkPastSessionBufferIsStreamOverflow) {
+  open(1);
+  net::write_chunk_frame(stream_, 1, recording_.view());  // fills the buffer
+  const double one[1] = {0.0};
+  net::write_chunk_frame(stream_, 1, one);
+  expect_one_error(1, net::ErrorCode::kStreamOverflow);
+  expect_server_clean();
+}
+
+TEST_F(NetRefusalTest, ChunkLengthNotAMultipleOfEightIsBadFrame) {
+  open(2);
+  const std::uint8_t bytes[12] = {};
+  net::write_frame(stream_, net::FrameType::kChunk, 2, bytes);
+  expect_one_error(2, net::ErrorCode::kBadFrame);
+  expect_server_clean();
+}
+
+TEST_F(NetRefusalTest, SecondHelloForAnOpenSessionIsProtocolError) {
+  open(3);
+  hello(3);
+  expect_one_error(3, net::ErrorCode::kProtocol);
+  // The open session is untouched: it still streams and gets its Result.
+  EXPECT_EQ(server_->shards().sessions_active(0), 1);
+  net::write_chunk_frame(stream_, 3, recording_.view());
+  net::write_frame(stream_, net::FrameType::kFinish, 3, {});
+  const net::ReadFrameResult read = next_frame();
+  ASSERT_EQ(read.kind, net::ReadFrameResult::Kind::kFrame);
+  EXPECT_EQ(read.header.type, net::FrameType::kResult);
+  expect_server_clean();
+}
+
+TEST_F(NetRefusalTest, HelloForSessionZeroIsProtocolError) {
+  hello(0);
+  expect_one_error(0, net::ErrorCode::kProtocol);
+  expect_server_clean();
+}
+
+TEST_F(NetRefusalTest, FinishForUnknownSessionIsProtocolError) {
+  net::write_frame(stream_, net::FrameType::kFinish, 4, {});
+  expect_one_error(4, net::ErrorCode::kProtocol);
+  expect_server_clean();
+}
+
+TEST_F(NetRefusalTest, ServerToClientFrameTypesAreProtocolErrors) {
+  for (net::FrameType type :
+       {net::FrameType::kHelloAck, net::FrameType::kResult, net::FrameType::kReject,
+        net::FrameType::kError, net::FrameType::kPong, net::FrameType::kStatsReply,
+        net::FrameType::kAdminReply}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    net::write_frame(stream_, type, 5, {});
+    expect_one_error(5, net::ErrorCode::kProtocol);
+  }
+  expect_server_clean();
 }
 
 TEST(NetLoopbackTest, HelloWithNonzeroSeventeenthByteIsRefused) {

@@ -360,22 +360,7 @@ TEST(StreamingSessionTest, RejectPolicyRefusesOverflowWithoutStateChange) {
   EXPECT_EQ(session.feed(chunk), serve::FeedStatus::kRejected);
   EXPECT_EQ(session.samples_fed(), 1500u);
   EXPECT_EQ(session.rejected_chunks(), 1u);
-  EXPECT_FALSE(session.truncated());
-}
-
-TEST(StreamingSessionTest, EvictPolicyKeepsTail) {
-  serve::StreamingConfig sc;
-  sc.pipeline = causal_config();
-  sc.max_buffered_samples = 2048;
-  sc.overflow = serve::StreamingConfig::OverflowPolicy::kEvictOldest;
-  serve::StreamingSession session(sc);
-  const std::vector<double> chunk(1500, 0.0);
-  EXPECT_EQ(session.feed(chunk), serve::FeedStatus::kAccepted);
-  EXPECT_EQ(session.feed(chunk), serve::FeedStatus::kAccepted);
-  EXPECT_EQ(session.samples_fed(), 3000u);
-  EXPECT_EQ(session.samples_buffered(), 2048u);
-  EXPECT_EQ(session.samples_dropped(), 952u);
-  EXPECT_TRUE(session.truncated());
+  EXPECT_EQ(session.samples_buffered(), 1500u);
 }
 
 TEST(StreamingSessionTest, LifecycleErrors) {
@@ -402,10 +387,18 @@ serve::EngineConfig small_engine(std::size_t workers, std::size_t queue) {
   return cfg;
 }
 
-// A CPU-bound request that keeps a lone worker busy far longer than a test
-// takes to submit its backlog: the test recording tiled to ten seconds and
-// fed one sample per chunk (~0.1 s of ingest in a Release build). Nothing
-// sleeps; the worker is simply busy.
+// One worker that ingests one sample per chunk, so busy_request() keeps it
+// busy; the other requests a test submits are short enough not to notice.
+serve::EngineConfig busy_engine(std::size_t queue) {
+  serve::EngineConfig cfg = small_engine(1, queue);
+  cfg.chunk_samples = 1;
+  return cfg;
+}
+
+// A CPU-bound request that keeps a busy_engine()'s worker busy far longer
+// than a test takes to submit its backlog: the test recording tiled to ten
+// seconds, fed one sample per chunk (~0.1 s of ingest in a Release build).
+// Nothing sleeps; the worker is simply busy.
 serve::ServeRequest busy_request(const std::string& id) {
   const audio::Waveform tile = test_recording();
   std::vector<double> samples;
@@ -414,7 +407,6 @@ serve::ServeRequest busy_request(const std::string& id) {
   serve::ServeRequest request;
   request.id = id;
   request.recording = audio::Waveform(std::move(samples), tile.sample_rate());
-  request.chunk_samples = 1;
   return request;
 }
 
@@ -464,7 +456,7 @@ TEST(ServingEngineTest, DiagnosesMatchDirectPrediction) {
 
 TEST(ServingEngineTest, FullQueueRejectsWithReasonAndDropsNothing) {
   const audio::Waveform recording = test_recording();
-  serve::ServingEngine engine(small_engine(1, 2));
+  serve::ServingEngine engine(busy_engine(2));
   engine.registry().install(tiny_model(), "test");
   engine.start();
 
@@ -480,7 +472,6 @@ TEST(ServingEngineTest, FullQueueRejectsWithReasonAndDropsNothing) {
     serve::ServeRequest request;
     request.id = "r" + std::to_string(i);
     request.recording = recording;
-    request.chunk_samples = recording.size() / 4 + 1;
     serve::Submission sub = engine.submit(std::move(request));
     if (sub.accepted) {
       accepted.push_back(std::move(sub.result));
@@ -599,13 +590,50 @@ TEST(ServingEngineTest, StopDrainsAcceptedWorkAndRestarts) {
   engine.stop();
 }
 
+// A whole recording longer than the session buffer fails as a whole. With a
+// 2,048-sample bound and 1,500-sample chunks, a 3,100-sample recording has
+// its second chunk refused; feeding on would accept the third and analyze
+// chunks 1 and 3 spliced together as if they were one capture.
+TEST(ServingEngineTest, RecordingPastSessionBufferFailsInsteadOfSplicing) {
+  serve::EngineConfig cfg = small_engine(1, 4);
+  cfg.chunk_samples = 1500;
+  cfg.session.max_buffered_samples = 2048;
+  serve::ServingEngine engine(cfg);
+  engine.registry().install(tiny_model(), "test");
+  engine.start();
+
+  const audio::Waveform tile = test_recording();
+  std::vector<double> samples;
+  while (samples.size() < 3100)
+    samples.insert(samples.end(), tile.samples().begin(), tile.samples().end());
+  samples.resize(3100);
+  serve::Submission sub = engine.submit(
+      {"long", audio::Waveform(std::move(samples), tile.sample_rate())});
+  ASSERT_TRUE(sub.accepted) << sub.reason;
+  const serve::ServeResult result = sub.result.get();
+  EXPECT_FALSE(result.deadline_exceeded);
+  EXPECT_FALSE(result.usable);
+  EXPECT_NE(result.error.find("2048"), std::string::npos) << result.error;
+  EXPECT_EQ(engine.metrics().chunks_fed.load(), 1u);  // chunk 3 never fed
+
+  // The worker serves the next request, one that fits, normally.
+  const std::vector<double> head(tile.samples().begin(), tile.samples().begin() + 2048);
+  serve::Submission next = engine.submit({"short", audio::Waveform(head, tile.sample_rate())});
+  ASSERT_TRUE(next.accepted) << next.reason;
+  const serve::ServeResult short_result = next.result.get();
+  EXPECT_TRUE(short_result.error.empty()) << short_result.error;
+  engine.stop();
+  EXPECT_EQ(engine.metrics().failed.load(), 1u);
+  EXPECT_EQ(engine.metrics().completed.load(), 1u);
+}
+
 // ------------------------------------------------------------- chaos: faults
 // and deadlines. These arm fault points / tight deadlines and assert the
 // engine degrades exactly as documented — sheds, isolates, keeps serving.
 
 TEST(ServingEngineChaosTest, ExpiredDeadlineIsShedWithoutPipelineWork) {
   const audio::Waveform recording = test_recording();
-  serve::ServingEngine engine(small_engine(1, 8));
+  serve::ServingEngine engine(busy_engine(8));
   engine.registry().install(tiny_model(), "test");
   engine.start();
 
@@ -646,7 +674,7 @@ TEST(ServingEngineChaosTest, ExpiredDeadlineIsShedWithoutPipelineWork) {
 // collected, so its queue wait covers the batch-mate's whole run and no
 // pipeline stage sees it.
 TEST(ServingEngineChaosTest, DeadlinePassingBehindBatchMateIsShedWhenItStarts) {
-  serve::EngineConfig cfg = small_engine(1, 8);
+  serve::EngineConfig cfg = busy_engine(8);
   cfg.batch_max = 2;
   cfg.batch_wait_us = 10'000'000;  // the batch closes when the second job lands
   serve::ServingEngine engine(cfg);
@@ -679,7 +707,7 @@ TEST(ServingEngineChaosTest, DeadlinePassingBehindBatchMateIsShedWhenItStarts) {
 }
 
 TEST(ServingEngineChaosTest, MidIngestDeadlineCancelsBetweenChunks) {
-  serve::ServingEngine engine(small_engine(1, 4));
+  serve::ServingEngine engine(busy_engine(4));
   engine.start();
   // The deadline expires while the worker is still feeding chunks; it must
   // abandon the session at the next chunk boundary instead of finishing.
@@ -767,7 +795,7 @@ TEST(ServingEngineChaosTest, DegradedRequestCompletesAndIsCounted) {
 TEST(ServingEngineTest, BacklogBehindBusyWorkerRunsOnceWithExactCounters) {
   const audio::Waveform recording = test_recording();
 
-  serve::EngineConfig cfg = small_engine(1, 32);
+  serve::EngineConfig cfg = busy_engine(32);
   cfg.batch_max = 16;
   cfg.batch_wait_us = 0;  // batch whatever is queued, no linger needed
   serve::ServingEngine engine(cfg);

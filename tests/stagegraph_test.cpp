@@ -425,7 +425,10 @@ TEST(StageGraphEngineTest, StreamFeedFaultFailsOnlyItsJobInABatch) {
     baselines.push_back(pipeline.analyze(recordings.back()));
   }
 
-  serve::ServingEngine engine(one_batch_engine(kRequests));
+  serve::EngineConfig cfg = one_batch_engine(kRequests);
+  for (const audio::Waveform& recording : recordings)  // one feed per job
+    cfg.chunk_samples = std::max(cfg.chunk_samples, recording.size());
+  serve::ServingEngine engine(cfg);
   std::vector<serve::ServeResult> results;
   {
     fault::ScopedFault guard("serve.stream.feed=nth:2");
@@ -435,7 +438,6 @@ TEST(StageGraphEngineTest, StreamFeedFaultFailsOnlyItsJobInABatch) {
       serve::ServeRequest request;
       request.id = "r" + std::to_string(i);
       request.recording = recordings[i];
-      request.chunk_samples = recordings[i].size();  // one feed per job
       serve::Submission sub = engine.submit(std::move(request));
       ASSERT_TRUE(sub.accepted) << sub.reason;
       futures.push_back(std::move(sub.result));
