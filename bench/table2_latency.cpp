@@ -145,8 +145,7 @@ BENCHMARK(BM_EchoSegmentation)->Unit(benchmark::kMillisecond);
 
 void BM_FeatureExtraction(benchmark::State& state) {
   // Paper "Feature Extract": echo spectra + the 105-dim vector.
-  core::FeatureExtractor extractor;
-  extractor.set_reference(audio::FmcwConfig{});
+  const core::FeatureExtractor extractor;
   const core::Preprocessor pre;
   const audio::Waveform filtered = pre.process(fixture().recording);
   for (auto _ : state)
@@ -157,9 +156,7 @@ BENCHMARK(BM_FeatureExtraction)->Unit(benchmark::kMillisecond);
 // extract_all over one served recording's echoes: groups of four, the last
 // one padded with zero lanes.
 void BM_EchoPsdServed(benchmark::State& state) {
-  core::FeatureExtractor extractor;
-  extractor.set_reference(audio::FmcwConfig{});
-  const core::EchoSpectrumExtractor& psd = extractor.spectrum_extractor();
+  const core::EchoSpectrumExtractor psd;
   state.counters["echoes"] = static_cast<double>(served().echoes.size());
   for (auto _ : state)
     benchmark::DoNotOptimize(psd.extract_all(served().filtered, served().echoes));
@@ -170,8 +167,7 @@ BENCHMARK(BM_EchoPsdServed)->Unit(benchmark::kMicrosecond);
 // after the echo_psd pass): time-group means, their MFCCs, the mean
 // spectrum and the 105-element vector.
 void BM_FeaturesServed(benchmark::State& state) {
-  core::FeatureExtractor extractor;
-  extractor.set_reference(audio::FmcwConfig{});
+  const core::FeatureExtractor extractor;
   const std::vector<double> rows =
       extractor.spectrum_extractor().extract_all(served().filtered, served().echoes);
   const std::size_t echoes = served().echoes.size();

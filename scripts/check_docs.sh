@@ -8,8 +8,9 @@
 #      subcommand, and must mention every --flag that the subcommand's
 #      `--help` output advertises (skipped when the binary is not built).
 #   3. docs/observability.md must enumerate every earsonar_serve_* metric
-#      name exported by src/serve/metrics.cpp and src/serve/engine.cpp, and
-#      every earsonar_net_* metric name exported by src/net/.
+#      name exported by src/serve/metrics.cpp (spelled out, or as an
+#      emit_counter name the prefix is added to) and src/serve/engine.cpp,
+#      and every earsonar_net_* metric name exported by src/net/.
 #   4. docs/robustness.md must catalog every fault point registered in the
 #      source tree (each fault::point("...") call site), and every point its
 #      catalog table lists must have such a call site.
@@ -26,6 +27,10 @@
 #      --batch-* flag the CLI parses.
 #   8. docs/workloads.md (the longitudinal screening reference) must exist
 #      and be linked from README.md and docs/architecture.md.
+#   9. The probe numbers DESIGN.md §1 step 1 states ("16→20 kHz, chirp
+#      duration T = 0.5 ms, inter-chirp interval 5 ms, 48 kHz sample rate")
+#      must equal the audio::FmcwConfig defaults in src/audio/chirp.hpp, the
+#      one place the program states the probe.
 set -eu
 
 ROOT=${1:?usage: check_docs.sh REPO_ROOT [EARSONAR_BIN]}
@@ -88,6 +93,11 @@ if [ -f "$OBS_DOC" ]; then
               "$ROOT/src/pipeline/stage_graph.cpp" \
               | sort -u) || true
   [ -n "$metrics" ] || err "no exported metric names found in src/serve/"
+  # ServeMetrics::text_snapshot writes the prefix inside emit_counter.
+  counters=$(grep -ohE 'emit_counter\(out, "[a-z_]+' "$ROOT/src/serve/metrics.cpp" \
+               | sed 's/.*"/earsonar_serve_/' | sort -u) || true
+  [ -n "$counters" ] || err "no emit_counter call sites found in src/serve/metrics.cpp"
+  metrics="$metrics $counters"
   for m in $metrics; do
     grep -qF "$m" "$OBS_DOC" \
       || err "docs/observability.md does not document metric '$m'"
@@ -230,6 +240,36 @@ if [ -f "$WORKLOADS_DOC" ]; then
     || err "README.md does not link docs/workloads.md"
   grep -q "docs/workloads.md" "$ARCH_DOC" \
     || err "docs/architecture.md does not link docs/workloads.md"
+fi
+
+# ---- 9. probe design vs DESIGN.md -----------------------------------------
+CHIRP_HPP="$ROOT/src/audio/chirp.hpp"
+DESIGN_DOC="$ROOT/DESIGN.md"
+# The default of one FmcwConfig field, e.g. `double start_hz = 16000.0;`.
+probe_default() {
+  sed -n '/^struct FmcwConfig {/,/^};/p' "$CHIRP_HPP" \
+    | sed -n "s/^ *double $1 = \([0-9.]*\);.*/\1/p"
+}
+start=$(probe_default start_hz)
+bandwidth=$(probe_default bandwidth_hz)
+duration=$(probe_default duration_s)
+interval=$(probe_default interval_s)
+rate=$(probe_default sample_rate)
+if [ -z "$start" ] || [ -z "$bandwidth" ] || [ -z "$duration" ] || \
+   [ -z "$interval" ] || [ -z "$rate" ]; then
+  err "cannot parse the FmcwConfig defaults in src/audio/chirp.hpp"
+else
+  # kHz and ms as DESIGN.md writes them: 16000.0 -> 16, 0.0005 -> 0.5.
+  khz() { awk -v v="$1" 'BEGIN { printf "%g", v / 1000 }'; }
+  ms() { awk -v v="$1" 'BEGIN { printf "%g", v * 1000 }'; }
+  want="$(khz "$start")→$(khz "$(awk -v a="$start" -v b="$bandwidth" 'BEGIN { print a + b }')") kHz"
+  step=$(sed -n '/^1\. \*\*Acoustic signal collection\*\*/,/^2\. /p' "$DESIGN_DOC" | tr '\n' ' ')
+  [ -n "$step" ] || err "DESIGN.md §1 has no 'Acoustic signal collection' step"
+  for phrase in "$want" "T = $(ms "$duration") ms" "interval $(ms "$interval") ms" \
+                "$(khz "$rate") kHz sample rate"; do
+    printf '%s\n' "$step" | grep -qF -- "$phrase" \
+      || err "DESIGN.md §1 step 1 does not state the FmcwConfig default '$phrase'"
+  done
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -56,12 +56,6 @@ Waveform make_chirp_train(const FmcwConfig& config, std::size_t chirp_count) {
   return train;
 }
 
-double chirp_instantaneous_hz(const FmcwConfig& config, double t_seconds) {
-  require(t_seconds >= 0.0 && t_seconds <= config.duration_s,
-          "chirp_instantaneous_hz: t outside [0, T]");
-  return config.start_hz + config.bandwidth_hz * t_seconds / config.duration_s;
-}
-
 std::size_t chirp_start_sample(const FmcwConfig& config, std::size_t chirp_index) {
   return chirp_index * config.interval_samples();
 }

@@ -41,9 +41,6 @@ Waveform make_chirp(const FmcwConfig& config);
 /// total length = chirp_count * interval_samples.
 Waveform make_chirp_train(const FmcwConfig& config, std::size_t chirp_count);
 
-/// Instantaneous frequency of the chirp at time t within [0, T].
-double chirp_instantaneous_hz(const FmcwConfig& config, double t_seconds);
-
 /// Start sample of chirp k within a train.
 std::size_t chirp_start_sample(const FmcwConfig& config, std::size_t chirp_index);
 

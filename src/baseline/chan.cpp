@@ -14,8 +14,6 @@ ChanDetector::ChanDetector(ChanConfig config)
         lc.classes = config.classes;
         return lc;
       }()) {
-  require(config_.band_low_hz > 0.0 && config_.band_low_hz < config_.band_high_hz,
-          "ChanConfig: need 0 < low < high");
   require(config_.coarse_bands >= 2, "ChanConfig: need >= 2 coarse bands");
   require(config_.welch_segment >= 16, "ChanConfig: welch_segment too small");
 
@@ -26,7 +24,7 @@ ChanDetector::ChanDetector(ChanConfig config)
   const dsp::Spectrum psd =
       dsp::welch_psd(tmpl.view(), config_.chirp.sample_rate, config_.welch_segment);
   const dsp::Spectrum band =
-      dsp::band_slice(psd, config_.band_low_hz, config_.band_high_hz);
+      dsp::band_slice(psd, config_.chirp.start_hz, config_.chirp.end_hz());
   require(band.size() >= config_.coarse_bands, "ChanConfig: band too narrow");
   reference_band_psd_ = band.psd;
   reference_freqs_ = band.frequency_hz;
@@ -47,7 +45,9 @@ std::vector<double> ChanDetector::extract_features(
   // weakness: no event detection, no echo segmentation.
   const dsp::Spectrum psd =
       dsp::welch_psd(recording.view(), recording.sample_rate(), config_.welch_segment);
-  dsp::Spectrum band = dsp::band_slice(psd, config_.band_low_hz, config_.band_high_hz);
+  const double band_low = config_.chirp.start_hz;
+  const double band_high = config_.chirp.end_hz();
+  dsp::Spectrum band = dsp::band_slice(psd, band_low, band_high);
   require(band.size() == reference_band_psd_.size(),
           "ChanDetector: recording sample rate does not match the probe design");
   for (std::size_t i = 0; i < band.size(); ++i) band.psd[i] /= reference_band_psd_[i];
@@ -64,12 +64,9 @@ std::vector<double> ChanDetector::extract_features(
     features.push_back(std::log(std::max(acc, 1e-12)));
   }
 
-  const dsp::SpectralDip dip =
-      dsp::find_dip(band, config_.band_low_hz, config_.band_high_hz);
-  const double span = config_.band_high_hz - config_.band_low_hz;
-  features.push_back(dip.frequency_hz > 0.0
-                         ? (dip.frequency_hz - config_.band_low_hz) / span
-                         : 0.5);
+  const dsp::SpectralDip dip = dsp::find_dip(band, band_low, band_high);
+  const double span = band_high - band_low;
+  features.push_back(dip.frequency_hz > 0.0 ? (dip.frequency_hz - band_low) / span : 0.5);
   features.push_back(dip.depth);
   return features;
 }

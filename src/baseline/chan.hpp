@@ -7,6 +7,9 @@
 // fine-grained echo segmentation and no MFCC/selection stage (the paper's
 // §I critique: "they did not perform fine-grained segmentation and analysis
 // on the signal, so the detection accuracy did not exceed 85%").
+//
+// The probe design is stated once, in ChanConfig::chirp (audio::FmcwConfig):
+// its band is the band the features read.
 #pragma once
 
 #include <cstddef>
@@ -21,10 +24,9 @@
 namespace earsonar::baseline {
 
 struct ChanConfig {
-  audio::FmcwConfig chirp;        ///< probe design; its spectrum is the
-                                  ///< transmit reference the PSD is divided by
-  double band_low_hz = 16000.0;
-  double band_high_hz = 20000.0;
+  audio::FmcwConfig chirp;        ///< probe design; its band is the analysis
+                                  ///< band and its spectrum the transmit
+                                  ///< reference the PSD is divided by
   std::size_t coarse_bands = 8;   ///< spectral resolution of the features
   std::size_t welch_segment = 256;
   std::size_t classes = 4;

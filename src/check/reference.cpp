@@ -201,6 +201,7 @@ std::vector<double> echo_psd_row_unpruned(std::span<const double> signal,
                                           std::ptrdiff_t start, std::size_t length,
                                           double sample_rate,
                                           const core::SpectrumConfig& config,
+                                          const audio::FmcwConfig& probe,
                                           std::span<const double> reference) {
   const std::size_t n = config.fft_size;
   require(length <= n, "echo_psd_row_unpruned: window longer than the transform");
@@ -219,8 +220,7 @@ std::vector<double> echo_psd_row_unpruned(std::span<const double> signal,
   for (std::size_t k = 0; k < full.psd.size(); ++k)
     full.frequency_hz[k] = dsp::bin_frequency(k, n, sample_rate);
   std::vector<double> row =
-      dsp::resample_spectrum(full, config.band_low_hz, config.band_high_hz,
-                             config.band_bins)
+      dsp::resample_spectrum(full, probe.start_hz, probe.end_hz(), config.band_bins)
           .psd;
   if (!reference.empty()) {
     require(reference.size() == row.size(), "echo_psd_row_unpruned: reference size");
@@ -332,21 +332,22 @@ std::vector<core::Event> event_detect_naive(std::span<const double> signal,
 
 std::optional<core::EchoSegment> segment_naive(std::span<const double> signal,
                                                const core::Event& event,
-                                               const core::SegmenterConfig& config) {
+                                               const core::SegmenterConfig& config,
+                                               const audio::FmcwConfig& probe) {
   require(event.start < event.end && event.end <= signal.size(),
           "segment_naive: event outside signal");
   const std::span<const double> x = signal.subspan(event.start, event.length());
-  const double fs = config.sample_rate;
+  const double fs = probe.sample_rate;
   const double min_offset = echo_delay_seconds(config.min_distance_m) * fs;
   const double max_offset = echo_delay_seconds(config.max_distance_m) * fs;
   if (static_cast<double>(x.size()) < min_offset + 4.0) return std::nullopt;
 
   // Direct pulse: T/2 after the emission-grid point nearest the event start.
-  const double interval = config.chirp_interval_s * fs;
+  const double interval = probe.interval_s * fs;
   const double grid_start =
       std::round(static_cast<double>(event.start) / interval) * interval;
   const auto direct_rel = static_cast<std::ptrdiff_t>(
-                              std::lround(grid_start + config.chirp_duration_s * fs / 2.0)) -
+                              std::lround(grid_start + probe.duration_s * fs / 2.0)) -
                           static_cast<std::ptrdiff_t>(event.start);
   const auto direct = static_cast<std::size_t>(
       std::clamp<std::ptrdiff_t>(direct_rel, 0, static_cast<std::ptrdiff_t>(x.size()) - 1));

@@ -77,13 +77,15 @@ std::vector<double> band_mfcc_naive(const dsp::Spectrum& spectrum,
 /// One band-PSD row of core::EchoSpectrumExtractor without the pruned
 /// transform: samples [start, start + length) of `signal` (zero outside it)
 /// zero-padded to config.fft_size, dsp::FftPlan::power_spectrum over every
-/// bin scaled by 1/fft_size, dsp::resample_spectrum onto the band grid, then
-/// divided element-wise by `reference` unless it is empty. The reference of
-/// the `dsp.psd.band` pair at the extractor level.
+/// bin scaled by 1/fft_size, dsp::resample_spectrum onto config.band_bins
+/// points across the probe's chirp band, then divided element-wise by
+/// `reference` unless it is empty. The reference of the `dsp.psd.band` pair
+/// at the extractor level.
 std::vector<double> echo_psd_row_unpruned(std::span<const double> signal,
                                           std::ptrdiff_t start, std::size_t length,
                                           double sample_rate,
                                           const core::SpectrumConfig& config,
+                                          const audio::FmcwConfig& probe,
                                           std::span<const double> reference = {});
 
 /// core::AdaptiveEventDetector::detect written out plainly: a materialized
@@ -97,11 +99,13 @@ std::vector<core::Event> event_detect_naive(std::span<const double> signal,
 /// auto-convolution over every lag (convolve_naive), the parity test at every
 /// local maximum of its magnitude, and only then the echo-distance window
 /// behind the grid-anchored direct pulse; the strongest |x| sample in that
-/// window when no candidate qualifies. `signal` is the whole recording and
-/// `event` indexes into it.
+/// window when no candidate qualifies. `signal` is the whole recording,
+/// sampled at probe.sample_rate, and `event` indexes into it; the emission
+/// grid is the probe's (probe.interval_s, probe.duration_s).
 std::optional<core::EchoSegment> segment_naive(std::span<const double> signal,
                                                const core::Event& event,
-                                               const core::SegmenterConfig& config);
+                                               const core::SegmenterConfig& config,
+                                               const audio::FmcwConfig& probe);
 
 /// ml::laplacian_scores written out densely: the full n x n distance and
 /// heat-kernel weight matrices, a full stable sort of every row to pick the k

@@ -13,31 +13,10 @@ double amplitude_to_db(double amplitude_ratio) {
 
 double db_to_amplitude(double db) { return std::pow(10.0, db / 20.0); }
 
-double power_to_db(double power_ratio) {
-  require_positive("power_ratio", power_ratio);
-  return 10.0 * std::log10(power_ratio);
-}
-
-double db_to_power(double db) { return std::pow(10.0, db / 10.0); }
-
-double spl_to_pressure_pa(double spl_db) {
-  return kReferencePressurePa * db_to_amplitude(spl_db);
-}
-
-double pressure_pa_to_spl(double pressure_pa) {
-  require_positive("pressure_pa", pressure_pa);
-  return amplitude_to_db(pressure_pa / kReferencePressurePa);
-}
-
 double echo_delay_seconds(double distance_m, double speed) {
   require_positive("distance_m", distance_m);
   require_positive("speed", speed);
   return 2.0 * distance_m / speed;
-}
-
-std::size_t echo_delay_samples(double distance_m, double sample_rate, double speed) {
-  require_positive("sample_rate", sample_rate);
-  return static_cast<std::size_t>(std::lround(echo_delay_seconds(distance_m, speed) * sample_rate));
 }
 
 double samples_to_distance_m(double samples, double sample_rate, double speed) {

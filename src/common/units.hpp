@@ -1,8 +1,6 @@
 // Physical constants and unit conversions used across the acoustic stack.
 #pragma once
 
-#include <cstddef>
-
 namespace earsonar {
 
 /// Speed of sound in air at ~20 degC, m/s. The ear canal is body temperature,
@@ -19,33 +17,14 @@ inline constexpr double kAirDensity = 1.204;
 /// Density of water, kg/m^3 (serous effusion is close to this).
 inline constexpr double kWaterDensity = 998.0;
 
-/// Reference sound pressure for dB SPL, Pa.
-inline constexpr double kReferencePressurePa = 20e-6;
-
 /// Converts a linear amplitude ratio to decibels.
 double amplitude_to_db(double amplitude_ratio);
 
 /// Converts decibels to a linear amplitude ratio.
 double db_to_amplitude(double db);
 
-/// Converts a power ratio to decibels.
-double power_to_db(double power_ratio);
-
-/// Converts decibels to a power ratio.
-double db_to_power(double db);
-
-/// RMS pressure (Pa) of a tone at the given sound pressure level.
-double spl_to_pressure_pa(double spl_db);
-
-/// Sound pressure level (dB) of the given RMS pressure.
-double pressure_pa_to_spl(double pressure_pa);
-
 /// Round-trip echo delay in seconds for a reflector `distance_m` away.
 double echo_delay_seconds(double distance_m, double speed = kSpeedOfSoundAir);
-
-/// Round-trip echo delay in whole samples (nearest) at `sample_rate` Hz.
-std::size_t echo_delay_samples(double distance_m, double sample_rate,
-                               double speed = kSpeedOfSoundAir);
 
 /// One-way distance (m) corresponding to a round-trip delay of `samples`.
 double samples_to_distance_m(double samples, double sample_rate,

@@ -26,18 +26,19 @@ struct PsdPlan {
   std::vector<std::size_t> rs_lo, rs_hi;
   std::vector<double> rs_t;
 
-  [[nodiscard]] bool matches(const SpectrumConfig& c, std::size_t len, double rate) const {
+  [[nodiscard]] bool matches(const SpectrumConfig& c, const audio::FmcwConfig& probe,
+                             std::size_t len, double rate) const {
     return fs == rate && n == c.fft_size && window_len == len && bins == c.band_bins &&
-           low == c.band_low_hz && high == c.band_high_hz;
+           low == probe.start_hz && high == probe.end_hz();
   }
 };
 
-PsdPlan build_psd_plan(const SpectrumConfig& c, std::size_t window_len, double fs,
-                       const std::vector<double>& grid) {
+PsdPlan build_psd_plan(const SpectrumConfig& c, const audio::FmcwConfig& probe,
+                       std::size_t window_len, double fs, const std::vector<double>& grid) {
   PsdPlan plan;
   plan.fs = fs;
-  plan.low = c.band_low_hz;
-  plan.high = c.band_high_hz;
+  plan.low = probe.start_hz;
+  plan.high = probe.end_hz();
   plan.n = c.fft_size;
   plan.window_len = window_len;
   plan.bins = c.band_bins;
@@ -82,13 +83,13 @@ struct PsdScratch {
   std::vector<double> edge;  ///< zero-filled copies of edge-crossing windows
   std::vector<double> spare;  ///< output row of a group's unused lanes
 
-  const PsdPlan& plan(const SpectrumConfig& c, std::size_t window_len, double fs,
-                      const std::vector<double>& grid) {
+  const PsdPlan& plan(const SpectrumConfig& c, const audio::FmcwConfig& probe,
+                      std::size_t window_len, double fs, const std::vector<double>& grid) {
     for (const PsdPlan& p : plans)
-      if (p.matches(c, window_len, fs)) return p;
+      if (p.matches(c, probe, window_len, fs)) return p;
     constexpr std::size_t kMaxPlans = 8;
     if (plans.size() == kMaxPlans) plans.erase(plans.begin());
-    return plans.emplace_back(build_psd_plan(c, window_len, fs, grid));
+    return plans.emplace_back(build_psd_plan(c, probe, window_len, fs, grid));
   }
 };
 
@@ -136,29 +137,29 @@ void SpectrumConfig::validate() const {
   require(event_window_length + 1 <= fft_size && pre_peak + post_peak + 1 <= fft_size &&
               gate_length + 1 <= fft_size,
           "SpectrumConfig: fft_size must hold every analysis window");
-  require(band_low_hz > 0.0 && band_low_hz < band_high_hz,
-          "SpectrumConfig: need 0 < low < high");
   require(band_bins >= 8, "SpectrumConfig: need >= 8 band bins");
 }
 
-EchoSpectrumExtractor::EchoSpectrumExtractor(SpectrumConfig config) : config_(config) {
+EchoSpectrumExtractor::EchoSpectrumExtractor(SpectrumConfig config,
+                                             const audio::FmcwConfig& probe)
+    : config_(config), probe_(probe) {
   config_.validate();
+  const double low = probe_.start_hz;
+  const double high = probe_.end_hz();
   grid_.resize(config_.band_bins);
   for (std::size_t i = 0; i < grid_.size(); ++i)
-    grid_[i] = config_.band_low_hz + (config_.band_high_hz - config_.band_low_hz) *
-                                         static_cast<double>(i) /
-                                         static_cast<double>(grid_.size() - 1);
-}
+    grid_[i] = low + (high - low) * static_cast<double>(i) /
+                         static_cast<double>(grid_.size() - 1);
 
-void EchoSpectrumExtractor::set_reference(const audio::FmcwConfig& chirp) {
-  // The clean chirp, padded into an event-length buffer at its natural
-  // position and pushed through the identical window/FFT processing.
-  const audio::Waveform pulse = audio::make_chirp(chirp);
+  // The transmit reference: the clean chirp, padded into an event-length
+  // buffer at its natural position and pushed through the identical
+  // window/FFT processing.
+  const audio::Waveform pulse = audio::make_chirp(probe_);
   const std::size_t len =
       std::max({config_.event_window_length, config_.pre_peak + config_.post_peak,
                 config_.gate_start + config_.gate_length}) +
       pulse.size() + 8;
-  audio::Waveform padded = audio::Waveform::silence(len, chirp.sample_rate);
+  audio::Waveform padded = audio::Waveform::silence(len, probe_.sample_rate);
   padded.add_at(pulse, 0);
   // kEventStart reads the event window from the pulse's first sample. The
   // clean pulse peaks mid-chirp, so kEchoPeak centers its window there; the
@@ -174,7 +175,7 @@ void EchoSpectrumExtractor::set_reference(const audio::FmcwConfig& chirp) {
   run_windows({&window, 1}, g.pre + g.post + 1, padded.sample_rate(), nullptr);
   // Guard against divisions by near-zero edge bins.
   const double peak = max_value(row);
-  ensure(peak > 0.0, "set_reference: silent reference");
+  ensure(peak > 0.0, "EchoSpectrumExtractor: silent reference");
   for (double& v : row) v = std::max(v, 1e-4 * peak);
   reference_ = std::move(row);
 }
@@ -183,7 +184,7 @@ void EchoSpectrumExtractor::run_windows(std::span<const Window> windows,
                                         std::size_t window_len, double fs,
                                         const double* reference) const {
   PsdScratch& s = psd_scratch();
-  const PsdPlan& plan = s.plan(config_, window_len, fs, grid_);
+  const PsdPlan& plan = s.plan(config_, probe_, window_len, fs, grid_);
   const dsp::BandPsdPlan& transform = *plan.transform;
   const std::size_t bins = grid_.size();
   const double scale = 1.0 / static_cast<double>(config_.fft_size);
@@ -248,8 +249,7 @@ std::vector<double> EchoSpectrumExtractor::extract_all(
   const std::size_t bins = grid_.size();
   std::vector<double> out(echoes.size() * bins);
   if (echoes.empty()) return out;
-  require(config_.band_high_hz <= signal.sample_rate() / 2.0,
-          "extract: band exceeds Nyquist");
+  require(probe_.end_hz() <= signal.sample_rate() / 2.0, "extract: band exceeds Nyquist");
   // Every anchor's window has one length under one config.
   std::vector<Window> windows;
   windows.reserve(echoes.size());
@@ -260,8 +260,7 @@ std::vector<double> EchoSpectrumExtractor::extract_all(
     window_len = g.pre + g.post + 1;
     windows.push_back({&signal, window_start(g), out.data() + e * bins});
   }
-  run_windows(windows, window_len, signal.sample_rate(),
-              has_reference() ? reference_.data() : nullptr);
+  run_windows(windows, window_len, signal.sample_rate(), reference_.data());
   return out;
 }
 

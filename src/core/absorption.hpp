@@ -5,6 +5,10 @@
 // (the clean chirp pushed through the same chain); per-chirp PSDs are
 // averaged into one echo spectrum per recording.
 //
+// The probe design is stated once, in audio::FmcwConfig: the extractor
+// builds its band grid, its transform plan and its transmit reference from
+// the one probe it is constructed with, so the three cannot disagree.
+//
 // The transform computes only the bins the band resample reads, four
 // windows at a time (dsp::BandPsdPlan: broadcast blocks plus the butterfly
 // runs the band needs), and each band bin equals the full transform's bit
@@ -26,7 +30,7 @@
 //     and make the band shape sensitive to sample-level window placement.
 //
 // The spectrum level is kept (no peak normalization): with the transmit
-// reference installed it *is* the absorbed-energy measurement, the paper's
+// reference divided out it *is* the absorbed-energy measurement, the paper's
 // core observable. Feature code derives a peak-normalized shape copy where
 // it needs one.
 #pragma once
@@ -65,38 +69,36 @@ struct SpectrumConfig {
   std::size_t gate_length = 40;        ///< kDirectGate: gate duration
   std::size_t fft_size = 512;          ///< zero-padded transform length;
                                        ///<   must hold every analysis window
-  double band_low_hz = 16000.0;        ///< analysis band == the chirp band;
-  double band_high_hz = 20000.0;       ///< outside it the ratio is noise/noise
   std::size_t band_bins = 128;         ///< uniform grid of the output spectrum
+                                       ///<   across the probe's chirp band
 
   void validate() const;
 };
 
 class EchoSpectrumExtractor {
  public:
-  explicit EchoSpectrumExtractor(SpectrumConfig config = {});
-
-  /// Installs the transmit-reference spectrum: the band PSD of the clean
-  /// probe chirp pushed through the same window/FFT processing. When set,
-  /// every extracted PSD is divided by it, so the output reads the channel
-  /// response |H(f)|^2 (eardrum reflectance imprint) instead of the chirp's
-  /// own spectrum. The pipeline installs this automatically from its chirp
-  /// design.
-  void set_reference(const audio::FmcwConfig& chirp);
-  [[nodiscard]] bool has_reference() const { return !reference_.empty(); }
+  /// The analysis band is the probe's chirp band (outside it the ratio is
+  /// noise/noise). The transmit reference is the band PSD of the clean probe
+  /// chirp pushed through the same window/FFT processing; every extracted
+  /// PSD is divided by it, so the output reads the channel response |H(f)|^2
+  /// (eardrum reflectance imprint) instead of the chirp's own spectrum.
+  /// Throws when the probe is invalid (audio::FmcwConfig::validate).
+  explicit EchoSpectrumExtractor(SpectrumConfig config = {},
+                                 const audio::FmcwConfig& probe = {});
 
   /// The uniform band grid every PSD row lives on: band_bins frequencies
-  /// from band_low_hz to band_high_hz. Independent of the sample rate.
+  /// from the probe's start_hz to its end_hz(). Independent of the sample
+  /// rate.
   [[nodiscard]] const std::vector<double>& band_frequencies() const { return grid_; }
 
   /// Band PSD (on the uniform band grid) of one echo window, divided by the
-  /// transmit reference when one is installed. A one-echo extract_all().
+  /// transmit reference. A one-echo extract_all().
   [[nodiscard]] dsp::Spectrum extract(const audio::Waveform& signal,
                                       const EchoSegment& echo) const;
 
   /// Band PSD rows of every echo of one recording: echo e's band_bins
-  /// values (on band_frequencies(), divided by the reference when one is
-  /// installed) start at [e * band_bins]. Windows are read in place; only a
+  /// values (on band_frequencies(), divided by the reference) start at
+  /// [e * band_bins]. Windows are read in place; only a
   /// window that crosses the recording's first or last sample goes through a
   /// zero-filled copy. The windows run four at a time through one
   /// dsp::BandPsdPlan; the last group's unused lanes are zero. Each lane's
@@ -119,6 +121,7 @@ class EchoSpectrumExtractor {
                                       const std::vector<EchoSegment>& echoes) const;
 
   [[nodiscard]] const SpectrumConfig& config() const { return config_; }
+  [[nodiscard]] const audio::FmcwConfig& probe() const { return probe_; }
 
  private:
   /// One analysis window: `window_len` samples of `signal` from `start`
@@ -133,8 +136,9 @@ class EchoSpectrumExtractor {
   void run_windows(std::span<const Window> windows, std::size_t window_len,
                    double fs, const double* reference) const;
   SpectrumConfig config_;
+  audio::FmcwConfig probe_;
   std::vector<double> grid_;       ///< band_frequencies()
-  std::vector<double> reference_;  ///< transmit-reference band PSD (may be empty)
+  std::vector<double> reference_;  ///< transmit-reference band PSD
 };
 
 }  // namespace earsonar::core

@@ -106,8 +106,8 @@ void FeatureConfig::validate() const {
   require(psd_samples >= 2, "FeatureConfig: need >= 2 psd samples");
 }
 
-FeatureExtractor::FeatureExtractor(FeatureConfig config)
-    : config_(config), extractor_(config.spectrum) {
+FeatureExtractor::FeatureExtractor(FeatureConfig config, const audio::FmcwConfig& probe)
+    : config_(config), extractor_(config.spectrum, probe) {
   config_.validate();
   if (config_.spectrum.band_bins >= config_.mfcc_filters)
     mel_ = MelWeights::build(extractor_.band_frequencies(), config_.mfcc_filters);
@@ -186,8 +186,8 @@ FeatureExtractor::Result FeatureExtractor::extract_full_from_rows(
   }
 
   // --- 4. Spectral-shape features.
-  const double band_low = config_.spectrum.band_low_hz;
-  const double band_high = config_.spectrum.band_high_hz;
+  const double band_low = extractor_.probe().start_hz;
+  const double band_high = extractor_.probe().end_hz();
   const dsp::SpectralDip dip = dsp::find_dip(shape, band_low, band_high);
   const double band_span = band_high - band_low;
   features.push_back(dip.frequency_hz > 0.0 ? (dip.frequency_hz - band_low) / band_span

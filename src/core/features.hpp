@@ -41,11 +41,10 @@ struct FeatureConfig {
 
 class FeatureExtractor {
  public:
-  explicit FeatureExtractor(FeatureConfig config = {});
-
-  /// Installs the transmit-reference spectrum on the inner spectrum
-  /// extractor (see EchoSpectrumExtractor::set_reference).
-  void set_reference(const audio::FmcwConfig& chirp) { extractor_.set_reference(chirp); }
+  /// `probe` is the chirp design: its band is the analysis band of the
+  /// spectra and of the spectral-shape features, and its clean chirp is the
+  /// transmit reference (see EchoSpectrumExtractor).
+  explicit FeatureExtractor(FeatureConfig config = {}, const audio::FmcwConfig& probe = {});
 
   /// extract() plus the whole-recording mean echo spectrum it is built on.
   struct Result {

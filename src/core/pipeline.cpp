@@ -15,18 +15,24 @@
 
 namespace earsonar::core {
 
+namespace {
+
+// The probe is the one statement of the chirp's rate, timing and band that
+// every stage reads, so it is checked once, before any stage is built on it.
+const PipelineConfig& with_valid_probe(const PipelineConfig& config) {
+  config.chirp.validate();
+  return config;
+}
+
+}  // namespace
+
 EarSonar::EarSonar(PipelineConfig config)
-    : config_(config),
+    : config_(with_valid_probe(config)),
       preprocessor_(config.preprocess),
       event_detector_(config.events),
-      segmenter_(config.segmenter),
-      extractor_(config.features),
-      detector_(config.detector) {
-  // The pipeline knows its own probe signal; use it as the transmit
-  // reference so extracted spectra read the channel (eardrum) response
-  // rather than the chirp's own spectrum.
-  extractor_.set_reference(config_.chirp);
-}
+      segmenter_(config.segmenter, config.chirp),
+      extractor_(config.features, config.chirp),
+      detector_(config.detector) {}
 
 StageClock::StageClock(pipeline::StageId id, StageTimings& timings,
                        pipeline::StageGraph* graph, std::string_view category)

@@ -28,7 +28,10 @@
 namespace earsonar::core {
 
 struct PipelineConfig {
-  audio::FmcwConfig chirp;  ///< the probe design; also the transmit reference
+  /// The probe design, stated once: its sample rate is the analysis rate,
+  /// its timing the segmenter's emission grid, its band the absorption
+  /// analysis band, and its clean chirp the transmit reference.
+  audio::FmcwConfig chirp;
   PreprocessConfig preprocess;
   EventDetectorConfig events;
   SegmenterConfig segmenter;

@@ -16,13 +16,11 @@ void SegmenterConfig::validate() const {
           "SegmenterConfig: parity_threshold must be in (0.5, 1)");
   require(min_distance_m > 0.0 && min_distance_m < max_distance_m,
           "SegmenterConfig: need 0 < min_distance < max_distance");
-  require_positive("SegmenterConfig.sample_rate", sample_rate);
-  require_positive("SegmenterConfig.chirp_duration_s", chirp_duration_s);
-  require(chirp_interval_s >= chirp_duration_s,
-          "SegmenterConfig: interval must be >= duration");
 }
 
-ParityEchoSegmenter::ParityEchoSegmenter(SegmenterConfig config) : config_(config) {
+ParityEchoSegmenter::ParityEchoSegmenter(SegmenterConfig config,
+                                         const audio::FmcwConfig& probe)
+    : config_(config), probe_(probe) {
   config_.validate();
 }
 
@@ -104,7 +102,7 @@ std::optional<EchoSegment> ParityEchoSegmenter::segment(const audio::Waveform& s
   const std::span<const double> x =
       std::span<const double>(signal.samples()).subspan(event.start, event.length());
 
-  const double fs = config_.sample_rate;
+  const double fs = signal.sample_rate();
   const double min_offset = echo_delay_seconds(config_.min_distance_m) * fs;
   const double max_offset = echo_delay_seconds(config_.max_distance_m) * fs;
   if (static_cast<double>(x.size()) < min_offset + 4.0) return std::nullopt;
@@ -113,11 +111,11 @@ std::optional<EchoSegment> ParityEchoSegmenter::segment(const audio::Waveform& s
   // behind the shadowed microphone, but its timing is known: the app emits
   // chirps on the interval grid, so the direct pulse of this event peaks T/2
   // after the nearest grid point.
-  const double interval = config_.chirp_interval_s * fs;
+  const double interval = probe_.interval_s * fs;
   const double grid_start =
       std::round(static_cast<double>(event.start) / interval) * interval;
   const std::ptrdiff_t direct_abs = static_cast<std::ptrdiff_t>(
-      std::lround(grid_start + config_.chirp_duration_s * fs / 2.0));
+      std::lround(grid_start + probe_.duration_s * fs / 2.0));
   const std::ptrdiff_t direct_rel =
       direct_abs - static_cast<std::ptrdiff_t>(event.start);
   // Clamp into the event (a grossly off-grid event falls back gracefully).

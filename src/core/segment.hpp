@@ -6,12 +6,17 @@
 // by the parity energy ratio of a fixed-support subsequence, and the eardrum
 // echo is the qualifying candidate that sits at a physically plausible
 // ear-canal distance behind the direct (speaker-to-mic) pulse.
+//
+// The probe design (chirp timing and band, sample rate) is stated once, in
+// audio::FmcwConfig; the segmenter reads its emission grid from the probe it
+// is built with and its sample rate from the signal it segments.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <vector>
 
+#include "audio/chirp.hpp"
 #include "audio/waveform.hpp"
 #include "core/event_detect.hpp"
 
@@ -22,14 +27,6 @@ struct SegmenterConfig {
   double parity_threshold = 0.70;     ///< pt in (0.5, 1): even/odd energy ratio
   double min_distance_m = 0.019;      ///< echo search window behind the direct
   double max_distance_m = 0.038;      ///<   pulse: the anatomical 2-3.5 cm + margin
-  double sample_rate = 48000.0;
-  /// Probe design timing. The shadowed microphone makes the direct leak too
-  /// weak to locate by amplitude, but the app drives the speaker itself, so
-  /// emission times sit on a known grid: chirp k starts at k * interval and
-  /// its direct pulse peaks T/2 later. The segmenter anchors the direct pulse
-  /// to the grid point nearest the detected event.
-  double chirp_duration_s = 0.0005;
-  double chirp_interval_s = 0.005;
 
   void validate() const;
 };
@@ -53,11 +50,18 @@ struct EchoSegment {
 
 class ParityEchoSegmenter {
  public:
-  explicit ParityEchoSegmenter(SegmenterConfig config = {});
+  /// `probe` supplies the emission grid. The shadowed microphone makes the
+  /// direct leak too weak to locate by amplitude, but the app drives the
+  /// speaker itself, so emission times sit on a known grid: chirp k starts at
+  /// k * probe.interval_s and its direct pulse peaks probe.duration_s / 2
+  /// later. The segmenter anchors the direct pulse to the grid point nearest
+  /// the detected event.
+  explicit ParityEchoSegmenter(SegmenterConfig config = {},
+                               const audio::FmcwConfig& probe = {});
 
   /// Locates the eardrum echo inside one event of the (preprocessed)
-  /// recording. Returns nullopt when the event is too short to contain an
-  /// echo at the minimum distance.
+  /// recording, in samples at the recording's rate. Returns nullopt when the
+  /// event is too short to contain an echo at the minimum distance.
   [[nodiscard]] std::optional<EchoSegment> segment(const audio::Waveform& signal,
                                                    const Event& event) const;
 
@@ -66,9 +70,11 @@ class ParityEchoSegmenter {
       std::span<const double> x) const;
 
   [[nodiscard]] const SegmenterConfig& config() const { return config_; }
+  [[nodiscard]] const audio::FmcwConfig& probe() const { return probe_; }
 
  private:
   SegmenterConfig config_;
+  audio::FmcwConfig probe_;
 };
 
 /// Even/odd parity energies of `x` about center index n0 (Eq. 8-10):

@@ -91,12 +91,6 @@ std::vector<double> apply_window(std::span<const double> signal,
   return out;
 }
 
-double window_sum(std::span<const double> window) {
-  double acc = 0.0;
-  for (double w : window) acc += w;
-  return acc;
-}
-
 double window_power(std::span<const double> window) {
   double acc = 0.0;
   for (double w : window) acc += w * w;

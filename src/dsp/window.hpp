@@ -32,9 +32,6 @@ void apply_window_inplace(std::span<double> signal, std::span<const double> wind
 std::vector<double> apply_window(std::span<const double> signal,
                                  std::span<const double> window);
 
-/// Sum of window samples (amplitude normalization term).
-double window_sum(std::span<const double> window);
-
 /// Sum of squared window samples (power normalization term for PSDs).
 double window_power(std::span<const double> window);
 

@@ -218,7 +218,8 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
   const std::vector<double> arrivals =
       config.open_loop ? build_arrivals(config) : std::vector<double>{};
 
-  const double rate = 48000.0;  // probe rate; recordings are generated at it
+  // Every recording is simulated with one probe, at its rate.
+  const double rate = population.front().sample_rate();
   const double chunk_period_s =
       config.time_scale > 0.0
           ? config.time_scale * static_cast<double>(config.chunk_samples) / rate

@@ -325,6 +325,8 @@ void NetServer::serve_connection(Connection& connection) {
                                               header.payload_len / sizeof(double));
         const std::size_t shard = it->second.shard;
         if (it->second.session->feed(samples) == serve::FeedStatus::kRejected) {
+          pool_.engine(shard)->metrics().chunks_refused.fetch_add(
+              1, std::memory_order_relaxed);
           send_error(sid, ErrorCode::kStreamOverflow,
                      "session sample buffer full");
           close_session(sid);

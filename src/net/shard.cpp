@@ -394,15 +394,18 @@ void ShardPool::supervise_once(Clock::time_point now) {
           log_warn("net: shard ", index, " failed its health probe; down");
           break;
         }
-        // Wedge detection: queued work with no completion progress means the
+        // Wedge detection: queued work with no job resolved means the
         // workers are stuck (a hung model load, a deadlocked stage), which a
-        // liveness probe alone would miss.
-        const std::uint64_t completed =
-            shard.engine->metrics().completed.load(std::memory_order_relaxed);
+        // liveness probe alone would miss. A failed or shed job is progress
+        // too: a queue that stays busy while every job fails is not stuck.
+        const serve::ServeMetrics& m = shard.engine->metrics();
+        const std::uint64_t resolved = m.completed.load(std::memory_order_relaxed) +
+                                       m.failed.load(std::memory_order_relaxed) +
+                                       m.deadline_exceeded.load(std::memory_order_relaxed);
         const bool busy = shard.engine->queue_depth() > 0;
-        if (completed != shard.last_completed || !busy ||
+        if (resolved != shard.last_resolved || !busy ||
             shard.last_progress == Clock::time_point{}) {
-          shard.last_completed = completed;
+          shard.last_resolved = resolved;
           shard.last_progress = now;
           break;
         }
@@ -472,7 +475,7 @@ void ShardPool::restart_shard(std::size_t index, Clock::time_point now) {
     shard.engine = std::move(fresh);
   }
   shard.restarts.fetch_add(1, std::memory_order_relaxed);
-  shard.last_completed = 0;
+  shard.last_resolved = 0;
   shard.last_progress = Clock::now();
   const double recovery =
       std::chrono::duration<double, std::milli>(Clock::now() -

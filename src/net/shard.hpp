@@ -27,7 +27,7 @@
 //
 //   * healthy     — in the ring, admitting. The supervisor thread probes the
 //                   `net.shard.health` fault point and watches for a wedged
-//                   engine (nonempty queue, no completion progress for
+//                   engine (nonempty queue, no job resolved for
 //                   wedge_timeout_ms).
 //   * down        — crash observed. Still in the ring (sessions that hash
 //                   here are rejected kShardRestarting — explicit, bounded,
@@ -134,8 +134,9 @@ struct ShardConfig {
   /// How long a draining shard waits for in-flight sessions before the
   /// epoch bump invalidates the stragglers and the engine stops.
   double drain_deadline_ms = 5000.0;
-  /// A healthy shard with a nonempty queue and no completion progress for
-  /// this long is declared wedged (down). 0 disables wedge detection.
+  /// A healthy shard with a nonempty queue and no job resolved (completed,
+  /// failed or deadline-exceeded) for this long is declared wedged (down).
+  /// 0 disables wedge detection.
   double wedge_timeout_ms = 2000.0;
 
   void validate() const;
@@ -251,7 +252,7 @@ class ShardPool {
     /// One fixed-point ms value (atomic<double> needs no lock here).
     std::atomic<double> last_recovery_ms{0.0};
     // Supervisor-thread-only bookkeeping (no locking needed).
-    std::uint64_t last_completed = 0;
+    std::uint64_t last_resolved = 0;
     std::chrono::steady_clock::time_point last_progress{};
     std::chrono::steady_clock::time_point drain_started{};
     std::chrono::steady_clock::time_point down_since{};

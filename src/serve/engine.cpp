@@ -258,6 +258,7 @@ ServeResult ServingEngine::run_pipeline(const ServeRequest& request,
       // spliced) stream: the recording fails as a whole instead.
       if (session->feed(samples.subspan(pos, std::min(chunk, samples.size() - pos))) ==
           FeedStatus::kRejected) {
+        metrics_.chunks_refused.fetch_add(1, std::memory_order_relaxed);
         std::ostringstream msg;
         msg << "recording of " << samples.size()
             << " samples exceeds the session buffer of "

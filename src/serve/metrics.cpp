@@ -33,6 +33,7 @@ std::string ServeMetrics::text_snapshot() const {
   emit_counter(out, "faults_injected_total",
                fault::Registry::instance().injected_total());
   emit_counter(out, "chunks_fed_total", chunks_fed.load(std::memory_order_relaxed));
+  emit_counter(out, "chunks_refused_total", chunks_refused.load(std::memory_order_relaxed));
   emit_counter(out, "events_detected_total",
                events_detected.load(std::memory_order_relaxed));
   emit_counter(out, "echoes_segmented_total",

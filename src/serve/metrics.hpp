@@ -29,6 +29,9 @@ struct ServeMetrics {
   std::atomic<std::uint64_t> degraded{0};  ///< completed with a degraded quality report
   std::atomic<std::uint64_t> model_reload_retries{0};  ///< --watch reload backoff retries
   std::atomic<std::uint64_t> chunks_fed{0};
+  /// Chunks refused at the session buffer bound: a networked session's
+  /// Error(kStreamOverflow), or an in-process recording that failed whole.
+  std::atomic<std::uint64_t> chunks_refused{0};
   std::atomic<std::int64_t> queue_depth{0};
   // Per-stage throughput counters: how much work each stage produced,
   // complementing the stage graph's how-long (docs/observability.md

@@ -48,7 +48,6 @@ FeedStatus StreamingSession::feed(std::span<const double> chunk) {
   if (filtered_.size() + chunk.size() > config_.max_buffered_samples) {
     // Reject *before* touching the filter, so the accepted stream stays
     // contiguous and a later finish() is still exact for everything accepted.
-    ++rejected_chunks_;
     return FeedStatus::kRejected;
   }
   // Append the raw chunk and filter it where it lies: no per-chunk
@@ -59,7 +58,6 @@ FeedStatus StreamingSession::feed(std::span<const double> chunk) {
   envelope_.resize(filtered_.size());
   fold_.row = envelope_.data();
   filter_.process_in_place(std::span<double>(filtered_).subspan(tail), &fold_);
-  samples_fed_ += chunk.size();
   return FeedStatus::kAccepted;
 }
 
@@ -67,9 +65,9 @@ core::EchoAnalysis StreamingSession::finish(const core::EarSonar& pipeline,
                                             const CancelToken& cancel,
                                             pipeline::StageGraph* graph) {
   require(!finished_, "StreamingSession: finish twice");
-  require(samples_fed_ > 0, "StreamingSession: finish with no audio fed");
+  require(!filtered_.empty(), "StreamingSession: finish with no audio fed");
   obs::Span finish_span("stream_finish", "stream");
-  finish_span.set_arg("samples", static_cast<std::int64_t>(samples_fed_));
+  finish_span.set_arg("samples", static_cast<std::int64_t>(filtered_.size()));
   finished_ = true;
   // The folded envelope serves event detection when it covers the analyzed
   // samples with the pipeline's window: not for a recording shorter than

@@ -71,10 +71,6 @@ class StreamingSession {
                             const CancelToken& cancel = {},
                             pipeline::StageGraph* graph = nullptr);
 
-  [[nodiscard]] std::size_t samples_fed() const { return samples_fed_; }
-  [[nodiscard]] std::size_t samples_buffered() const { return filtered_.size(); }
-  [[nodiscard]] std::size_t rejected_chunks() const { return rejected_chunks_; }
-
  private:
   StreamingConfig config_;
   dsp::BiquadCascade filter_;
@@ -83,8 +79,6 @@ class StreamingSession {
   /// The power envelope of filtered_: row envelope_, one center per sample.
   std::vector<double> envelope_;
   dsp::EnvelopeFold fold_;
-  std::size_t samples_fed_ = 0;
-  std::size_t rejected_chunks_ = 0;
   bool finished_ = false;
 };
 

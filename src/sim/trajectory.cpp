@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "audio/chirp.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "sim/eardrum.hpp"
@@ -99,19 +100,20 @@ TrajectoryGenerator::TrajectoryGenerator(TrajectoryConfig config)
 double TrajectoryGenerator::surrogate_notch_depth_db(const Subject& subject,
                                                      EffusionState state,
                                                      double fill) const {
-  // Depth of the reflectance notch across the 16-20 kHz probe band: the same
+  // Depth of the reflectance notch across the probe's chirp band: the same
   // physics the waveform path convolves into the echo, read off |R(f)|
   // directly. Fluid loading pulls the drum resonance down into the band and
   // deepens the notch, which is exactly the feature the paper tracks.
   const EardrumModel drum(subject.drum, state, fill);
-  constexpr double kLowHz = 16000.0;
-  constexpr double kHighHz = 20000.0;
+  const audio::FmcwConfig probe;
+  const double low_hz = probe.start_hz;
+  const double high_hz = probe.end_hz();
   constexpr std::size_t kPoints = 33;
   double r_min = 1e9;
   double r_max = 0.0;
   for (std::size_t i = 0; i < kPoints; ++i) {
     const double f =
-        kLowHz + (kHighHz - kLowHz) * static_cast<double>(i) /
+        low_hz + (high_hz - low_hz) * static_cast<double>(i) /
                      static_cast<double>(kPoints - 1);
     const double r = drum.reflectance(f);
     r_min = std::min(r_min, r);

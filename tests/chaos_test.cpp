@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -33,6 +35,7 @@
 #include "net/server.hpp"
 #include "net/shard.hpp"
 #include "net/socket.hpp"
+#include "serve/engine.hpp"
 #include "sim/probe.hpp"
 #include "sim/subject.hpp"
 
@@ -174,6 +177,71 @@ TEST(ShardLifecycleTest, RestartFaultPointRetriesUntilRecovered) {
         std::chrono::milliseconds(5000)));
   }
   EXPECT_GE(pool.stats().shards[0].restarts, 1u);
+  pool.stop();
+}
+
+// --------------------------------------------------------- wedge detection
+
+// A queue that stays busy while every job fails is making progress: a failed
+// job is resolved as surely as a completed one, so the supervisor must not
+// read "no completions" as a wedge and restart the shard (which would cut
+// every in-flight session with Error{kShardRestart}).
+TEST(ShardWedgeTest, BusyShardWhoseJobsAllFailStaysHealthy) {
+  net::ShardConfig cfg = fast_pool_config(1);
+  cfg.supervisor_interval_ms = 2;
+  cfg.wedge_timeout_ms = 100.0;
+  net::ShardPool pool(cfg);
+  pool.install_model(tiny_model(), "test");
+  pool.start();
+  const audio::Waveform recording = test_recording();
+  fault::ScopedFault guard("pipeline.event_detect=always");
+  // Keep the queue nonempty for six wedge timeouts; every job fails at event
+  // detection, so no job ever completes.
+  std::vector<std::future<serve::ServeResult>> results;
+  const Clock::time_point until = Clock::now() + std::chrono::milliseconds(600);
+  while (Clock::now() < until) {
+    const std::shared_ptr<serve::ServingEngine> engine = pool.engine(0);
+    if (engine->queue_depth() < 32) {
+      serve::Submission sub = engine->submit({"failing", recording});
+      if (sub.accepted) results.push_back(std::move(sub.result));
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+  for (auto& result : results) EXPECT_FALSE(result.get().error.empty());
+  EXPECT_EQ(pool.shard_health(0), net::ShardHealth::kHealthy);
+  EXPECT_EQ(pool.stats().shards[0].restarts, 0u) << "a failing shard was taken for wedged";
+  EXPECT_EQ(pool.engine(0)->metrics().completed.load(), 0u);
+  EXPECT_GT(pool.engine(0)->metrics().failed.load(), 0u);
+  pool.stop();
+}
+
+// The wedge the supervisor exists for: one job runs past the timeout while
+// another waits behind it, and nothing is resolved in between.
+TEST(ShardWedgeTest, JobOutlastingTimeoutWithWorkQueuedIsDeclaredDown) {
+  net::ShardConfig cfg = fast_pool_config(1);
+  cfg.engine.chunk_samples = 1;  // a sample per feed: a long ingest
+  cfg.supervisor_interval_ms = 2;
+  cfg.wedge_timeout_ms = 5.0;
+  net::ShardPool pool(cfg);
+  pool.install_model(tiny_model(), "test");
+  pool.start();
+  const audio::Waveform tile = test_recording();
+  std::vector<double> samples;
+  while (samples.size() < 300000)
+    samples.insert(samples.end(), tile.samples().begin(), tile.samples().end());
+  const std::shared_ptr<serve::ServingEngine> engine = pool.engine(0);
+  serve::Submission running =
+      engine->submit({"long", audio::Waveform(std::move(samples), tile.sample_rate())});
+  ASSERT_TRUE(running.accepted) << running.reason;
+  serve::Submission waiting = engine->submit({"waiting", tile});
+  ASSERT_TRUE(waiting.accepted) << waiting.reason;
+  ASSERT_TRUE(wait_for([&] { return pool.stats().shards[0].restarts >= 1; },
+                       std::chrono::milliseconds(10000)))
+      << "a shard stuck on one job with work queued was never declared down";
+  // The restart drains the old engine: both futures resolve.
+  (void)running.result.get();
+  (void)waiting.result.get();
   pool.stop();
 }
 

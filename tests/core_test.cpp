@@ -224,16 +224,15 @@ TEST(AbsorptionTest, SpectrumOnUniformBandGrid) {
   echo.direct_peak_index = 12;
   const dsp::Spectrum s = extractor.extract(rec, echo);
   EXPECT_EQ(s.size(), extractor.config().band_bins);
-  EXPECT_DOUBLE_EQ(s.frequency_hz.front(), extractor.config().band_low_hz);
-  EXPECT_DOUBLE_EQ(s.frequency_hz.back(), extractor.config().band_high_hz);
+  EXPECT_DOUBLE_EQ(s.frequency_hz.front(), extractor.probe().start_hz);
+  EXPECT_DOUBLE_EQ(s.frequency_hz.back(), extractor.probe().end_hz());
 }
 
 TEST(AbsorptionTest, ReferenceNormalizationFlattensCleanChirp) {
   // A recording that is exactly the clean chirp train (no ear) must produce a
   // near-flat normalized spectrum: the reference divides the chirp away.
   audio::FmcwConfig chirp;
-  EchoSpectrumExtractor extractor;
-  extractor.set_reference(chirp);
+  const EchoSpectrumExtractor extractor(SpectrumConfig{}, chirp);
   const audio::Waveform train = audio::make_chirp_train(chirp, 2);
   EchoSegment echo;
   echo.event_start = 0;
@@ -247,9 +246,7 @@ TEST(AbsorptionTest, ReferenceNormalizationFlattensCleanChirp) {
 }
 
 TEST(AbsorptionTest, StrongerEchoRaisesLevel) {
-  audio::FmcwConfig chirp;
-  EchoSpectrumExtractor extractor;
-  extractor.set_reference(chirp);
+  const EchoSpectrumExtractor extractor;
   const audio::Waveform weak = synthetic_recording(1, 8, 0.1, 9, 0.0);
   const audio::Waveform strong = synthetic_recording(1, 8, 0.5, 9, 0.0);
   EchoSegment echo;
@@ -291,8 +288,7 @@ TEST(AbsorptionTest, ExtractAllMatchesPerEchoExtractBitwise) {
                               WindowAnchor::kDirectGate}) {
     SpectrumConfig cfg;
     cfg.anchor = anchor;
-    EchoSpectrumExtractor extractor(cfg);
-    extractor.set_reference(chirp);
+    const EchoSpectrumExtractor extractor(cfg, chirp);
     for (std::size_t count : {1UL, 4UL, 7UL}) {
       SCOPED_TRACE("anchor=" + std::to_string(static_cast<int>(anchor)) +
                    " echoes=" + std::to_string(count));
@@ -323,10 +319,10 @@ TEST(AbsorptionTest, ConfigValidation) {
   SpectrumConfig cfg;
   cfg.fft_size = 100;  // not a power of two
   EXPECT_THROW(EchoSpectrumExtractor{cfg}, std::invalid_argument);
-  cfg = SpectrumConfig{};
-  cfg.band_low_hz = 21000.0;
-  cfg.band_high_hz = 17000.0;
-  EXPECT_THROW(EchoSpectrumExtractor{cfg}, std::invalid_argument);
+  // The band is the probe's: a chirp past Nyquist is refused.
+  audio::FmcwConfig past_nyquist;
+  past_nyquist.start_hz = 21000.0;
+  EXPECT_THROW((EchoSpectrumExtractor{SpectrumConfig{}, past_nyquist}), std::invalid_argument);
   // fft_size must hold every anchor's window: event_window_length + 1,
   // pre_peak + post_peak + 1 and gate_length + 1 samples. 128 holds the
   // defaults.
@@ -535,6 +531,48 @@ TEST(PipelineTest, AnalyzeSimulatedRecording) {
             pipeline.config().features.spectrum.band_bins);
   EXPECT_GT(analysis.timings[pipeline::StageId::kFilter], 0.0);
   EXPECT_GT(analysis.timings[pipeline::StageId::kFeatures], 0.0);
+}
+
+// The probe is stated once, in PipelineConfig::chirp: a pipeline built for a
+// 17-20 kHz chirp every 6 ms analyzes on that band and anchors every echo's
+// direct pulse on that emission grid.
+TEST(PipelineTest, NonDefaultProbeReachesEveryStage) {
+  audio::FmcwConfig chirp;
+  chirp.start_hz = 17000.0;
+  chirp.bandwidth_hz = 3000.0;
+  chirp.interval_s = 0.006;
+  sim::SubjectFactory factory(42);
+  sim::ProbeConfig probe_cfg;
+  probe_cfg.chirp = chirp;
+  probe_cfg.chirp_count = 10;
+  sim::EarProbe probe(probe_cfg);
+  Rng rng(1);
+  const audio::Waveform rec = probe.record_state(
+      factory.make(0), sim::EffusionState::kClear, sim::reference_earphone(), {}, rng);
+
+  PipelineConfig config;
+  config.chirp = chirp;
+  const EchoAnalysis analysis = EarSonar(config).analyze(rec);
+  ASSERT_TRUE(analysis.usable());
+  EXPECT_DOUBLE_EQ(analysis.mean_spectrum.frequency_hz.front(), 17000.0);
+  EXPECT_DOUBLE_EQ(analysis.mean_spectrum.frequency_hz.back(), 20000.0);
+  ASSERT_FALSE(analysis.echoes.empty());
+  const std::size_t interval = chirp.interval_samples();  // 288
+  const std::size_t half_chirp = chirp.chirp_samples() / 2;  // T/2 = 12
+  for (const EchoSegment& e : analysis.echoes) {
+    ASSERT_GE(e.direct_peak_index, half_chirp);
+    EXPECT_EQ((e.direct_peak_index - half_chirp) % interval, 0u)
+        << "direct pulse at " << e.direct_peak_index << " is off the 6 ms grid";
+  }
+}
+
+TEST(PipelineTest, InvalidProbeRefusedAtConstruction) {
+  PipelineConfig config;
+  config.chirp.start_hz = 22000.0;  // 22-26 kHz: past Nyquist at 48 kHz
+  EXPECT_THROW(EarSonar{config}, std::invalid_argument);
+  config = PipelineConfig{};
+  config.chirp.interval_s = 0.0004;  // shorter than the 0.5 ms chirp
+  EXPECT_THROW(EarSonar{config}, std::invalid_argument);
 }
 
 TEST(PipelineTest, ConsensusReanchoringAlignsEchoes) {

@@ -287,7 +287,7 @@ TEST(DegradationTest, PartiallyBadRecordingMatchesGoodChirpsBitIdentically) {
     event.start = core::aligned_event_start(filtered.view(), event);
   ASSERT_EQ(events.size(), degraded.quality.chirps_total);
 
-  const core::ParityEchoSegmenter segmenter(config.segmenter);
+  const core::ParityEchoSegmenter segmenter(config.segmenter, config.chirp);
   std::vector<core::EchoSegment> echoes;
   for (std::size_t i = 0; i < events.size(); ++i) {
     if (dropped.count(i) > 0) continue;
@@ -297,8 +297,7 @@ TEST(DegradationTest, PartiallyBadRecordingMatchesGoodChirpsBitIdentically) {
   core::reanchor_echoes(echoes, filtered.sample_rate());
   ASSERT_EQ(echoes.size(), degraded.echoes.size());
 
-  core::FeatureExtractor extractor(config.features);
-  extractor.set_reference(config.chirp);
+  const core::FeatureExtractor extractor(config.features, config.chirp);
   const core::FeatureExtractor::Result reference = extractor.extract_full(filtered, echoes);
 
   EXPECT_EQ(degraded.features, reference.features);

@@ -77,7 +77,6 @@ TEST(WindowTest, ApplyWindowSizeMismatchThrows) {
 
 TEST(WindowTest, WindowSumsArePositive) {
   const auto w = hann_window(64);
-  EXPECT_NEAR(window_sum(w), 31.5, 0.6);  // Hann sums to ~N/2
   EXPECT_GT(window_power(w), 0.0);
 }
 

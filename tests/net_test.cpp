@@ -751,6 +751,7 @@ TEST_F(NetRefusalTest, ChunkPastSessionBufferIsStreamOverflow) {
   const double one[1] = {0.0};
   net::write_chunk_frame(stream_, 1, one);
   expect_one_error(1, net::ErrorCode::kStreamOverflow);
+  EXPECT_EQ(server_->shards().engine(0)->metrics().chunks_refused.load(), 1u);
   expect_server_clean();
 }
 

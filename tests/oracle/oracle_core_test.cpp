@@ -273,7 +273,8 @@ TEST(OracleSegmentTest, ServedCohortEventsMatchNaive) {
     const audio::Waveform& rec = cohort()[r];
     for (const core::Event& e : detector.detect(rec)) {
       const std::optional<core::EchoSegment> got = segmenter.segment(rec, e);
-      expect_same_segment(got, check::segment_naive(rec.view(), e, segmenter.config()),
+      expect_same_segment(got, check::segment_naive(rec.view(), e, segmenter.config(),
+                                               segmenter.probe()),
                           "recording " + std::to_string(r) + " event@" +
                               std::to_string(e.start));
       segmented += got.has_value() && !got->from_fallback;
@@ -289,7 +290,7 @@ TEST(OracleSegmentTest, ServedCohortEventsMatchNaive) {
 // of the recording.
 TEST(OracleSegmentTest, LongAndEdgeClippedEventsMatchNaive) {
   const core::ParityEchoSegmenter segmenter;
-  const std::size_t interval = 240;  // 5 ms chirp interval at 48 kHz
+  const std::size_t interval = segmenter.probe().interval_samples();
   for (std::size_t r = 0; r < cohort().size(); r += 37) {
     const audio::Waveform& rec = cohort()[r];
     const std::size_t n = rec.size();
@@ -299,7 +300,8 @@ TEST(OracleSegmentTest, LongAndEdgeClippedEventsMatchNaive) {
         windows.push_back({start, start + len});
       for (const core::Event& e : windows)
         expect_same_segment(segmenter.segment(rec, e),
-                            check::segment_naive(rec.view(), e, segmenter.config()),
+                            check::segment_naive(rec.view(), e, segmenter.config(),
+                                                 segmenter.probe()),
                             "recording " + std::to_string(r) + " [" +
                                 std::to_string(e.start) + ", " + std::to_string(e.end) +
                                 ")");

@@ -13,9 +13,9 @@
 // sizes 64, 128, 512 and 2048; the served 16-20 kHz band, one bin, bin 0,
 // bin n/2 and the full range; windows that cross the recording's first or
 // last sample, all-zero, constant, random and null lanes; a NaN sample. The
-// extractor level alternates all three anchors at two FFT sizes on one
-// thread, so a per-thread plan kept under too coarse a key shows up as a
-// wrong row.
+// extractor level alternates all three anchors at two FFT sizes and two
+// probe bands on one thread, so a per-thread plan kept under too coarse a key
+// shows up as a wrong row.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -219,10 +219,10 @@ WindowSpan echo_window(const core::SpectrumConfig& c, const core::EchoSegment& e
           pre + post + 1};
 }
 
-// set_reference's row through the unpruned chain: the clean chirp padded at
-// the start of a silent buffer, the anchor's reference window (kDirectGate
-// references the pre/post window around the pulse center), floored at 1e-4
-// of its peak.
+// The extractor's transmit-reference row through the unpruned chain: the
+// clean chirp padded at the start of a silent buffer, the anchor's reference
+// window (kDirectGate references the pre/post window around the pulse
+// center), floored at 1e-4 of its peak.
 std::vector<double> unpruned_reference(const core::SpectrumConfig& c,
                                        const audio::FmcwConfig& chirp) {
   const audio::Waveform pulse = audio::make_chirp(chirp);
@@ -236,8 +236,8 @@ std::vector<double> unpruned_reference(const core::SpectrumConfig& c,
     w = {static_cast<std::ptrdiff_t>(pulse.size() / 2) -
              static_cast<std::ptrdiff_t>(c.pre_peak),
          c.pre_peak + c.post_peak + 1};
-  std::vector<double> row =
-      check::echo_psd_row_unpruned(padded.samples(), w.start, w.length, chirp.sample_rate, c);
+  std::vector<double> row = check::echo_psd_row_unpruned(padded.samples(), w.start, w.length,
+                                                         chirp.sample_rate, c, chirp);
   const double peak = *std::max_element(row.begin(), row.end());
   for (double& v : row) v = std::max(v, 1e-4 * peak);
   return row;
@@ -279,8 +279,9 @@ void expect_rows_match(const core::EchoSpectrumExtractor& extractor,
   ASSERT_EQ(rows.size(), echoes.size() * c.band_bins) << label;
   for (std::size_t e = 0; e < echoes.size(); ++e) {
     const WindowSpan w = echo_window(c, echoes[e]);
-    const std::vector<double> want = check::echo_psd_row_unpruned(
-        recording.samples(), w.start, w.length, recording.sample_rate(), c, reference);
+    const std::vector<double> want =
+        check::echo_psd_row_unpruned(recording.samples(), w.start, w.length,
+                                     recording.sample_rate(), c, extractor.probe(), reference);
     const std::vector<double> got(rows.begin() + static_cast<std::ptrdiff_t>(e * c.band_bins),
                                   rows.begin() + static_cast<std::ptrdiff_t>((e + 1) * c.band_bins));
     expect_pair(got, want, label + " echo=" + std::to_string(e));
@@ -295,35 +296,38 @@ TEST(OraclePsdBandTest, ExtractorRowsAtRecordingEdgesMatchUnprunedChain) {
                             core::WindowAnchor::kDirectGate}) {
     core::SpectrumConfig c;
     c.anchor = anchor;
-    core::EchoSpectrumExtractor extractor(c);
-    const std::string label = "anchor=" + std::to_string(static_cast<int>(anchor));
-    expect_rows_match(extractor, recording, echoes, {}, label + " no reference");
-    extractor.set_reference(chirp);
+    const core::EchoSpectrumExtractor extractor(c, chirp);
     expect_rows_match(extractor, recording, echoes, unpruned_reference(c, chirp),
-                      label + " reference");
+                      "anchor=" + std::to_string(static_cast<int>(anchor)));
   }
 }
 
 // The per-thread plan must be keyed on everything that shapes it: fft size,
-// window length, band and sample rate. Six extractors (three anchors at two
-// FFT sizes) alternate on one thread; kDirectGate's echo windows are 41
-// samples but its reference window is 65, so a plan cached under a coarser
-// key would drop or invent window samples in some row.
+// window length, band and sample rate. Twelve extractors (three anchors at
+// two FFT sizes, each for the 16-20 kHz and a 17-20 kHz probe) alternate on
+// one thread; kDirectGate's echo windows are 41 samples but its reference
+// window is 65, so a plan cached under a coarser key would drop or invent
+// window samples, or read another band's bins, in some row.
 TEST(OraclePsdBandTest, PlanCacheKeyedOnEverythingThatShapesIt) {
   const audio::FmcwConfig chirp;
+  audio::FmcwConfig narrow;
+  narrow.start_hz = 17000.0;
+  narrow.bandwidth_hz = 3000.0;
   const audio::Waveform recording = test_recording(chirp);
   const std::vector<core::EchoSegment> echoes = test_echoes(recording.size());
   std::vector<core::EchoSpectrumExtractor> extractors;
   std::vector<std::vector<double>> references;
-  for (const std::size_t n : {512UL, 128UL}) {
-    for (const auto anchor : {core::WindowAnchor::kEventStart, core::WindowAnchor::kEchoPeak,
-                              core::WindowAnchor::kDirectGate}) {
-      core::SpectrumConfig c;
-      c.anchor = anchor;
-      c.fft_size = n;
-      extractors.emplace_back(c);
-      extractors.back().set_reference(chirp);
-      references.push_back(unpruned_reference(c, chirp));
+  for (const audio::FmcwConfig& probe : {chirp, narrow}) {
+    for (const std::size_t n : {512UL, 128UL}) {
+      for (const auto anchor : {core::WindowAnchor::kEventStart,
+                                core::WindowAnchor::kEchoPeak,
+                                core::WindowAnchor::kDirectGate}) {
+        core::SpectrumConfig c;
+        c.anchor = anchor;
+        c.fft_size = n;
+        extractors.emplace_back(c, probe);
+        references.push_back(unpruned_reference(c, probe));
+      }
     }
   }
   for (std::size_t round = 0; round < 2; ++round) {
@@ -331,7 +335,8 @@ TEST(OraclePsdBandTest, PlanCacheKeyedOnEverythingThatShapesIt) {
       const core::SpectrumConfig& c = extractors[i].config();
       expect_rows_match(extractors[i], recording, echoes, references[i],
                         "round=" + std::to_string(round) + " n=" + std::to_string(c.fft_size) +
-                            " anchor=" + std::to_string(static_cast<int>(c.anchor)));
+                            " anchor=" + std::to_string(static_cast<int>(c.anchor)) +
+                            " band_low=" + std::to_string(extractors[i].probe().start_hz));
     }
   }
 }

@@ -354,13 +354,22 @@ TEST(StreamingSessionTest, RejectPolicyRefusesOverflowWithoutStateChange) {
   serve::StreamingConfig sc;
   sc.pipeline = causal_config();
   sc.max_buffered_samples = 2048;
+  const core::EarSonar pipeline(sc.pipeline);
+  const audio::Waveform recording = test_recording();
+  const std::span<const double> chunk = recording.view().first(1500);
   serve::StreamingSession session(sc);
-  const std::vector<double> chunk(1500, 0.0);
   EXPECT_EQ(session.feed(chunk), serve::FeedStatus::kAccepted);
   EXPECT_EQ(session.feed(chunk), serve::FeedStatus::kRejected);
-  EXPECT_EQ(session.samples_fed(), 1500u);
-  EXPECT_EQ(session.rejected_chunks(), 1u);
-  EXPECT_EQ(session.samples_buffered(), 1500u);
+  // The refused chunk left nothing behind: the session analyzes exactly
+  // what a session fed only the accepted chunk analyzes.
+  serve::StreamingSession accepted_only(sc);
+  ASSERT_EQ(accepted_only.feed(chunk), serve::FeedStatus::kAccepted);
+  const core::EchoAnalysis got = session.finish(pipeline);
+  const core::EchoAnalysis want = accepted_only.finish(pipeline);
+  ASSERT_FALSE(want.events.empty());
+  ASSERT_EQ(got.events.size(), want.events.size());
+  EXPECT_EQ(got.events.back().end, want.events.back().end);
+  EXPECT_EQ(got.features, want.features);
 }
 
 TEST(StreamingSessionTest, LifecycleErrors) {
@@ -615,6 +624,7 @@ TEST(ServingEngineTest, RecordingPastSessionBufferFailsInsteadOfSplicing) {
   EXPECT_FALSE(result.usable);
   EXPECT_NE(result.error.find("2048"), std::string::npos) << result.error;
   EXPECT_EQ(engine.metrics().chunks_fed.load(), 1u);  // chunk 3 never fed
+  EXPECT_EQ(engine.metrics().chunks_refused.load(), 1u);
 
   // The worker serves the next request, one that fits, normally.
   const std::vector<double> head(tile.samples().begin(), tile.samples().begin() + 2048);
